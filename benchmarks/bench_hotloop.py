@@ -2,7 +2,7 @@
 
 Runs the Fig 10 quick workload set under the three architectures at the
 paper-scale GPU configuration (``GPUConfig.titan_v``: 80 SMs) under
-both engines — the event-driven SoA fastpath (default) and the
+both engines — the event-driven fastpath (default) and the
 per-cycle polling reference (``REPRO_NO_FASTPATH=1``) — asserts the two
 produce identical memory digests, cycle counts, and metrics, and
 appends the timing ratios to ``benchmarks/results/BENCH_hotloop.json``.
@@ -80,6 +80,7 @@ ARCHES = [
 
 
 def _run_cell(factory, arch, fastpath):
+    prev = os.environ.get("REPRO_NO_FASTPATH")
     if fastpath:
         os.environ.pop("REPRO_NO_FASTPATH", None)
     else:
@@ -94,7 +95,10 @@ def _run_cell(factory, arch, fastpath):
             # would only dilute the comparison toward 1x.
             best = min(best, res.sim_wall_s)
     finally:
-        os.environ.pop("REPRO_NO_FASTPATH", None)
+        if prev is None:
+            os.environ.pop("REPRO_NO_FASTPATH", None)
+        else:
+            os.environ["REPRO_NO_FASTPATH"] = prev
     metrics = res.metrics_dict()
     metrics.pop("host_profile", None)
     return best, {"mem_digest": res.mem_digest, "cycles": res.cycles,

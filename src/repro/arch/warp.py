@@ -34,6 +34,12 @@ from repro.memory.globalmem import AtomicOp, GlobalMemory
 
 SECTOR_BYTES = 32
 
+#: (Warp slot, WarpSlabs attribute) of each timing field stored in rows.
+_ROW_CELLS = (
+    ("_rc", "ready_cycle"), ("_ol", "out_loads"), ("_oa", "out_atoms"),
+    ("_bar", "at_barrier"), ("_act", "active"), ("_pc", "pc"),
+)
+
 
 @dataclass
 class MemRequestSpec:
@@ -74,11 +80,10 @@ class Warp:
     __slots__ = (
         "uid", "sm_id", "scheduler_id", "hw_slot", "batch",
         "cta", "warp_id_in_cta", "warp_size", "program", "regs", "stack",
-        "_ready_cycle", "_outstanding_loads", "_outstanding_stores",
-        "_outstanding_atoms", "_at_barrier", "_exited", "dyn_instrs",
+        "outstanding_stores", "buffered_reds", "_exited", "dyn_instrs",
         "dyn_atomics", "sleep_until", "launched_cycle", "fence_arrived_at",
-        "_buffered_reds", "_red_cache", "capture_addrs",
-        "_slabs", "_row", "_col",
+        "_red_cache", "capture_addrs",
+        "_rc", "_ol", "_oa", "_bar", "_act", "_pc", "_row", "_col", "_wake",
     )
 
     def __init__(
@@ -111,21 +116,29 @@ class Warp:
         self.regs: Dict[str, np.ndarray] = {}
         self._init_special_registers(first_thread, lanes, in_cta)
 
-        # Timing-model state (owned by the SM).  Unbound warps — the ISA
-        # oracle, the model checker, unit tests — store it in these
-        # instance fields; warps placed into an SM slot are bound to the
-        # GPU-wide SoA slabs (repro.sim.soa) and the public properties
-        # below route reads/writes into their (row, col) cell instead.
-        self._slabs = None
+        # Timing-model state (owned by the SM).  ready_cycle, the load
+        # and atomic counters, at_barrier and the active/pc cells are
+        # stored only in row lists (repro.sim.soa), read and written
+        # through the properties below at index _col.  A standalone
+        # warp — the ISA oracle, the model checker, unit tests — owns
+        # one-cell rows; bind_slab moves a placed warp into its
+        # scheduler's rows at its hardware slot.
+        self._rc = [0]
+        self._ol = [0]
+        self._oa = [0]
+        self._bar = [False]
+        self._act = [True]
+        self._pc = [self.stack.pc]
         self._row = 0
         self._col = 0
-        self._ready_cycle = 0
-        self._outstanding_loads = 0
-        self._outstanding_stores = 0
-        self._outstanding_atoms = 0
-        self._at_barrier = False
+        #: the bound rows' warp_wake heap (None while standalone).
+        self._wake = None
         self._exited = False
-        self._buffered_reds = 0
+        #: stores in flight (baseline barriers and fences wait on them).
+        self.outstanding_stores = 0
+        #: reds inserted into a DAB buffer since the last flush; a CTA
+        #: barrier whose warps all have 0 here needs no fence flush.
+        self.buffered_reds = 0
         self.sleep_until = 0
         self.launched_cycle = 0
         self.fence_arrived_at = 0
@@ -156,127 +169,81 @@ class Warp:
                 self.regs[name] = np.full(self.warp_size, np.float32(value), dtype=np.float32)
 
     # ------------------------------------------------------------------
-    # SoA facade (DESIGN §16), write-through: the instance fields are
-    # always current (so scalar reads cost one property hop and plain
-    # int/bool come back — no numpy scalars on determinism surfaces),
-    # and every setter mirrors the new value into the bound slab cell
-    # so the vector engine's row gathers observe identical state.
-    # Standalone warps (oracle, model checker, unit tests) never bind
-    # and skip the mirror entirely.
+    # Row cells (DESIGN §16).  Every setter that can make the warp
+    # eligible to wake by time alone (live, not at a barrier, nothing
+    # outstanding) pushes its ready_cycle onto the bound rows' lazy
+    # warp_wake heap; GPU._earliest_warp_wake_fast validates entries at
+    # peek and discards superseded ones.
     # ------------------------------------------------------------------
     def bind_slab(self, slabs, row: int, col: int) -> None:
-        """Adopt slab cell (row, col) as the mirror of timing state."""
-        slabs.ready_cycle[row, col] = self._ready_cycle
-        slabs.out_loads[row, col] = self._outstanding_loads
-        slabs.out_stores[row, col] = self._outstanding_stores
-        slabs.out_atoms[row, col] = self._outstanding_atoms
-        slabs.buffered_reds[row, col] = self._buffered_reds
-        slabs.at_barrier[row, col] = self._at_barrier
-        st = self.stack
-        slabs.active[row, col] = not (self._exited or st.done)
-        slabs.pc[row, col] = st.pc if not st.done else 0
-        self._slabs = slabs
+        """Move the timing cells into ``slabs`` row ``row``, slot ``col``."""
+        c = self._col
+        for slot, name in _ROW_CELLS:
+            cells = getattr(slabs, name)[row]
+            cells[col] = getattr(self, slot)[c]
+            setattr(self, slot, cells)
         self._row = row
         self._col = col
-        if (slabs.active[row, col] and not self._at_barrier
-                and self._outstanding_loads == 0
-                and self._outstanding_atoms == 0):
-            heappush(slabs.warp_wake, (self._ready_cycle, row, col))
+        self._wake = slabs.warp_wake
+        self._push_wake(col)
 
     def unbind_slab(self) -> None:
-        """Detach from the slabs (called before the hardware slot is
-        reused — late store acks may still land on this warp object,
-        and must not write through to the new occupant's cell).  The
-        instance fields are already current (write-through)."""
-        self._slabs = None
+        """Copy the timing cells out into one-cell rows of this warp's
+        own (called before the hardware slot is reused — late acks may
+        still land on this warp object, and must not write into the new
+        occupant's cells)."""
+        c = self._col
+        for slot, _name in _ROW_CELLS:
+            setattr(self, slot, [getattr(self, slot)[c]])
+        self._row = 0
+        self._col = 0
+        self._wake = None
+
+    def _push_wake(self, c: int) -> None:
+        wake = self._wake
+        if (wake is not None and self._act[c] and not self._bar[c]
+                and self._ol[c] == 0 and self._oa[c] == 0):
+            heappush(wake, (self._rc[c], self._row, c))
 
     @property
     def ready_cycle(self) -> int:
-        return self._ready_cycle
+        return self._rc[self._col]
 
     @ready_cycle.setter
     def ready_cycle(self, v: int) -> None:
-        self._ready_cycle = v
-        s = self._slabs
-        if s is not None:
-            r, c = self._row, self._col
-            s.ready_cycle[r, c] = v
-            # Lazy wake calendar: any time an *eligible* warp (live,
-            # not at a barrier, nothing outstanding) gains a wake time
-            # it is pushed; GPU._earliest_warp_wake_fast validates at
-            # peek and discards superseded entries.
-            if (not self._at_barrier and self._outstanding_loads == 0
-                    and self._outstanding_atoms == 0 and s.active[r, c]):
-                heappush(s.warp_wake, (v, r, c))
+        c = self._col
+        self._rc[c] = v
+        self._push_wake(c)
 
     @property
     def outstanding_loads(self) -> int:
-        return self._outstanding_loads
+        return self._ol[self._col]
 
     @outstanding_loads.setter
     def outstanding_loads(self, v: int) -> None:
-        self._outstanding_loads = v
-        s = self._slabs
-        if s is not None:
-            r, c = self._row, self._col
-            s.out_loads[r, c] = v
-            if (v == 0 and not self._at_barrier
-                    and self._outstanding_atoms == 0 and s.active[r, c]):
-                heappush(s.warp_wake, (self._ready_cycle, r, c))
-
-    @property
-    def outstanding_stores(self) -> int:
-        return self._outstanding_stores
-
-    @outstanding_stores.setter
-    def outstanding_stores(self, v: int) -> None:
-        self._outstanding_stores = v
-        s = self._slabs
-        if s is not None:
-            s.out_stores[self._row, self._col] = v
+        c = self._col
+        self._ol[c] = v
+        self._push_wake(c)
 
     @property
     def outstanding_atoms(self) -> int:
-        return self._outstanding_atoms
+        return self._oa[self._col]
 
     @outstanding_atoms.setter
     def outstanding_atoms(self, v: int) -> None:
-        self._outstanding_atoms = v
-        s = self._slabs
-        if s is not None:
-            r, c = self._row, self._col
-            s.out_atoms[r, c] = v
-            if (v == 0 and not self._at_barrier
-                    and self._outstanding_loads == 0 and s.active[r, c]):
-                heappush(s.warp_wake, (self._ready_cycle, r, c))
+        c = self._col
+        self._oa[c] = v
+        self._push_wake(c)
 
     @property
     def at_barrier(self) -> bool:
-        return self._at_barrier
+        return self._bar[self._col]
 
     @at_barrier.setter
     def at_barrier(self, v: bool) -> None:
-        self._at_barrier = v
-        s = self._slabs
-        if s is not None:
-            r, c = self._row, self._col
-            s.at_barrier[r, c] = v
-            if (not v and self._outstanding_loads == 0
-                    and self._outstanding_atoms == 0 and s.active[r, c]):
-                heappush(s.warp_wake, (self._ready_cycle, r, c))
-
-    @property
-    def buffered_reds(self) -> int:
-        """Reds inserted into a DAB buffer since the last flush; a CTA
-        barrier whose warps all have 0 here needs no fence flush."""
-        return self._buffered_reds
-
-    @buffered_reds.setter
-    def buffered_reds(self, v: int) -> None:
-        self._buffered_reds = v
-        s = self._slabs
-        if s is not None:
-            s.buffered_reds[self._row, self._col] = v
+        c = self._col
+        self._bar[c] = v
+        self._push_wake(c)
 
     @property
     def exited(self) -> bool:
@@ -285,9 +252,8 @@ class Warp:
     @exited.setter
     def exited(self, v: bool) -> None:
         self._exited = v
-        s = self._slabs
-        if s is not None and v:
-            s.active[self._row, self._col] = False
+        if v:
+            self._act[self._col] = False
 
     # ------------------------------------------------------------------
     @property
@@ -304,36 +270,6 @@ class Warp:
             return None
         return self.program.instrs[self.stack.pc]
 
-    def issue_ready(self, now: int) -> bool:
-        """Could this warp issue *something* at cycle ``now``?
-
-        The cheap timing predicate shared by the polling precheck, the
-        event-driven ready-set maintenance and the schedulers' status
-        snapshots: past its latency window, not at a barrier/fence, and
-        no outstanding loads or returning atomics.  (Architecture gates
-        — GPUDet quanta, DAB atomic gates — are layered on top by the
-        SM; they are not a property of the warp.)
-        """
-        return (
-            self.ready_cycle <= now
-            and not self.at_barrier
-            and self.outstanding_loads == 0
-            and self.outstanding_atoms == 0
-        )
-
-    def wake_candidate(self) -> Optional[int]:
-        """The cycle this warp becomes issuable on its own, or ``None``.
-
-        ``None`` when the warp cannot wake by time alone — it is done,
-        at a barrier, or waiting on a memory event (which notifies the
-        issue engine directly when it lands).
-        """
-        if self.at_barrier or self.outstanding_loads or self.outstanding_atoms:
-            return None
-        if self.exited or self.stack.done:
-            return None
-        return self.ready_cycle
-
     def next_is_atomic(self) -> bool:
         """Used by determinism-aware schedulers (GTRR/GTAR/GWAT)."""
         # Inlined peek(): this runs once per live slot per status
@@ -341,14 +277,6 @@ class Warp:
         if self.exited or self.stack.done:
             return False
         return self.program.instrs[self.stack.pc].atomic
-
-    def next_red_lane_count(self) -> int:
-        """How many buffer entries the next ``red`` would need (no fusion)."""
-        ins = self.peek()
-        if ins is None or ins.op_class is not OpClass.MEM_RED:
-            return 0
-        mask = self._effective_mask(ins)
-        return int(np.count_nonzero(mask))
 
     def peek_red_ops(self) -> Tuple[AtomicOp, ...]:
         """Dry-run the next ``red``'s lane ops without executing it.
@@ -426,18 +354,16 @@ class Warp:
     def step(self, mem: GlobalMemory) -> StepResult:
         """Execute one instruction functionally; advance the SIMT stack.
 
-        The slab ``pc``/``active`` cells are refreshed here (not in the
-        SM) because GPUDet's serial commit mode steps warps directly,
+        The ``pc``/``active`` cells are refreshed here (not in the SM)
+        because GPUDet's serial commit mode steps warps directly,
         bypassing ``SM._issue``.
         """
         result = self._step(mem)
-        slabs = self._slabs
-        if slabs is not None:
-            st = self.stack
-            if st.done:
-                slabs.active[self._row, self._col] = False
-            else:
-                slabs.pc[self._row, self._col] = st.pc
+        st = self.stack
+        if st.done:
+            self._act[self._col] = False
+        else:
+            self._pc[self._col] = st.pc
         return result
 
     def _step(self, mem: GlobalMemory) -> StepResult:

@@ -108,23 +108,18 @@ class AtomicBuffer:
         self._entries: List[BufferEntry] = []
         self._index: Dict[Tuple[int, str], int] = {}  # (addr, opcode) -> entry idx
         self._full = False
-        # Optional SoA mirror (repro.sim.soa): the GPU-wide occupancy /
-        # sticky-full vectors plus the plain-int nonempty/full counters
-        # the fast engine's trigger queries read.  None for standalone
-        # buffers (unit tests).
-        self._slabs = None
-        self._slab_idx = 0
+        # Optional GPU-wide summaries (repro.sim.soa): the plain-int
+        # nonempty/full counters the fast engine's trigger queries read.
+        # None for standalone buffers (unit tests).
+        self._counters = None
 
-    def bind_slab(self, slabs, idx: int) -> None:
-        """Mirror occupancy and the sticky full bit into SoA state."""
-        self._slabs = slabs
-        self._slab_idx = idx
-        slabs.buf_occupancy[idx] = len(self._entries)
-        slabs.buf_full[idx] = self._full
+    def bind_counters(self, soa) -> None:
+        """Count this buffer in ``soa``'s nonempty/full summaries."""
+        self._counters = soa
         if self._entries:
-            slabs.buf_nonempty_count += 1
+            soa.buf_nonempty_count += 1
         if self._full:
-            slabs.buf_full_count += 1
+            soa.buf_full_count += 1
 
     # -- state bits ------------------------------------------------------
     @property
@@ -171,12 +166,9 @@ class AtomicBuffer:
 
     def mark_full(self) -> None:
         """Record a blocked issue: sets the sticky full bit."""
-        was_full = self._full
+        if self._counters is not None and not self._full:
+            self._counters.buf_full_count += 1
         self._full = True
-        if self._slabs is not None:
-            self._slabs.buf_full[self._slab_idx] = True
-            if not was_full:
-                self._slabs.buf_full_count += 1
         self.stats.reject_full += 1
         if self.obs is not None:
             self.obs.emit("buffer", "full", buf=self.name, sm=self.sm_id,
@@ -206,10 +198,8 @@ class AtomicBuffer:
                 )
             self.stats.inserts += 1
         occ = len(self._entries)
-        if self._slabs is not None:
-            self._slabs.buf_occupancy[self._slab_idx] = occ
-            if was_empty and occ:
-                self._slabs.buf_nonempty_count += 1
+        if self._counters is not None and was_empty and occ:
+            self._counters.buf_nonempty_count += 1
         if self.inv is not None:
             self.inv.check_buffer_occupancy(self.name, occ, self.capacity)
         if occ > self.stats.max_occupancy:
@@ -251,15 +241,12 @@ class AtomicBuffer:
         self.stats.flushed_entries += n
         self._entries = []
         self._index.clear()
-        was_full = self._full
-        self._full = False
-        if self._slabs is not None:
-            self._slabs.buf_occupancy[self._slab_idx] = 0
-            self._slabs.buf_full[self._slab_idx] = False
+        if self._counters is not None:
             if n:
-                self._slabs.buf_nonempty_count -= 1
-            if was_full:
-                self._slabs.buf_full_count -= 1
+                self._counters.buf_nonempty_count -= 1
+            if self._full:
+                self._counters.buf_full_count -= 1
+        self._full = False
         if n and self._m_flush_occ is not None:
             self._m_flush_occ.observe(n)
         if self.obs is not None and n:

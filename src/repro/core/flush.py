@@ -74,9 +74,6 @@ class FlushController:
         self.gpu = gpu
         self.config = config
         self.obs = getattr(gpu, "obs", None)
-        from repro.core.dab import BufferLevel
-
-        self._warp_level = config.buffer_level is BufferLevel.WARP
         self.stats = FlushStats()
         self.phase = FlushPhase.IDLE
         self._fence_requested = False
@@ -133,15 +130,13 @@ class FlushController:
             return False
         sms = self.gpu.sms
         soa = getattr(self.gpu, "soa", None)
-        fast = soa is not None and getattr(self.gpu, "fastpath", False)
-        if fast:
-            # SoA-mirror trigger queries, O(1) counters (fast engine
-            # only: the polling oracle keeps the original object-graph
-            # queries so a mirror-maintenance bug surfaces as an engine
-            # divergence instead of corrupting both).
+        if soa is not None and getattr(self.gpu, "fastpath", False):
+            # O(1) counters (fast engine only: the polling oracle walks
+            # the buffers, so a counter-maintenance bug surfaces as an
+            # engine divergence instead of corrupting both).
             nonempty = soa.buf_nonempty_count > 0
             any_full = soa.buf_full_count > 0
-        else:  # oracle path and test doubles without slabs
+        else:  # oracle path and test doubles without counters
             nonempty = any(sm.any_buffer_nonempty() for sm in sms)
             any_full = any(sm.any_buffer_full() for sm in sms)
         want = (
@@ -154,13 +149,9 @@ class FlushController:
             if self._drain_requested and not nonempty:
                 self._drain_requested = False
             return False
-        # The feeder-blocked scan is the expensive query; both engines
-        # evaluate it only once a trigger condition is actually met.
-        if fast:
-            blocked = soa.flush_feeder_blocked(self._warp_level)
-        else:
-            blocked = not all(sm.buffers_flush_ready() for sm in sms)
-        if blocked:
+        # The feeder scan is the expensive query; both engines evaluate
+        # it only once a trigger condition is actually met.
+        if not all(sm.buffers_flush_ready() for sm in sms):
             # Not every buffer is at a deterministic point yet; under a
             # global quiesce this cannot happen (everything is blocked),
             # but re-check defensively.

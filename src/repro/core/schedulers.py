@@ -108,7 +108,7 @@ class SchedulerPolicy:
         """Pick the warp to issue.
 
         ``live`` optionally carries the precomputed ``_live(slots)``
-        list: the SoA fastpath builds it while writing the status rows,
+        list: the fast engine builds it while writing the status rows,
         so policies need not re-filter the slots (identical contents
         and order; the polling engine passes None and filters here).
         """
@@ -512,7 +512,7 @@ class GWATScheduler(SchedulerPolicy):
         The statuses snapshot ``done``/``at_barrier`` at the top of this
         very select call and nothing can mutate them before the pass, so
         the decision is identical — without materializing a warps list
-        and re-reading warp state through the SoA facade.
+        and re-reading warp state through the Warp properties.
         """
         best = None
         best_key = None

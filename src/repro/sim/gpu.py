@@ -160,24 +160,14 @@ class GPU:
 
             self.gpudet = GPUDetController(self, gpudet)
 
-        # GPU-wide SoA warp slabs (constructed before SMs: each SM
-        # slices its row block out of these; see repro.sim.soa).
-        from repro.core.dab import BufferLevel
+        # GPU-wide warp timing rows (constructed before SMs: each SM
+        # owns a block of rows; see repro.sim.soa).
         from repro.sim.soa import WarpSlabs
 
-        if dab is not None:
-            buffers_per_sm = (
-                config.max_warps_per_sm
-                if dab.buffer_level is BufferLevel.WARP
-                else config.num_schedulers_per_sm
-            )
-        else:
-            buffers_per_sm = 0
         self.soa = WarpSlabs(
             config.num_sms,
             config.num_schedulers_per_sm,
             config.warps_per_scheduler,
-            buffers_per_sm=buffers_per_sm,
         )
 
         self.sms: List[SM] = []
@@ -797,9 +787,9 @@ class GPU:
 
     def _earliest_warp_wake_fast(self) -> Optional[int]:
         # Fastpath replacement for _earliest_warp_wake: peek the lazy
-        # per-warp wake heap (facade setters push on every eligibility
-        # transition; the peek validates entries against the slabs, so
-        # the result is exactly the vector scan's minimum).  No memo
+        # per-warp wake heap (warp setters push on every eligibility
+        # transition; the peek validates entries against the rows, so
+        # the result is exactly the full scan's minimum).  No memo
         # needed — a valid peek is a handful of scalar reads.
         return self.soa.earliest_wake_heap(self.cycle)
 

@@ -20,8 +20,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, TYPE_CHECKING
 
-import numpy as np
-
 from repro.arch.isa import OpClass
 from repro.arch.kernel import CTA, Kernel
 from repro.arch.warp import Warp
@@ -54,18 +52,11 @@ class SM:
         self.slots_per_scheduler = cfg.warps_per_scheduler
         self.total_slots = cfg.max_warps_per_sm
 
-        # SoA slab block views (repro.sim.soa): this SM's scheduler rows
-        # of the GPU-wide state and scratch slabs.  Views, never copies.
+        # This SM's block of the GPU-wide warp timing rows
+        # (repro.sim.soa): row row0 + s belongs to scheduler s.
         soa = gpu.soa
         self.soa = soa
         self.row0 = sm_id * self.num_schedulers
-        sl = slice(self.row0, self.row0 + self.num_schedulers)
-        self._v_ready = soa.ready_cycle[sl]
-        self._v_loads = soa.out_loads[sl]
-        self._v_atoms = soa.out_atoms[sl]
-        self._v_active = soa.active[sl]
-        self._v_barrier = soa.at_barrier[sl]
-        self._v_pc = soa.pc[sl]
 
         self.obs = getattr(gpu, "obs", None)
         self.inv = getattr(gpu, "inv", None)
@@ -101,9 +92,8 @@ class SM:
                 )
                 for i in range(count)
             ]
-            b0 = sm_id * count
-            for i, buf in enumerate(self.buffers):
-                buf.bind_slab(soa, b0 + i)
+            for buf in self.buffers:
+                buf.bind_counters(soa)
 
         # Kernel/batch bookkeeping.
         self.kernel: Optional[Kernel] = None
@@ -142,7 +132,8 @@ class SM:
         self._atomic_pc: List[bool] = [False]
         #: baseline-only: a barrier/fence/outstanding transition since
         #: the last _check_baseline_releases poll (property over the
-        #: per-SM SoA vector so GPU call sites are unchanged).
+        #: per-SM soa.sm_release_dirty list so GPU call sites are
+        #: unchanged).
         self._release_dirty = True
         #: reusable per-slot status records + per-scheduler status list,
         #: rewritten in place for examined schedulers (no per-cycle
@@ -221,8 +212,8 @@ class SM:
             old = self.sched_slots[sched][local]
             if old is not None:
                 # The retired warp may still receive late store acks:
-                # detach it onto instance storage before its cell is
-                # rebound to the new occupant.
+                # copy its cells out before the slot is rebound to the
+                # new occupant.
                 old.unbind_slab()
             warp = Warp(
                 uid=self.gpu.next_warp_uid(),
@@ -292,12 +283,9 @@ class SM:
             return [w] if w is not None else []
         return [w for w in self.sched_slots[idx] if w is not None]
 
-    # The three buffer queries below deliberately walk the object graph
-    # rather than the SoA mirrors: they serve the polling oracle (and
-    # CIF/checkpoint paths), which must never depend on mirror
-    # maintenance — a mirror bug has to surface as an engine divergence
-    # in the equivalence tests, not corrupt both engines identically.
-    # The fast engine uses the vectorized twins on repro.sim.soa.
+    # The buffer queries below walk the buffers themselves.  The fast
+    # engine answers the first two from the O(1) counters on
+    # repro.sim.soa instead; buffers_flush_ready serves both engines.
     def any_buffer_nonempty(self) -> bool:
         return any(b.non_empty for b in self.buffers)
 
@@ -307,12 +295,9 @@ class SM:
     def buffers_flush_ready(self) -> bool:
         """Every buffer is at a deterministic point (see core.flush)."""
         for idx, buf in enumerate(self.buffers):
-            if buf.full:
-                continue
-            feeders = [w for w in self._buffer_feeders(idx) if not w.done]
-            if all(w.at_barrier for w in feeders):
-                continue
-            return False
+            if not buf.full and any(not w.done and not w.at_barrier
+                                    for w in self._buffer_feeders(idx)):
+                return False
         return True
 
     def drain_dab_buffers(self, coalesce: bool, offset: int) -> List[FlushTransaction]:
@@ -369,26 +354,32 @@ class SM:
                 self._acct_reason[s] = None
                 self.soa.sched_dirty[self.row0 + s] = True
 
-    def _fast_statuses(self, sched: int, table, now: int,
-                       act, bar, rc, ol, oa):
+    def _fast_statuses(self, sched: int, now: int):
         """Per-slot status snapshots, rewritten into reusable records.
 
         Must mirror :meth:`_status` exactly — the polling engine's
         per-warp snapshot is the behavioural reference.  The timing
-        terms come from the caller's slab-row gathers (one bulk
-        ``.tolist()`` per array instead of five facade reads per warp);
-        the GPUDet consult and the atomic gate keep their per-warp side
-        effects.  Also returns the live-status list (identical to
-        SchedulerPolicy._live) so select() skips a second slot scan.
+        terms are read straight from the scheduler's rows instead of
+        through five property reads per warp; the GPUDet consult and
+        the atomic gate keep their per-warp side effects.  Also returns
+        the live-status list (identical to SchedulerPolicy._live) so
+        select() skips a second slot scan.
         """
+        soa = self.soa
+        r0 = self.row0 + sched
+        act = soa.active[r0]
+        bar = soa.at_barrier[r0]
+        rc = soa.ready_cycle[r0]
+        ol = soa.out_loads[r0]
+        oa = soa.out_atoms[r0]
+        pc_row = soa.pc[r0]
         rows = self._status_rows[sched]
         out = self._status_lists[sched]
-        pc_row = self._v_pc[sched].tolist()
         atbl = self._atomic_pc
         gpudet = self.gpu.gpudet
         dab = self.dab
         live = []
-        for i, w in enumerate(table):
+        for i, w in enumerate(self.sched_slots[sched]):
             if w is None:
                 out[i] = None
                 continue
@@ -433,6 +424,11 @@ class SM:
         base = self.row0
         dirty = soa.sched_dirty
         wakes = soa.sched_wake
+        act_rows = soa.active
+        bar_rows = soa.at_barrier
+        rc_rows = soa.ready_cycle
+        ol_rows = soa.out_loads
+        oa_rows = soa.out_atoms
         # Both calendars are plain Python lists and read LIVE: an
         # earlier scheduler of this pass can touch a later one (e.g. an
         # immediate barrier release), and the polling loop's lazy
@@ -451,17 +447,14 @@ class SM:
                 self._acct_reason[s] = None
             dirty[r0] = False
 
-            # Row-gather precheck: one bulk .tolist() per slab row (the
-            # write-through facade keeps the rows current) replaces the
-            # per-warp facade reads of the old scan; gathers are fresh
-            # at examination time, so an earlier scheduler's issue side
-            # effects are always observed (same as the polling scan).
-            row = s
-            act = self._v_active[row].tolist()
-            bar = self._v_barrier[row].tolist()
-            rc = self._v_ready[row].tolist()
-            ol = self._v_loads[row].tolist()
-            oa = self._v_atoms[row].tolist()
+            # Row precheck: the rows are the warps' own storage, so an
+            # earlier scheduler's issue side effects are always observed
+            # (same as the polling scan's property reads).
+            act = act_rows[r0]
+            bar = bar_rows[r0]
+            rc = rc_rows[r0]
+            ol = ol_rows[r0]
+            oa = oa_rows[r0]
             any_live = False
             any_ready = False
             all_barrier = True
@@ -498,8 +491,7 @@ class SM:
             # polling loop would run them.
             dirty[r0] = True
             left_dirty = True
-            statuses, live = self._fast_statuses(
-                s, self.sched_slots[s], now, act, bar, rc, ol, oa)
+            statuses, live = self._fast_statuses(s, now)
             warp, reason = sched.select(now, statuses, live)
             blocked = getattr(sched, "gate_blocked_warp", None)
             if blocked is not None:

@@ -1,40 +1,34 @@
-"""Structure-of-arrays warp timing state (the SoA slabs, DESIGN §16).
+"""Warp timing state as plain-list scheduler rows (DESIGN §16).
 
-The event-driven issue engine's remaining cost after PR 5 was the
-per-warp Python object loop: every issue phase re-read ``ready_cycle``,
-the scoreboard counters, and the barrier/exit flags one attribute at a
-time.  This module hoists that state into GPU-wide 2-D numpy slabs —
-one row per (SM, scheduler) pair, one column per hardware warp slot.
-
-The winning shape is "vectorize the data, scalarize the control": the
-slabs are consumed via *bulk row gathers* (one ``.tolist()`` per
-examined scheduler, then early-exit Python scans — numpy's per-call
-overhead dwarfs the work in a 16-element row), the per-scheduler and
-per-SM calendars are plain Python lists, the SM-visit and wake
-selections are an agenda set plus lazy min-heaps, and only genuinely
-machine-wide reductions (``flush_feeder_blocked``) run as ufuncs over
-the whole GPU.
+Every placed warp's timing fields live in exactly one place: a cell of
+a per-(SM, scheduler) *row*, one plain Python list per field, indexed
+by the warp's hardware slot.  :class:`~repro.arch.warp.Warp` properties
+read and write ``row[col]`` directly, so the polling engine (through
+the properties) and the event-driven engine (scanning whole rows) see
+the same cells.
 
 Layout
 ------
 
 Row ``r = sm_id * schedulers_per_sm + scheduler_id``; column = the
-warp's local hardware slot.  All integer slabs are ``int64`` and all
-flag slabs ``bool_`` — pinned explicitly so no platform-default
-``intp``/``float64`` can leak into a determinism surface (the dtype
-unit tests assert this).
+warp's local hardware slot.  Rows are created once and only ever
+mutated in place, so an SM or a warp may hold a reference to a row
+list for the lifetime of the GPU.  Cells hold exact Python ``int`` /
+``bool`` values; a stray numpy scalar would be stored as-is, so the
+row-purity unit test checks the cell types after real runs.
 
-Ownership (the facade invariant, DESIGN §16): a slab cell is written
-only through its bound :class:`~repro.arch.warp.Warp` facade (or by
+Ownership: a cell is written only through its bound warp (or by
 ``bind_slab``/``unbind_slab`` at CTA placement).  Standalone warps —
-the ISA oracle, the model checker, unit tests — are never bound and
-fall back to instance storage; the polling engine reads warps through
-the same facade, so both engines observe identical state.
+the ISA oracle, the model checker, unit tests — own one-cell rows of
+their own and are never bound.
 
-``NEVER`` is the wake-calendar sentinel for "no time-driven wake"
-(replacing the old per-scheduler ``None``): far enough in the future to
-never be reached (the cycle limit is ~2e8) while still well inside
-int64.
+The ``active``/``pc`` cells are caches of ``not warp.done`` and the
+SIMT stack's PC, refreshed by ``Warp.step``; only the fast engine reads
+them.  The same holds for the calendars, agendas and wake heaps below.
+
+``NEVER`` is the wake-calendar sentinel for "no time-driven wake":
+far enough in the future to never be reached (the cycle limit is
+~2e8).
 """
 
 from __future__ import annotations
@@ -42,80 +36,55 @@ from __future__ import annotations
 import heapq
 from typing import List
 
-import numpy as np
-
 #: Wake-calendar sentinel: "this scheduler never wakes by time alone".
 NEVER = 1 << 62
 
 
 class WarpSlabs:
-    """GPU-wide SoA timing state plus the scratch the vector ops reuse."""
+    """GPU-wide warp timing rows plus the fast engine's calendars."""
 
     def __init__(self, num_sms: int, schedulers_per_sm: int,
-                 slots_per_scheduler: int, buffers_per_sm: int = 0):
-        self.num_sms = num_sms
+                 slots_per_scheduler: int):
         self.schedulers_per_sm = schedulers_per_sm
-        self.slots_per_scheduler = slots_per_scheduler
-        self.buffers_per_sm = buffers_per_sm
         rows = num_sms * schedulers_per_sm
         cols = slots_per_scheduler
-        self.rows = rows
-        self.cols = cols
-        shape = (rows, cols)
 
-        # -- per-warp-slot slabs (facade-owned) ------------------------
-        self.ready_cycle = np.zeros(shape, dtype=np.int64)
-        self.out_loads = np.zeros(shape, dtype=np.int64)
-        self.out_stores = np.zeros(shape, dtype=np.int64)
-        self.out_atoms = np.zeros(shape, dtype=np.int64)
-        self.buffered_reds = np.zeros(shape, dtype=np.int64)
-        #: current PC (stale once inactive; consumers mask on ``active``
-        #: and index decode tables with ``mode="clip"``).
-        self.pc = np.zeros(shape, dtype=np.int64)
-        #: live (placed and not done) — the vector form of ``not w.done``.
-        self.active = np.zeros(shape, dtype=np.bool_)
-        self.at_barrier = np.zeros(shape, dtype=np.bool_)
+        # -- per-warp-slot rows (warp-owned) ---------------------------
+        self.ready_cycle = [[0] * cols for _ in range(rows)]
+        self.out_loads = [[0] * cols for _ in range(rows)]
+        self.out_atoms = [[0] * cols for _ in range(rows)]
+        self.at_barrier = [[False] * cols for _ in range(rows)]
+        #: live (placed and not done): the fast engine's ``not w.done``.
+        self.active = [[False] * cols for _ in range(rows)]
+        #: current PC (stale once inactive; read only for live warps).
+        self.pc = [[0] * cols for _ in range(rows)]
 
         # -- per-scheduler calendars (SM-owned) ------------------------
-        # Plain Python lists, not numpy: these are read and written one
-        # scalar at a time on the hottest path (a list index is ~4x
-        # cheaper than a numpy scalar getitem), and they carry exact
-        # Python ints so no dtype can leak from them.
         self.sched_dirty: List[bool] = [True] * rows
         self.sched_wake: List[int] = [NEVER] * rows
 
         # -- per-SM state ----------------------------------------------
         self.sm_release_dirty: List[bool] = [True] * num_sms
 
-        # -- per-DAB-buffer occupancy/full mirrors ---------------------
-        nbuf = num_sms * buffers_per_sm
-        self.buf_occupancy = np.zeros(nbuf, dtype=np.int64)
-        self.buf_full = np.zeros(nbuf, dtype=np.bool_)
-        #: plain-int summaries maintained by AtomicBuffer on the same
-        #: transitions that write the vectors: the flush trigger and
-        #: kernel-drain checks read these instead of reducing the
-        #: vectors every cycle.
+        #: DAB buffer summaries maintained by AtomicBuffer on its
+        #: insert/drain/mark-full transitions: the flush trigger and
+        #: kernel-drain checks of the fast engine read these instead of
+        #: walking every buffer.
         self.buf_nonempty_count = 0
         self.buf_full_count = 0
 
-        # -- reusable scratch (never holds state across calls) ---------
-        self.s_nonbar = np.empty(shape, dtype=np.bool_)
-
         # -- incremental visit agenda (fast engine) --------------------
         #: SM ids with a dirty scheduler or pending release poll; fed by
-        #: SM._touch/touch_all and drained by the issue phase.  The
-        #: vector predicate (visit_sms) is its batch twin — the agenda
-        #: exists because at ~1 due SM per cycle, set.add at mutation
-        #: sites beats any per-cycle vector pass.
+        #: SM._touch/touch_all and drained by the issue phase.
         self.visit_dirty = set(range(num_sms))
         #: lazy min-heap of (wake_cycle, row) pushed when a scheduler
         #: freezes with a time-driven wake; entries are validated
         #: against sched_wake at pop time (stale ones are discarded).
         self.wake_heap: List = []
         #: lazy min-heap of (ready_cycle, row, col) per-warp wake
-        #: candidates, pushed by the facade setters on every
-        #: eligibility transition (see Warp.ready_cycle.setter) and
-        #: validated against the slabs at peek time.
+        #: candidates, pushed by the warp setters on every eligibility
+        #: transition (see Warp.ready_cycle.setter) and validated
+        #: against the rows at peek time.
         self.warp_wake: List = []
 
     # ------------------------------------------------------------------
@@ -144,11 +113,10 @@ class WarpSlabs:
     def earliest_wake_heap(self, now: int):
         """Min future ``ready_cycle`` among eligible warps, or None.
 
-        Heap twin of :meth:`earliest_wake` for sparse occupancy: pops
-        entries that can never match again (wake time reached, or the
-        slab cell moved on) and returns the first entry the slabs still
+        Pops entries that can never match again (wake time reached, or
+        the cell moved on) and returns the first entry the rows still
         corroborate.  Completeness: every eligibility transition pushes
-        (facade setters + bind_slab), so each currently-eligible warp
+        (warp setters + bind_slab), so each currently-eligible warp
         with a future wake has a live entry.
         """
         heap = self.warp_wake
@@ -159,32 +127,8 @@ class WarpSlabs:
         oa = self.out_atoms
         while heap:
             rc, r, c = heap[0]
-            if (rc > now and rc_s[r, c] == rc and act[r, c]
-                    and not bar[r, c] and ol[r, c] == 0 and oa[r, c] == 0):
+            if (rc > now and rc_s[r][c] == rc and act[r][c]
+                    and not bar[r][c] and ol[r][c] == 0 and oa[r][c] == 0):
                 return rc
             heapq.heappop(heap)
         return None
-
-    def flush_feeder_blocked(self, warp_level: bool) -> bool:
-        """Any not-full buffer with a live, non-barrier feeder warp?
-
-        The GPU-wide trigger predicate of ``core.flush``: a flush may
-        not start while such a buffer exists (its entry set would still
-        be growing — a timing-dependent capture).  Inverse of
-        ``all(sm.buffers_flush_ready() for sm in sms)``.
-        """
-        if not self.buf_full.size:
-            return False
-        nb = self.s_nonbar
-        np.logical_not(self.at_barrier, out=nb)
-        np.logical_and(nb, self.active, out=nb)
-        if warp_level:
-            # Buffer g of an SM feeds (scheduler g % S, local g // S):
-            # flatten each SM's (S, C) block column-major to line up
-            # with the buffer index.
-            feeder = nb.reshape(
-                self.num_sms, self.schedulers_per_sm, self.cols
-            ).transpose(0, 2, 1).reshape(-1)
-        else:
-            feeder = nb.any(axis=1)
-        return bool((~self.buf_full & feeder).any())

@@ -94,6 +94,46 @@ class TestBaselinePlacement:
         assert mem.buffer("x")[0] == 10 * 64
 
 
+class TestSlotReuse:
+    def test_retired_warp_writes_miss_new_occupant(self):
+        gpu = make_gpu(dab=DABConfig.paper_default())
+        # tiny: one 8-warp CTA fills an SM, so CTA 2 takes CTA 0's slots.
+        kernel = Kernel("k", PROG, grid_dim=4, cta_dim=256)
+        gpu.dispatcher.begin_kernel(kernel)
+        gpu.dispatcher.place(0)
+        sm = gpu.sms[0]
+        retired = sm.all_warps()
+        for w in retired:
+            w.exited = True
+        assert gpu.dispatcher.place(5) == 1
+        occupants = sm.all_warps()
+        assert {w.cta.cta_id for w in occupants} == {2}
+        assert ({(w.scheduler_id, w.hw_slot) for w in occupants}
+                == {(w.scheduler_id, w.hw_slot) for w in retired})
+
+        soa = gpu.soa
+        sm_rows = range(sm.row0, sm.row0 + sm.num_schedulers)
+
+        def cells():
+            return [list(getattr(soa, name)[r])
+                    for name in ("ready_cycle", "out_loads", "out_atoms",
+                                 "at_barrier", "active", "pc")
+                    for r in sm_rows]
+
+        before = cells()
+        # Late acks land on the retired warp objects.
+        for i, w in enumerate(retired):
+            w.ready_cycle = 1000 + i
+            w.outstanding_loads = 3
+            w.outstanding_stores = 7
+        assert cells() == before
+        assert [(w.ready_cycle, w.outstanding_loads, w.outstanding_stores)
+                for w in retired] == [(1000 + i, 3, 7)
+                                      for i in range(len(retired))]
+        assert all((w.ready_cycle, w.outstanding_loads, w.outstanding_stores)
+                   == (5, 0, 0) for w in occupants)
+
+
 class TestRunnerHelpers:
     def test_archspec_labels(self):
         from repro.harness.runner import ArchSpec

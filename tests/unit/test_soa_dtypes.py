@@ -1,11 +1,12 @@
-"""Dtype pinning on the determinism surfaces (ISSUE 10 satellite).
+"""Exact scalar types on the determinism surfaces.
 
-The SoA slabs, the fault substream draws, and the metrics document are
-all places where a platform-default ``intp``/``float64`` could silently
-replace the pinned dtype and change either the random bitstream (numpy
-consumes a different number of words per bounded draw depending on the
-dtype) or a serialized digest.  These tests assert the pinning at the
-source rather than waiting for a cross-platform digest mismatch.
+The warp timing rows, the fault substream draws, and the metrics
+document are all places where a numpy scalar or a platform-default
+``intp``/``float64`` could silently replace an exact Python value and
+change either the random bitstream (numpy consumes a different number
+of words per bounded draw depending on the dtype) or a serialized
+digest.  These tests assert the types at the source rather than
+waiting for a cross-platform digest mismatch.
 """
 
 import json
@@ -13,29 +14,69 @@ import os
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
+import repro.arch.warp as warp_mod
 from repro.config import GPUConfig
+from repro.core.dab import DABConfig
 from repro.faults import FaultPlan
 from repro.harness.runner import ArchSpec, run_workload
+from repro.sim.gpu import GPU
 from repro.sim.nondet import JitterSource
 from repro.sim.soa import NEVER, WarpSlabs
-from repro.workloads.microbench import build_histogram
+from repro.workloads.microbench import build_atomic_sum, build_histogram
+
+#: (WarpSlabs row attribute, exact cell type).
+ROW_FIELDS = (
+    ("ready_cycle", int), ("out_loads", int), ("out_atoms", int),
+    ("pc", int), ("at_barrier", bool), ("active", bool),
+)
 
 
 def _make_slabs():
-    return WarpSlabs(num_sms=2, schedulers_per_sm=2,
-                     slots_per_scheduler=4, buffers_per_sm=2)
+    return WarpSlabs(num_sms=2, schedulers_per_sm=2, slots_per_scheduler=4)
 
 
-def test_slab_dtypes_pinned():
-    s = _make_slabs()
-    for name in ("ready_cycle", "out_loads", "out_stores", "out_atoms",
-                 "buffered_reds", "pc", "buf_occupancy"):
-        assert getattr(s, name).dtype == np.int64, name
-    for name in ("active", "at_barrier", "buf_full", "s_nonbar"):
-        assert getattr(s, name).dtype == np.bool_, name
+@pytest.mark.parametrize("dab", [DABConfig.paper_default(), None],
+                         ids=["dab", "baseline"])
+def test_row_cells_are_plain_python(dab, monkeypatch):
+    """Row cells and wake-heap entries are exact ``int``/``bool``.
+
+    A plain list stores a stray numpy scalar as-is, where an int64 array
+    would coerce it.  The grid is four times what the machine holds, so
+    CTAs retire and hardware slots are rebound mid-kernel.  The heaps
+    are empty once a run drains, so every pushed entry is recorded.
+    """
+    pushed = []
+    warp_push = warp_mod.heappush
+    sched_push = WarpSlabs.push_wake
+
+    def record_warp_wake(heap, entry):
+        pushed.append(entry)
+        warp_push(heap, entry)
+
+    def record_wake_heap(soa, row, wake):
+        pushed.append((wake, row))
+        sched_push(soa, row, wake)
+
+    monkeypatch.setattr(warp_mod, "heappush", record_warp_wake)
+    monkeypatch.setattr(WarpSlabs, "push_wake", record_wake_heap)
+    wl = build_atomic_sum(n=16384, cta_dim=128)
+    gpu = GPU(GPUConfig.small(), wl.mem, dab=dab, jitter=JitterSource(1))
+    wl.drive(gpu)
+
+    assert all(sm.ctas_placed > sm._ctas_per_wave for sm in gpu.sms)
+    cfg = gpu.config
+    s = gpu.soa
+    for name, kind in ROW_FIELDS:
+        rows = getattr(s, name)
+        assert len(rows) == cfg.num_sms * cfg.num_schedulers_per_sm, name
+        for row in rows:
+            assert len(row) == cfg.warps_per_scheduler, name
+            assert all(type(v) is kind for v in row), name
+    assert {len(e) for e in pushed} == {2, 3}
+    assert all(type(v) is int for e in pushed + s.warp_wake + s.wake_heap
+               for v in e)
 
 
 def test_calendars_are_plain_python():
