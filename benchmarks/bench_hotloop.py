@@ -18,9 +18,12 @@ which are identical for both engines), best of ``BENCH_REPEATS`` runs
 estimate on a frequency-scaling host.  The headline is the DAB geomean
 — DAB is the paper's architecture, and its flush controller is the
 subsystem the polling loop re-examines every cycle (locally ~3.0x with
-the SoA warp core, up from ~2.6x for the PR 5 event engine; baseline
-and GPUDet cells run ~1.2-1.4x because their remaining cost is
-instruction execution shared by both engines).  The committed floors
+the SoA warp core, up from ~2.6x for the first event engine).  Baseline
+cells run ~1.2-1.4x because their remaining cost is instruction
+execution shared by both engines.  GPUDet cells ran ~1.1-1.3x because
+both engines swept the whole GPU at every quantum boundary, a shared
+cost the live-warp registry has since removed (DESIGN §12).  The
+committed floors
 (DAB 1.5x, baseline 1.1x) are set well under the local measurements to
 tolerate noisy CI machines.
 

@@ -18,17 +18,19 @@ Execution model (paper Section III-C):
 Barriers and fences release at the start of the next parallel mode (the
 commit made the pre-barrier stores visible).  Mode cycle totals feed the
 Fig 3 execution-mode breakdown.
+
+A quantum boundary walks only the live-warp registry (placed, not yet
+exited warps), never the whole GPU, so its cost follows the warps it
+concerns rather than the SM count (DESIGN §12).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, TYPE_CHECKING
 
 import numpy as np
 
-from repro.arch.isa import OpClass
-from repro.arch.kernel import CTA, Kernel
 from repro.arch.warp import Warp
 from repro.memory.globalmem import GlobalMemory
 from repro.memory.store_buffer import StoreBuffer
@@ -36,7 +38,6 @@ from repro.gpudet.zbuffer import zbuffer_commit_cycles
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.gpu import GPU
-    from repro.sim.sm import SM
 
 
 @dataclass(frozen=True)
@@ -64,10 +65,23 @@ class StoreBufferView:
         self._sb = sb
 
     def load_many(self, addrs) -> np.ndarray:
-        out = np.empty(len(addrs), dtype=np.float64)
-        for k, a in enumerate(addrs):
-            v = self._sb.load(int(a))
-            out[k] = self._mem.load(int(a)) if v is None else v
+        addr_list = addrs.tolist() if isinstance(addrs, np.ndarray) else \
+            [int(a) for a in addrs]
+        out = np.empty(len(addr_list), dtype=np.float64)
+        # Lanes the warp's own buffer misses go to memory in one gather;
+        # a buffered address never reaches GlobalMemory.
+        miss_lanes = []
+        miss_addrs = []
+        sb_load = self._sb.load
+        for k, a in enumerate(addr_list):
+            v = sb_load(a)
+            if v is None:
+                miss_lanes.append(k)
+                miss_addrs.append(a)
+            else:
+                out[k] = v
+        if miss_addrs:
+            out[miss_lanes] = self._mem.load_many(miss_addrs)
         return out
 
     def store_many(self, addrs, values) -> None:
@@ -78,6 +92,21 @@ class StoreBufferView:
 PARALLEL, COMMIT, SERIAL = "parallel", "commit", "serial"
 
 
+class _WarpState:
+    """One warp's GPUDet state, created when its CTA is placed."""
+
+    __slots__ = ("warp", "sb", "view", "used", "reason")
+
+    def __init__(self, warp: Warp, mem: GlobalMemory):
+        self.warp = warp
+        self.sb = StoreBuffer()
+        self.view = StoreBufferView(mem, self.sb)
+        #: instructions issued in the current quantum
+        self.used = 0
+        #: why the quantum ended ("atomic", "barrier", "budget"), or None
+        self.reason: Optional[str] = None
+
+
 class GPUDetController:
     def __init__(self, gpu: "GPU", config: GPUDetConfig):
         self.gpu = gpu
@@ -85,31 +114,24 @@ class GPUDetController:
         self.mode = PARALLEL
         self.mode_cycles: Dict[str, int] = {PARALLEL: 0, COMMIT: 0, SERIAL: 0}
         self._mode_started = 0
-        self._store_buffers: Dict[int, StoreBuffer] = {}
-        self._views: Dict[int, StoreBufferView] = {}
-        self._quantum_used: Dict[int, int] = {}
-        self._reason: Dict[int, Optional[str]] = {}
+        #: live-warp registry: uid -> state of every placed, not yet
+        #: exited warp.  on_cta_placed adds, after_step removes on exit.
+        self._live: Dict[int, _WarpState] = {}
+        #: uid -> state of the live warps plus exited warps whose stores
+        #: await the next commit (which drops them).
+        self._states: Dict[int, _WarpState] = {}
         self._quanta = 0
 
     # ------------------------------------------------------------------
-    def begin_kernel(self, kernel: Kernel) -> None:
-        pass  # state is per-warp and created lazily
-
-    def on_cta_placed(self, cta: CTA, sm: "SM") -> None:
-        pass
-
-    def _state_for(self, warp: Warp) -> None:
-        if warp.uid not in self._store_buffers:
-            self._store_buffers[warp.uid] = StoreBuffer()
-            self._views[warp.uid] = StoreBufferView(
-                self.gpu.mem, self._store_buffers[warp.uid]
-            )
-            self._quantum_used[warp.uid] = 0
-            self._reason[warp.uid] = None
+    def on_cta_placed(self, warps: List[Warp]) -> None:
+        mem = self.gpu.mem
+        for w in warps:
+            st = _WarpState(w, mem)
+            self._live[w.uid] = st
+            self._states[w.uid] = st
 
     def mem_view(self, warp: Warp) -> StoreBufferView:
-        self._state_for(warp)
-        return self._views[warp.uid]
+        return self._live[warp.uid].view
 
     # ------------------------------------------------------------------
     # Issue gating & accounting.
@@ -117,26 +139,31 @@ class GPUDetController:
     def can_issue(self, warp: Warp) -> bool:
         if self.mode != PARALLEL:
             return False
-        self._state_for(warp)
-        if self._reason[warp.uid] is not None:
+        st = self._live[warp.uid]
+        if st.reason is not None:
             return False
         if warp.next_is_atomic():
             # Atomics may not execute in parallel mode: end the quantum.
-            self._reason[warp.uid] = "atomic"
+            st.reason = "atomic"
             self.gpu._gpudet_dirty = True  # tick() reads the reasons
             return False
         return True
 
     def after_step(self, now: int, warp: Warp, result) -> None:
-        self._state_for(warp)
         self.gpu._gpudet_dirty = True  # any step can end the quantum
-        self._quantum_used[warp.uid] += 1
         if result.exited:
-            self._reason[warp.uid] = "exit"
-        elif result.barrier or result.fence:
-            self._reason[warp.uid] = "barrier"
-        elif self._quantum_used[warp.uid] >= self.config.quantum_instrs:
-            self._reason[warp.uid] = "budget"
+            # Leaves the registry; its state stays only while its stores
+            # await the next commit.
+            st = self._live.pop(warp.uid)
+            if st.sb.empty:
+                del self._states[warp.uid]
+            return
+        st = self._live[warp.uid]
+        st.used += 1
+        if result.barrier or result.fence:
+            st.reason = "barrier"
+        elif st.used >= self.config.quantum_instrs:
+            st.reason = "budget"
 
     # ------------------------------------------------------------------
     # Quantum state machine.
@@ -144,36 +171,22 @@ class GPUDetController:
     def tick(self, now: int) -> bool:
         if self.mode != PARALLEL:
             return False
-        # Lazy scan with early-out: most calls find a warp mid-quantum
-        # (reason still None) within the first few slots, so building
-        # the full live-warp list up front is wasted work on the hot
-        # path.  Iteration order matches the old list build (SM order,
-        # scheduler order, slot order), so the _state_for lazy-init
-        # side effects land identically.
-        any_live = False
         barrier_blocked = False
-        for sm in self.gpu.sms:
-            if not sm.live_count:
-                continue  # every placed warp has exited
-            for table in sm.sched_slots:
-                for w in table:
-                    if w is None or w.done:
-                        continue
-                    any_live = True
-                    self._state_for(w)
-                    if w.at_barrier:
-                        # Its quantum ended with 'barrier', but its
-                        # in-flight memory still blocks the commit.
-                        if w.outstanding_loads or w.outstanding_atoms:
-                            barrier_blocked = True
-                        continue
-                    if self._reason[w.uid] is None:
-                        return False
-                    if w.outstanding_loads or w.outstanding_atoms:
-                        return False
-        if not any_live:
+        for st in self._live.values():
+            w = st.warp
+            if w.at_barrier:
+                # Its quantum ended with 'barrier', but its in-flight
+                # memory still blocks the commit.
+                if w.outstanding_loads or w.outstanding_atoms:
+                    barrier_blocked = True
+                continue
+            if st.reason is None:
+                return False
+            if w.outstanding_loads or w.outstanding_atoms:
+                return False
+        if not self._live:
             # Kernel drain: final commit of any leftover stores.
-            if any(not sb.empty for sb in self._store_buffers.values()):
+            if not self._buffers_empty():
                 self._enter_commit(now)
                 return True
             return False
@@ -190,13 +203,16 @@ class GPUDetController:
 
         # Deterministic commit: warp-uid order; Z-buffer resolves
         # same-address conflicts by the same order (later uid wins).
-        num_parts = len(self.gpu.partitions)
-        per_part = [0] * num_parts
-        for uid in sorted(self._store_buffers):
-            sb = self._store_buffers[uid]
-            for addr, value in sb.drain():
-                self.gpu.mem.store(addr, value)
-                per_part[self.gpu.addr_map.partition_of(addr)] += 1
+        mem = self.gpu.mem
+        partition_of = self.gpu.addr_map.partition_of
+        per_part = [0] * len(self.gpu.partitions)
+        for uid in sorted(self._states):
+            for addr, value in self._states[uid].sb.drain():
+                mem.store(addr, value)
+                per_part[partition_of(addr)] += 1
+        # Exited warps' last stores are visible now: only live warps
+        # keep state.
+        self._states = dict(self._live)
         cycles = zbuffer_commit_cycles(
             per_part,
             startup=self.config.zbuffer_startup,
@@ -210,27 +226,23 @@ class GPUDetController:
         self._mode_started = now
         self.gpu._wake_dirty = True  # serial steps advance warp state
         self.gpu._gpudet_dirty = True
-        self.gpu._touch_all_sms()  # serial warps step on any SM
+        self.gpu._touch_all_sms()  # serial warps step on any live SM
         t = now
 
         # Serial mode: warps stopped at an atomic run it one warp at a
         # time, in warp-uid order.
-        pending = [
-            w
-            for sm in self.gpu.sms
-            for w in sm.live_warps()
-            if self._reason.get(w.uid) == "atomic"
-        ]
-        pending.sort(key=lambda w: w.uid)
+        pending = [st for _uid, st in sorted(self._live.items())
+                   if st.reason == "atomic"]
         last_done = now
-        for w in pending:
+        for st in pending:
+            w = st.warp
             if not w.next_is_atomic():
                 continue  # guarded off since
             sm = self.gpu.sms[w.sm_id]
             result = w.step(self.gpu.mem)
             sm.instructions += 1
             sm.atomics += 1
-            self._quantum_used[w.uid] += 1
+            st.used += 1
             spec = result.mem
             t += self.config.serial_issue_gap
             if spec is not None:
@@ -257,44 +269,43 @@ class GPUDetController:
         self._mode_started = now
         self.gpu._wake_dirty = True  # barrier releases + ready bumps below
         self.gpu._gpudet_dirty = True  # new quantum may end immediately
-        self.gpu._touch_all_sms()  # releases + ready bumps on every SM
+        self.gpu._touch_all_sms()  # releases + ready bumps on live SMs
         # New quantum: reset budgets and reasons; release arrived barriers
         # (their stores are now committed and visible).
-        for uid in self._quantum_used:
-            self._quantum_used[uid] = 0
-        for uid in self._reason:
-            if self._reason[uid] != "exit":
-                self._reason[uid] = None
+        for st in self._live.values():
+            st.used = 0
+            st.reason = None
         self._release_barriers(now)
-        for sm in self.gpu.sms:
-            for w in sm.live_warps():
-                w.ready_cycle = max(w.ready_cycle, now)
+        for st in self._live.values():
+            w = st.warp
+            w.ready_cycle = max(w.ready_cycle, now)
 
     def _release_barriers(self, now: int) -> None:
-        for sm in self.gpu.sms:
+        # Only SMs with live warps can hold barrier CTAs or fence warps.
+        sms = self.gpu.sms
+        for sm_id in sorted({st.warp.sm_id for st in self._live.values()}):
+            sm = sms[sm_id]
             done = []
             for cta in sm._barrier_ctas:  # noqa: SLF001
                 warps = [w for w in sm.all_warps() if w.cta is cta and not w.done]
                 if warps and all(w.at_barrier for w in warps):
                     for w in warps:
                         w.at_barrier = False
-                        self._reason[w.uid] = None
                         w.ready_cycle = max(w.ready_cycle, now + 1)
                     done.append(cta)
             for cta in done:
                 sm._barrier_ctas.remove(cta)  # noqa: SLF001
-            still = []
             for w in sm._fence_warps:  # noqa: SLF001
                 w.at_barrier = False
-                self._reason[w.uid] = None
                 w.ready_cycle = max(w.ready_cycle, now + 1)
-            sm._fence_warps = still  # noqa: SLF001
+            sm._fence_warps = []  # noqa: SLF001
 
     # ------------------------------------------------------------------
+    def _buffers_empty(self) -> bool:
+        return all(st.sb.empty for st in self._states.values())
+
     def drained(self) -> bool:
-        return self.mode == PARALLEL and all(
-            sb.empty for sb in self._store_buffers.values()
-        )
+        return self.mode == PARALLEL and self._buffers_empty()
 
     def finalize(self, now: int) -> None:
         self.mode_cycles[self.mode] += now - self._mode_started

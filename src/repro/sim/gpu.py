@@ -413,10 +413,10 @@ class GPU:
         self._dispatch_dirty = True
         self._flush_dirty = True
         self._gpudet_dirty = True
-        self._touch_all_sms()
+        # The scheduler calendars need no touch here: no SM has live
+        # warps between kernels, and CTA placement touches every
+        # scheduler it fills.
         self.dispatcher.begin_kernel(self._current)
-        if self.gpudet is not None:
-            self.gpudet.begin_kernel(self._current)
         if self.obs is not None:
             self.obs.emit_at(self.cycle, "kernel", "begin",
                              kernel=self._current.name,
@@ -781,9 +781,16 @@ class GPU:
         return self._collect_result()
 
     def _touch_all_sms(self) -> None:
-        """Dirty every scheduler calendar (broadcast state change)."""
+        """Dirty every scheduler calendar (broadcast state change).
+
+        SMs with no live warps are skipped: the issue phase never visits
+        them, and the CTA placement that makes one live again touches
+        every scheduler it fills; an empty scheduler's examination does
+        nothing.
+        """
         for sm in self.sms:
-            sm.touch_all()
+            if sm.live_count:
+                sm.touch_all()
 
     def _earliest_warp_wake_fast(self) -> Optional[int]:
         # Fastpath replacement for _earliest_warp_wake: peek the lazy

@@ -206,6 +206,7 @@ class SM:
             return False
         cta.batch = per_sm_index // self._ctas_per_wave
         cta.warps_total = self._warps_per_cta
+        placed = []
         for w, g in enumerate(slots):
             sched = g % self.num_schedulers
             local = g // self.num_schedulers
@@ -233,20 +234,13 @@ class SM:
             self.schedulers[sched].notify_warp_added(self.sched_slots[sched], local)
             self.live_count += 1
             self._touch(sched)
+            placed.append(warp)
         self.gpu._wake_dirty = True
         self.ctas_placed += 1
         self.cta_records.append(cta)
         if self.gpu.gpudet is not None:
-            self.gpu.gpudet.on_cta_placed(cta, self)
+            self.gpu.gpudet.on_cta_placed(placed)
         return True
-
-    def live_warps(self) -> List[Warp]:
-        out = []
-        for table in self.sched_slots:
-            for w in table:
-                if w is not None and not w.done:
-                    out.append(w)
-        return out
 
     def all_warps(self) -> List[Warp]:
         out = []

@@ -21,8 +21,9 @@ from repro.workloads.convolution import build_conv
 from repro.workloads.microbench import build_atomic_sum, build_histogram
 
 
-def _run(factory, arch, fastpath, **kw):
-    """One run under an explicit engine; restores the env afterwards."""
+def _run(factory, arch, fastpath, gpu_config=None, **kw):
+    """One run under an explicit engine (on ``GPUConfig.small()`` unless
+    ``gpu_config`` is given); restores the env afterwards."""
     prev = os.environ.get("REPRO_NO_FASTPATH")
     if fastpath:
         os.environ.pop("REPRO_NO_FASTPATH", None)
@@ -30,7 +31,8 @@ def _run(factory, arch, fastpath, **kw):
         os.environ["REPRO_NO_FASTPATH"] = "1"
     try:
         return run_workload(factory, arch,
-                            gpu_config=GPUConfig.small(), seed=1, **kw)
+                            gpu_config=gpu_config or GPUConfig.small(),
+                            seed=1, **kw)
     finally:
         if prev is None:
             os.environ.pop("REPRO_NO_FASTPATH", None)
@@ -130,6 +132,21 @@ def test_gpudet_quantum_stalls_identical():
         ArchSpec.make_gpudet(GPUDetConfig(quantum_instrs=20)),
     )
     assert out["stalls"]["mem"] > 0
+
+
+def test_gpudet_idle_sms_identical_at_titan_v():
+    # At TITAN V scale most GPUDet quanta leave 79 of the 80 SMs without
+    # a live warp; the quantum boundaries skip those SMs.  BC launches
+    # five kernels, so CTA turnover and kernel starts are covered too.
+    out = _assert_engines_agree(
+        lambda: build_bc(graph="1k", scale=32), ArchSpec.make_gpudet(),
+        gpu_config=GPUConfig.titan_v(),
+        obs=ObsConfig(metrics=True, trace=True),
+    )
+    modes = out["metrics"]["gpudet_mode_cycles"]
+    assert modes["commit"] > 0
+    assert modes["serial"] > 0
+    assert "trace" in out["metrics"]
 
 
 def test_epochs_gauge_matches_across_engines():
