@@ -83,7 +83,7 @@ class Warp:
         "outstanding_stores", "buffered_reds", "_exited", "dyn_instrs",
         "dyn_atomics", "sleep_until", "launched_cycle", "fence_arrived_at",
         "_red_cache", "capture_addrs",
-        "_rc", "_ol", "_oa", "_bar", "_act", "_pc", "_row", "_col", "_wake",
+        "_rc", "_ol", "_oa", "_bar", "_act", "_pc", "_row", "_col", "_slabs",
     )
 
     def __init__(
@@ -131,8 +131,8 @@ class Warp:
         self._pc = [self.stack.pc]
         self._row = 0
         self._col = 0
-        #: the bound rows' warp_wake heap (None while standalone).
-        self._wake = None
+        #: the bound rows' WarpSlabs (None while standalone).
+        self._slabs = None
         self._exited = False
         #: stores in flight (baseline barriers and fences wait on them).
         self.outstanding_stores = 0
@@ -169,11 +169,13 @@ class Warp:
                 self.regs[name] = np.full(self.warp_size, np.float32(value), dtype=np.float32)
 
     # ------------------------------------------------------------------
-    # Row cells (DESIGN §16).  Every setter that can make the warp
-    # eligible to wake by time alone (live, not at a barrier, nothing
-    # outstanding) pushes its ready_cycle onto the bound rows' lazy
-    # warp_wake heap; GPU._earliest_warp_wake_fast validates entries at
-    # peek and discards superseded ones.
+    # Row cells (DESIGN §16).  These setters and bind_slab are the only
+    # writers of a bound warp's timing cells (step refreshes just the
+    # active/pc caches), and the only place the fast engine learns of a
+    # change: each write dirties the warp's scheduler, puts its SM on
+    # the visit agenda and, while the warp is eligible to wake by time
+    # alone (live, not at a barrier, nothing outstanding), pushes its
+    # ready_cycle onto the lazy warp_wake heap.
     # ------------------------------------------------------------------
     def bind_slab(self, slabs, row: int, col: int) -> None:
         """Move the timing cells into ``slabs`` row ``row``, slot ``col``."""
@@ -184,8 +186,8 @@ class Warp:
             setattr(self, slot, cells)
         self._row = row
         self._col = col
-        self._wake = slabs.warp_wake
-        self._push_wake(col)
+        self._slabs = slabs
+        self._wrote(col)
 
     def unbind_slab(self) -> None:
         """Copy the timing cells out into one-cell rows of this warp's
@@ -197,13 +199,20 @@ class Warp:
             setattr(self, slot, [getattr(self, slot)[c]])
         self._row = 0
         self._col = 0
-        self._wake = None
+        self._slabs = None
 
-    def _push_wake(self, c: int) -> None:
-        wake = self._wake
-        if (wake is not None and self._act[c] and not self._bar[c]
+    def _wrote(self, c: int) -> None:
+        """Record a write of cell ``c`` for the fast engine (no-op while
+        standalone)."""
+        slabs = self._slabs
+        if slabs is None:
+            return
+        r = self._row
+        slabs.sched_dirty[r] = True
+        slabs.visit_dirty.add(self.sm_id)
+        if (self._act[c] and not self._bar[c]
                 and self._ol[c] == 0 and self._oa[c] == 0):
-            heappush(wake, (self._rc[c], self._row, c))
+            heappush(slabs.warp_wake, (self._rc[c], r, c))
 
     @property
     def ready_cycle(self) -> int:
@@ -213,7 +222,7 @@ class Warp:
     def ready_cycle(self, v: int) -> None:
         c = self._col
         self._rc[c] = v
-        self._push_wake(c)
+        self._wrote(c)
 
     @property
     def outstanding_loads(self) -> int:
@@ -223,7 +232,7 @@ class Warp:
     def outstanding_loads(self, v: int) -> None:
         c = self._col
         self._ol[c] = v
-        self._push_wake(c)
+        self._wrote(c)
 
     @property
     def outstanding_atoms(self) -> int:
@@ -233,7 +242,7 @@ class Warp:
     def outstanding_atoms(self, v: int) -> None:
         c = self._col
         self._oa[c] = v
-        self._push_wake(c)
+        self._wrote(c)
 
     @property
     def at_barrier(self) -> bool:
@@ -243,7 +252,7 @@ class Warp:
     def at_barrier(self, v: bool) -> None:
         c = self._col
         self._bar[c] = v
-        self._push_wake(c)
+        self._wrote(c)
 
     @property
     def exited(self) -> bool:
@@ -252,8 +261,10 @@ class Warp:
     @exited.setter
     def exited(self, v: bool) -> None:
         self._exited = v
+        c = self._col
         if v:
-            self._act[self._col] = False
+            self._act[c] = False
+        self._wrote(c)
 
     # ------------------------------------------------------------------
     @property

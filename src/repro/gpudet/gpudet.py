@@ -224,9 +224,9 @@ class GPUDetController:
         self.mode_cycles[COMMIT] += now - self._mode_started
         self.mode = SERIAL
         self._mode_started = now
-        self.gpu._wake_dirty = True  # serial steps advance warp state
         self.gpu._gpudet_dirty = True
-        self.gpu._touch_all_sms()  # serial warps step on any live SM
+        # A serial step moves only the pc of a warp that stopped at an
+        # atomic while timing-ready, so its scheduler is already dirty.
         t = now
 
         # Serial mode: warps stopped at an atomic run it one warp at a
@@ -267,9 +267,7 @@ class GPUDetController:
         self.mode_cycles[SERIAL] += now - self._mode_started
         self.mode = PARALLEL
         self._mode_started = now
-        self.gpu._wake_dirty = True  # barrier releases + ready bumps below
         self.gpu._gpudet_dirty = True  # new quantum may end immediately
-        self.gpu._touch_all_sms()  # releases + ready bumps on live SMs
         # New quantum: reset budgets and reasons; release arrived barriers
         # (their stores are now committed and visible).
         for st in self._live.values():

@@ -198,13 +198,6 @@ class GPU:
         self._seq = 0
         self.cycle = 0
 
-        # Memo for _earliest_warp_wake: valid while no warp wake state
-        # (ready_cycle / done / at_barrier / outstanding counters) has
-        # changed.  Every mutation site MUST set _wake_dirty; see the
-        # contract note on _earliest_warp_wake.
-        self._wake_value: Optional[int] = None
-        self._wake_dirty = True
-
         # Kernel sequencing / completion tracking.
         self._queue: List[Kernel] = []
         self._current: Optional[Kernel] = None
@@ -281,11 +274,8 @@ class GPU:
         warp.outstanding_loads -= 1
         if warp.outstanding_loads == 0:
             warp.ready_cycle = max(warp.ready_cycle, now + 1)
-        self._wake_dirty = True
-        sm = self.sms[warp.sm_id]
-        sm._touch(warp.scheduler_id)
         if self._poll_releases:
-            sm._release_dirty = True
+            self.sms[warp.sm_id]._release_dirty = True
         self._gpudet_dirty = True
 
     # -- stores ---------------------------------------------------------------
@@ -376,11 +366,8 @@ class GPU:
         warp.outstanding_atoms -= 1
         if warp.outstanding_atoms == 0:
             warp.ready_cycle = max(warp.ready_cycle, now + 1)
-        self._wake_dirty = True
-        sm = self.sms[warp.sm_id]
-        sm._touch(warp.scheduler_id)
         if self._poll_releases:
-            sm._release_dirty = True
+            self.sms[warp.sm_id]._release_dirty = True
         self._gpudet_dirty = True
 
     # -- notifications ------------------------------------------------------------
@@ -396,7 +383,6 @@ class GPU:
         arrivals wait for the next flush (their request flag is still
         set, so one will trigger).
         """
-        self._wake_dirty = True
         for sm in self.sms:
             sm.on_flush_complete(now, started)
 
@@ -409,13 +395,11 @@ class GPU:
     def _start_next_kernel(self) -> None:
         self._current = self._queue.pop(0)
         self._ctas_done = 0
-        self._wake_dirty = True
         self._dispatch_dirty = True
         self._flush_dirty = True
         self._gpudet_dirty = True
-        # The scheduler calendars need no touch here: no SM has live
-        # warps between kernels, and CTA placement touches every
-        # scheduler it fills.
+        # No scheduler needs dirtying here: no SM has live warps between
+        # kernels, and binding a placed warp dirties its scheduler.
         self.dispatcher.begin_kernel(self._current)
         if self.obs is not None:
             self.obs.emit_at(self.cycle, "kernel", "begin",
@@ -489,11 +473,13 @@ class GPU:
             self.sim_wall_s += time.perf_counter() - t0
 
     def _run_poll(self, max_cycles: Optional[int] = None) -> SimResult:
-        """The original poll-every-cycle loop (``REPRO_NO_FASTPATH=1``).
+        """The poll-every-cycle loop (``REPRO_NO_FASTPATH=1``).
 
-        Kept verbatim as the differential reference for the event-driven
-        engine below; the only addition is the ``epochs`` counter, which
-        both engines advance identically (once per issue phase).
+        The differential reference for the event-driven engine below: it
+        reads only the object graph — no dirty flag, agenda, wake heap
+        or memo — and re-derives every answer on every iteration.  The
+        ``epochs`` counter advances exactly as in the fast engine (once
+        per issue phase).
         """
         limit = self.max_cycles if max_cycles is None else max_cycles
         obs = self.obs
@@ -527,7 +513,6 @@ class GPU:
                 t0 = prof.start()
             if self.dispatcher.place(self.cycle):
                 progressed = True
-                self._wake_dirty = True
             if prof is not None:
                 prof.stop("dispatch", t0)
 
@@ -543,7 +528,6 @@ class GPU:
                     issued += sm.issue_cycle(self.cycle)
             if issued:
                 progressed = True
-                self._wake_dirty = True
             if prof is not None:
                 prof.stop("issue", t0)
 
@@ -551,10 +535,8 @@ class GPU:
                 t0 = prof.start()
             if self.gpudet is not None and self.gpudet.tick(self.cycle):
                 progressed = True
-                self._wake_dirty = True
             if self.flush is not None and self.flush.maybe_trigger(self.cycle):
                 progressed = True
-                self._wake_dirty = True
             if prof is not None:
                 prof.stop("flush", t0)
 
@@ -600,16 +582,7 @@ class GPU:
         return self._collect_result()
 
     def _earliest_warp_wake(self) -> Optional[int]:
-        # Memoized between warp-state changes.  Contract: every site
-        # that mutates a warp's ready_cycle / done / at_barrier /
-        # outstanding counters (or adds a warp) must set _wake_dirty.
-        # A clean cached value can only ever be *smaller* than the true
-        # next wake (never larger), so reuse is exact when it is still
-        # in the future; once it reaches the current cycle we rescan.
-        if not self._wake_dirty:
-            cached = self._wake_value
-            if cached is None or cached > self.cycle:
-                return cached
+        """Min future ready_cycle among eligible live warps, or None."""
         best: Optional[int] = None
         for sm in self.sms:
             if not sm.live_count:
@@ -623,8 +596,6 @@ class GPU:
                     if w.ready_cycle > self.cycle:
                         if best is None or w.ready_cycle < best:
                             best = w.ready_cycle
-        self._wake_value = best
-        self._wake_dirty = False
         return best
 
     # ------------------------------------------------------------------
@@ -634,13 +605,13 @@ class GPU:
         """Event-driven counterpart of :meth:`_run_poll` (the default).
 
         Same iteration structure, but the issue phase visits only SMs
-        whose scheduler calendars say something can happen (a dirty
-        scheduler or a due wake time), and the polled subsystems
-        (dispatcher, flush controller, GPUDet tick) run only when a
-        dirty flag says their answer may have changed.  Calendar
-        invariant (DESIGN §12): every site that mutates a warp's
-        ready_cycle / done / at_barrier / outstanding counters must
-        ``_touch()`` that warp's scheduler, and every mutation a polled
+        on the agenda and examines only dirty schedulers, and the
+        polled subsystems (dispatcher, flush controller, GPUDet tick)
+        run only when a dirty flag says their answer may have changed.
+        Calendar invariant (DESIGN §12): warp timing cells are written
+        only through bound-``Warp`` setters, which dirty the warp's
+        scheduler and push its wake time; ``pop_due`` dirties the
+        schedulers whose wake time has come.  Every mutation a polled
         subsystem reads must set its dirty flag.  Skipped calls are
         no-ops on unchanged state, so both engines execute the same
         state transitions at the same (cycle, epoch) points and produce
@@ -682,7 +653,6 @@ class GPU:
                 self._dispatch_dirty = False
                 if self.dispatcher.place(self.cycle):
                     progressed = True
-                    self._wake_dirty = True
             if prof is not None:
                 prof.stop("dispatch", t0)
 
@@ -692,15 +662,16 @@ class GPU:
             epoch = self.epochs
             cycle = self.cycle
             issued = 0
-            if soa.wake_heap:
+            ww = soa.warp_wake
+            if ww and ww[0][0] <= cycle:
                 soa.pop_due(cycle)
             vd = soa.visit_dirty
             if vd:
                 # Ascending SM order with lazy re-evaluation, exactly
                 # like the polling loop's `for sm in sms: if
-                # needs_visit` — an SM touched mid-phase by a LOWER id
+                # needs_visit` — an SM dirtied mid-phase by a LOWER id
                 # is merged into the remaining batch (visited this
-                # cycle); one touched by a higher id stays on the
+                # cycle); one dirtied by a higher id stays on the
                 # agenda for the next cycle.
                 batch = sorted(vd)
                 vd.clear()
@@ -717,7 +688,6 @@ class GPU:
                                 batch[i:] = sorted(set(batch[i:]).union(extras))
             if issued:
                 progressed = True
-                self._wake_dirty = True
             if prof is not None:
                 prof.stop("issue", t0)
 
@@ -727,12 +697,10 @@ class GPU:
                 self._gpudet_dirty = False
                 if self.gpudet.tick(self.cycle):
                     progressed = True
-                    self._wake_dirty = True
             if self.flush is not None and self._flush_dirty:
                 self._flush_dirty = False
                 if self.flush.maybe_trigger(self.cycle):
                     progressed = True
-                    self._wake_dirty = True
             if prof is not None:
                 prof.stop("flush", t0)
 
@@ -745,8 +713,10 @@ class GPU:
                 continue
 
             # Nothing issued: fast-forward to the next interesting time.
+            # The wake heap's peek validates entries against the rows, so
+            # it returns exactly _earliest_warp_wake's full-scan minimum.
             next_time = self._heap[0][0] if self._heap else None
-            wake = self._earliest_warp_wake_fast()
+            wake = soa.next_wake(self.cycle)
             candidates = [t for t in (next_time, wake) if t is not None]
             if self._current is not None and self.cycle < self.last_atomic_done:
                 # Waiting for the ROP to drain fire-and-forget atomics.
@@ -779,26 +749,6 @@ class GPU:
         if prof is not None:
             prof.stop("run_total", run_t0)
         return self._collect_result()
-
-    def _touch_all_sms(self) -> None:
-        """Dirty every scheduler calendar (broadcast state change).
-
-        SMs with no live warps are skipped: the issue phase never visits
-        them, and the CTA placement that makes one live again touches
-        every scheduler it fills; an empty scheduler's examination does
-        nothing.
-        """
-        for sm in self.sms:
-            if sm.live_count:
-                sm.touch_all()
-
-    def _earliest_warp_wake_fast(self) -> Optional[int]:
-        # Fastpath replacement for _earliest_warp_wake: peek the lazy
-        # per-warp wake heap (warp setters push on every eligibility
-        # transition; the peek validates entries against the rows, so
-        # the result is exactly the full scan's minimum).  No memo
-        # needed — a valid peek is a handful of scalar reads.
-        return self.soa.earliest_wake_heap(self.cycle)
 
     # ------------------------------------------------------------------
     def _collect_result(self, label: str = "") -> SimResult:

@@ -35,7 +35,6 @@ from repro.core.schedulers import (
 )
 from repro.memory.cache import SectorCache
 from repro.sim.results import StallBreakdown
-from repro.sim.soa import NEVER
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.gpu import GPU
@@ -115,12 +114,11 @@ class SM:
 
         # Event-driven issue engine (GPU._run_fast) per-scheduler state.
         # A scheduler is *examined* during an issue phase only when its
-        # dirty bit is set (some warp-state mutation touched it) or its
-        # wake time has arrived; in between, it sits in a frozen stall
-        # window whose per-epoch records are booked in bulk at the next
-        # examination.  Invariant (DESIGN §12): every site that mutates
-        # a warp's ready_cycle / done / at_barrier / outstanding
-        # counters must _touch() that warp's scheduler.
+        # dirty bit is set — by a write to one of its warps' timing
+        # cells, which goes through a bound-Warp setter (DESIGN §12), or
+        # by a due wake-heap entry; in between, it sits in a frozen
+        # stall window whose per-epoch records are booked in bulk at
+        # the next examination.
         ns = self.num_schedulers
         #: open stall window: frozen reason (None = idle, books nothing)
         #: and the first epoch the window covers.
@@ -233,9 +231,7 @@ class SM:
             self.sched_slots[sched][local] = warp
             self.schedulers[sched].notify_warp_added(self.sched_slots[sched], local)
             self.live_count += 1
-            self._touch(sched)
             placed.append(warp)
-        self.gpu._wake_dirty = True
         self.ctas_placed += 1
         self.cta_records.append(cta)
         if self.gpu.gpudet is not None:
@@ -317,19 +313,6 @@ class SM:
     # ------------------------------------------------------------------
     # Event-driven issue engine (fastpath) plumbing.
     # ------------------------------------------------------------------
-    def _touch(self, sched: int) -> None:
-        """A warp-state mutation invalidated this scheduler's memos."""
-        soa = self.soa
-        soa.sched_dirty[self.row0 + sched] = True
-        soa.visit_dirty.add(self.sm_id)
-
-    def touch_all(self) -> None:
-        soa = self.soa
-        base = self.row0
-        for s in range(self.num_schedulers):
-            soa.sched_dirty[base + s] = True
-        soa.visit_dirty.add(self.sm_id)
-
     def settle_stall_windows(self, epoch_end: int) -> None:
         """Book every open stall window through ``epoch_end - 1``.
 
@@ -417,19 +400,18 @@ class SM:
         left_dirty = False
         base = self.row0
         dirty = soa.sched_dirty
-        wakes = soa.sched_wake
         act_rows = soa.active
         bar_rows = soa.at_barrier
         rc_rows = soa.ready_cycle
         ol_rows = soa.out_loads
         oa_rows = soa.out_atoms
-        # Both calendars are plain Python lists and read LIVE: an
-        # earlier scheduler of this pass can touch a later one (e.g. an
-        # immediate barrier release), and the polling loop's lazy
-        # evaluation sees that within the same cycle.
+        # The dirty flags are read LIVE: an earlier scheduler of this
+        # pass can dirty a later one (e.g. an immediate barrier
+        # release), and the polling loop's lazy evaluation sees that
+        # within the same cycle.
         for s, sched in enumerate(self.schedulers):
             r0 = base + s
-            if not dirty[r0] and wakes[r0] > now:
+            if not dirty[r0]:
                 continue  # frozen stall/idle window; booked later
             # Close the open window: the polling loop booked one stall
             # per epoch under the frozen reason while we skipped.
@@ -452,7 +434,6 @@ class SM:
             any_live = False
             any_ready = False
             all_barrier = True
-            wake = NEVER
             for i in range(len(act)):
                 if not act[i]:
                     continue
@@ -460,22 +441,16 @@ class SM:
                 if bar[i]:
                     continue
                 all_barrier = False
-                if ol[i] == 0 and oa[i] == 0:
-                    r = rc[i]
-                    if r <= now:
-                        any_ready = True
-                        break
-                    if r < wake:
-                        wake = r
+                if ol[i] == 0 and oa[i] == 0 and rc[i] <= now:
+                    any_ready = True
+                    break
             if not any_live:
-                wakes[r0] = NEVER
                 continue  # idle scheduler: not counted as a stall slot
             if not any_ready:
+                # Frozen until a cell write or a due warp_wake entry
+                # dirties the row again.
                 self._acct_reason[s] = "barrier" if all_barrier else "mem"
                 self._acct_epoch[s] = epoch
-                wakes[r0] = wake
-                if wake != NEVER:
-                    soa.push_wake(r0, wake)
                 continue
 
             # A warp is timing-ready: run the full select machinery and
@@ -683,7 +658,6 @@ class SM:
     def _handle_exit(self, now: int, warp: Warp) -> None:
         warp.exited = True
         self.live_count -= 1
-        self._touch(warp.scheduler_id)
         # An exit can free a hardware slot (dispatch), flip a buffer to
         # flush-ready (all feeders retired), and complete a baseline
         # barrier (all remaining warps arrived).
@@ -718,7 +692,6 @@ class SM:
     def _handle_barrier(self, now: int, warp: Warp) -> None:
         warp.at_barrier = True
         warp.ready_cycle = now + 1
-        self._touch(warp.scheduler_id)
         # Barrier entry can flip a buffer to flush-ready and (baseline)
         # complete the CTA's barrier at the next release poll.
         self.gpu._flush_dirty = True
@@ -758,7 +731,6 @@ class SM:
                 for w in warps:
                     w.at_barrier = False
                     w.ready_cycle = max(w.ready_cycle, now + 1)
-                    self._touch(w.scheduler_id)
                 self._barrier_ctas.remove(cta)
                 self._notify_releases(warps)
             else:
@@ -769,7 +741,6 @@ class SM:
         warp.at_barrier = True
         warp.fence_arrived_at = now  # type: ignore[attr-defined]
         warp.ready_cycle = now + 1
-        self._touch(warp.scheduler_id)
         self.gpu._flush_dirty = True
         if self.gpu._poll_releases:
             self._release_dirty = True
@@ -797,9 +768,7 @@ class SM:
                     for w in warps:
                         w.at_barrier = False
                         w.ready_cycle = max(w.ready_cycle, now + 1)
-                        self._touch(w.scheduler_id)
                     done_ctas.append(cta)
-                    self.gpu._wake_dirty = True
         for cta in done_ctas:
             self._barrier_ctas.remove(cta)
         still = []
@@ -807,8 +776,6 @@ class SM:
             if w.outstanding_loads == 0 and w.outstanding_stores == 0 and w.outstanding_atoms == 0:
                 w.at_barrier = False
                 w.ready_cycle = max(w.ready_cycle, now + 1)
-                self._touch(w.scheduler_id)
-                self.gpu._wake_dirty = True
             else:
                 still.append(w)
         self._fence_warps = still
@@ -824,7 +791,6 @@ class SM:
             for w in warps:
                 w.at_barrier = False
                 w.ready_cycle = max(w.ready_cycle, now + 1)
-                self._touch(w.scheduler_id)
             self._notify_releases(warps)
             done_ctas.append(cta)
         for cta in done_ctas:
@@ -834,7 +800,6 @@ class SM:
             if getattr(w, "fence_arrived_at", now) <= flush_started:
                 w.at_barrier = False
                 w.ready_cycle = max(w.ready_cycle, now + 1)
-                self._touch(w.scheduler_id)
                 self._notify_releases([w])
             else:
                 still.append(w)

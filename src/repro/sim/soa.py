@@ -24,11 +24,9 @@ their own and are never bound.
 
 The ``active``/``pc`` cells are caches of ``not warp.done`` and the
 SIMT stack's PC, refreshed by ``Warp.step``; only the fast engine reads
-them.  The same holds for the calendars, agendas and wake heaps below.
-
-``NEVER`` is the wake-calendar sentinel for "no time-driven wake":
-far enough in the future to never be reached (the cycle limit is
-~2e8).
+them.  The same holds for the scheduler dirty flags, the visit agenda
+and the wake heap below: the bound-warp setters record every cell
+write there, and only the fast engine drains them.
 """
 
 from __future__ import annotations
@@ -36,12 +34,9 @@ from __future__ import annotations
 import heapq
 from typing import List
 
-#: Wake-calendar sentinel: "this scheduler never wakes by time alone".
-NEVER = 1 << 62
-
 
 class WarpSlabs:
-    """GPU-wide warp timing rows plus the fast engine's calendars."""
+    """GPU-wide warp timing rows plus the fast engine's agendas."""
 
     def __init__(self, num_sms: int, schedulers_per_sm: int,
                  slots_per_scheduler: int):
@@ -59,9 +54,9 @@ class WarpSlabs:
         #: current PC (stale once inactive; read only for live warps).
         self.pc = [[0] * cols for _ in range(rows)]
 
-        # -- per-scheduler calendars (SM-owned) ------------------------
+        #: per-scheduler dirty flags: set by every bound-warp cell write
+        #: and by pop_due; the issue phase skips a clean scheduler.
         self.sched_dirty: List[bool] = [True] * rows
-        self.sched_wake: List[int] = [NEVER] * rows
 
         # -- per-SM state ----------------------------------------------
         self.sm_release_dirty: List[bool] = [True] * num_sms
@@ -75,49 +70,50 @@ class WarpSlabs:
 
         # -- incremental visit agenda (fast engine) --------------------
         #: SM ids with a dirty scheduler or pending release poll; fed by
-        #: SM._touch/touch_all and drained by the issue phase.
+        #: the warp setters, pop_due and SM._release_dirty, and drained
+        #: by the issue phase.
         self.visit_dirty = set(range(num_sms))
-        #: lazy min-heap of (wake_cycle, row) pushed when a scheduler
-        #: freezes with a time-driven wake; entries are validated
-        #: against sched_wake at pop time (stale ones are discarded).
-        self.wake_heap: List = []
         #: lazy min-heap of (ready_cycle, row, col) per-warp wake
-        #: candidates, pushed by the warp setters on every eligibility
-        #: transition (see Warp.ready_cycle.setter) and validated
-        #: against the rows at peek time.
+        #: candidates, pushed by the warp setters while the warp is
+        #: eligible (live, not at a barrier, nothing outstanding) and
+        #: validated against the rows when popped.
         self.warp_wake: List = []
 
     # ------------------------------------------------------------------
-    def push_wake(self, row: int, wake: int) -> None:
-        """Register a scheduler freeze with a time-driven wake."""
-        heapq.heappush(self.wake_heap, (wake, row))
-
     def pop_due(self, now: int) -> None:
-        """Move schedulers whose wake time has arrived onto the agenda.
+        """Dirty the schedulers of warps whose wake time has arrived.
 
-        An entry is live only if the row's current freeze still carries
-        the recorded wake; anything else (re-frozen, woken by an event,
-        gone idle) was superseded and is dropped.
+        Pops every entry due by ``now``.  One the rows still corroborate
+        dirties its row and puts its SM on the visit agenda; any other
+        was superseded by a later cell write, which dirtied the row
+        itself, and is dropped.
         """
-        heap = self.wake_heap
-        if not heap:
-            return
-        wakes = self.sched_wake
+        heap = self.warp_wake
+        rc_s = self.ready_cycle
+        act = self.active
+        bar = self.at_barrier
+        ol = self.out_loads
+        oa = self.out_atoms
+        dirty = self.sched_dirty
         vd = self.visit_dirty
         s = self.schedulers_per_sm
         while heap and heap[0][0] <= now:
-            w, row = heapq.heappop(heap)
-            if wakes[row] == w:
-                vd.add(row // s)
+            rc, r, c = heapq.heappop(heap)
+            if (rc_s[r][c] == rc and act[r][c] and not bar[r][c]
+                    and ol[r][c] == 0 and oa[r][c] == 0):
+                dirty[r] = True
+                vd.add(r // s)
 
-    def earliest_wake_heap(self, now: int):
+    def next_wake(self, now: int):
         """Min future ``ready_cycle`` among eligible warps, or None.
 
         Pops entries that can never match again (wake time reached, or
         the cell moved on) and returns the first entry the rows still
-        corroborate.  Completeness: every eligibility transition pushes
-        (warp setters + bind_slab), so each currently-eligible warp
-        with a future wake has a live entry.
+        corroborate.  A due entry popped here was pushed after this
+        cycle's pop_due, by a write that dirtied its row itself.
+        Completeness: every cell write on a bound warp pushes while the
+        warp is eligible (warp setters + bind_slab), so each
+        currently-eligible warp with a future wake has a live entry.
         """
         heap = self.warp_wake
         rc_s = self.ready_cycle

@@ -121,12 +121,19 @@ class TestSlotReuse:
                     for r in sm_rows]
 
         before = cells()
+        soa.sched_dirty[:] = [False] * len(soa.sched_dirty)
+        soa.visit_dirty.clear()
+        wakes = list(soa.warp_wake)
         # Late acks land on the retired warp objects.
         for i, w in enumerate(retired):
             w.ready_cycle = 1000 + i
             w.outstanding_loads = 3
             w.outstanding_stores = 7
         assert cells() == before
+        # ... and wake no scheduler: an unbound warp records nothing.
+        assert not any(soa.sched_dirty)
+        assert not soa.visit_dirty
+        assert soa.warp_wake == wakes
         assert [(w.ready_cycle, w.outstanding_loads, w.outstanding_stores)
                 for w in retired] == [(1000 + i, 3, 7)
                                       for i in range(len(retired))]

@@ -23,7 +23,7 @@ from repro.faults import FaultPlan
 from repro.harness.runner import ArchSpec, run_workload
 from repro.sim.gpu import GPU
 from repro.sim.nondet import JitterSource
-from repro.sim.soa import NEVER, WarpSlabs
+from repro.sim.soa import WarpSlabs
 from repro.workloads.microbench import build_atomic_sum, build_histogram
 
 #: (WarpSlabs row attribute, exact cell type).
@@ -40,27 +40,21 @@ def _make_slabs():
 @pytest.mark.parametrize("dab", [DABConfig.paper_default(), None],
                          ids=["dab", "baseline"])
 def test_row_cells_are_plain_python(dab, monkeypatch):
-    """Row cells and wake-heap entries are exact ``int``/``bool``.
+    """Row cells and ``warp_wake`` entries are exact ``int``/``bool``.
 
     A plain list stores a stray numpy scalar as-is, where an int64 array
     would coerce it.  The grid is four times what the machine holds, so
-    CTAs retire and hardware slots are rebound mid-kernel.  The heaps
-    are empty once a run drains, so every pushed entry is recorded.
+    CTAs retire and hardware slots are rebound mid-kernel.  The heap is
+    drained as a run goes, so every pushed entry is recorded.
     """
     pushed = []
     warp_push = warp_mod.heappush
-    sched_push = WarpSlabs.push_wake
 
     def record_warp_wake(heap, entry):
         pushed.append(entry)
         warp_push(heap, entry)
 
-    def record_wake_heap(soa, row, wake):
-        pushed.append((wake, row))
-        sched_push(soa, row, wake)
-
     monkeypatch.setattr(warp_mod, "heappush", record_warp_wake)
-    monkeypatch.setattr(WarpSlabs, "push_wake", record_wake_heap)
     wl = build_atomic_sum(n=16384, cta_dim=128)
     gpu = GPU(GPUConfig.small(), wl.mem, dab=dab, jitter=JitterSource(1))
     wl.drive(gpu)
@@ -74,9 +68,8 @@ def test_row_cells_are_plain_python(dab, monkeypatch):
         for row in rows:
             assert len(row) == cfg.warps_per_scheduler, name
             assert all(type(v) is kind for v in row), name
-    assert {len(e) for e in pushed} == {2, 3}
-    assert all(type(v) is int for e in pushed + s.warp_wake + s.wake_heap
-               for v in e)
+    assert {len(e) for e in pushed} == {3}
+    assert all(type(v) is int for e in pushed + s.warp_wake for v in e)
 
 
 def test_calendars_are_plain_python():
@@ -88,13 +81,10 @@ def test_calendars_are_plain_python():
     """
     s = _make_slabs()
     assert isinstance(s.sched_dirty, list)
-    assert isinstance(s.sched_wake, list)
     assert isinstance(s.sm_release_dirty, list)
-    assert all(type(w) is int for w in s.sched_wake)
     assert all(type(d) is bool for d in s.sched_dirty)
     assert type(s.buf_nonempty_count) is int
     assert type(s.buf_full_count) is int
-    assert type(NEVER) is int
 
 
 def test_fault_draws_return_python_ints():
