@@ -9,15 +9,20 @@ Kernels are written in a PTX-flavoured assembly.  Supported syntax::
 
 Opcodes (``.`` separated, PTX style):
 
-* ALU: ``mov``, ``add.s32/f32``, ``sub.*``, ``mul.*``, ``div.*``,
-  ``rem.s32``, ``min.*``, ``max.*``, ``and/or/xor/shl/shr.s32``,
-  ``fma.f32``, ``selp.*``, ``cvt.f32.s32``, ``cvt.s32.f32``, ``abs.*``
-* Predicates: ``setp.<lt|le|gt|ge|eq|ne>.<s32|f32>``
+* ALU (``ALU_OPS`` lists every opcode with its operand count), where
+  ``<t>`` is ``s32``, ``u32``, ``b32`` or ``s64`` (all held as int64)
+  or ``f32``: ``mov``, ``add``, ``sub``, ``mul``, ``div``, ``min``,
+  ``max``, ``abs``, ``fma``/``mad``, ``selp`` on every ``<t>``;
+  ``rem``, ``and/or/xor``, ``shl/shr`` on the integer types;
+  ``cvt.<t>.<t>``; ``mov/and/or/xor/not.pred``
+* Predicates: ``setp.<lt|le|gt|ge|eq|ne>.<t>``
 * Control: ``bra`` (guarded for conditional), ``exit``, ``nop`` (optional
   latency immediate), ``sleep`` (cycles immediate, for backoff loops)
-* Memory: ``ld.global.<f32|s32>``, ``st.global.<f32|s32>``
-* Atomics: ``red.global.<add|min|max>.<f32|s32>`` (no return value),
-  ``atom.global.<add|exch|cas|inc>.<f32|s32>`` (returns old value)
+* Memory: ``ld.global.<t>``, ``st.global.<t>``; addresses are
+  ``[reg]``, ``[reg+imm]``, ``[reg-imm]`` or ``[imm]``
+* Atomics: ``red.global.<add|min|max>.<t>`` (no return value),
+  ``atom.global.<add|exch|cas|inc|min|max>.<t>`` (returns old value)
+* A float immediate may not stand where an integer is read.
 * Synchronization: ``bar.sync``, ``membar.gl``
 
 Branch reconvergence points (for the SIMT stack) are computed
@@ -29,10 +34,13 @@ deterministic").
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 
 class ISAError(ValueError):
@@ -56,13 +64,9 @@ class OpClass(Enum):
     SLEEP = "sleep"
 
 
-#: Operand that is an immediate constant.
-Immediate = Union[int, float]
-
-
 @dataclass(frozen=True)
 class MemOperand:
-    """A ``[reg+offset]`` or ``[imm]`` address expression (byte units)."""
+    """A ``[reg±offset]`` or ``[imm]`` address expression (byte units)."""
 
     reg: Optional[str]
     offset: int = 0
@@ -71,7 +75,7 @@ class MemOperand:
         if self.reg is None:
             return f"[{self.offset}]"
         if self.offset:
-            return f"[{self.reg}+{self.offset}]"
+            return f"[{self.reg}{self.offset:+d}]"
         return f"[{self.reg}]"
 
 
@@ -90,33 +94,11 @@ class Instr:
     reconv_pc: int = -1                # immediate post-dominator (branches)
     pc: int = -1
     op_class: OpClass = OpClass.ALU
-    #: decoded-opcode cache, filled once at construction (opcodes never
-    #: change after assembly) so the interpreter hot path never
-    #: re-splits the opcode string per dynamic instruction:
-    #: ``parts``  — opcode split on '.';
-    #: ``root``   — parts[0] (the ALU/memory dispatch key);
-    #: ``dtype``  — parts[-1] (memory-op element type);
-    #: ``alu_dtype`` — parts[-1] when it names an ALU type, else None;
-    #: ``op_suffix`` — '.'.join(parts[2:]) (red/atom function name).
-    parts: Tuple[str, ...] = field(init=False, repr=False, compare=False,
-                                   default=())
-    root: str = field(init=False, repr=False, compare=False, default="")
-    dtype: str = field(init=False, repr=False, compare=False, default="")
-    alu_dtype: Optional[str] = field(init=False, repr=False, compare=False,
-                                     default=None)
-    op_suffix: str = field(init=False, repr=False, compare=False, default="")
     #: precomputed ``is_atomic`` — read per status snapshot by the
     #: determinism-aware schedulers, so it must be a plain attribute.
     atomic: bool = field(init=False, repr=False, compare=False, default=False)
 
     def __post_init__(self) -> None:
-        parts = tuple(self.opcode.split("."))
-        self.parts = parts
-        self.root = parts[0]
-        self.dtype = parts[-1]
-        if parts[-1] in ("s32", "u32", "b32", "f32", "s64", "pred"):
-            self.alu_dtype = parts[-1]
-        self.op_suffix = ".".join(parts[2:])
         self.atomic = self.op_class in (OpClass.MEM_RED, OpClass.MEM_ATOM)
 
     @property
@@ -146,19 +128,103 @@ class Instr:
         return " ".join(parts) + (" " + ", ".join(ops) if ops else "")
 
 
-_ALU_ROOTS = {
-    "mov", "add", "sub", "mul", "min", "max", "and", "or", "xor",
-    "shl", "shr", "fma", "selp", "setp", "cvt", "abs", "not", "rem",
-    "mad",
-}
-_SFU_ROOTS = {"div", "sqrt", "rcp"}
-_CMP_OPS = {"lt", "le", "gt", "ge", "eq", "ne"}
-_DTYPES = {"s32", "u32", "b32", "f32", "s64"}
+_INT_TYPES = ("s32", "u32", "b32", "s64")
+_DTYPES = {*_INT_TYPES, "f32"}
 _RED_OPS = {"add", "min", "max"}
 _ATOM_OPS = {"add", "exch", "cas", "inc", "min", "max"}
 
+# ----------------------------------------------------------------------
+# ALU semantics.  ``ALU_OPS[opcode] = (reads, fn)``: the opcode takes
+# ``len(reads)`` source operands, source *i* is read as ``reads[i]`` and
+# ``fn`` maps the read operands to the destination's new value (always
+# a fresh array).  A read is a numpy dtype: int64 and float32 convert a
+# register held in another dtype (an immediate is float32 if it is a
+# float or the read is float32, else int64); float64 reads as float32
+# and then widens; bool tests a non-bool value against zero; None reads
+# the value as held.  f32 add/sub/mul/div/fma compute in float64 and
+# round once.  ``repro.arch.warp`` decodes instructions from this table,
+# and ``assemble`` rejects any ALU opcode or operand count not in it.
+# ----------------------------------------------------------------------
+_I, _F, _D, _B = (np.dtype(t) for t in (np.int64, np.float32, np.float64,
+                                        np.bool_))
+
+
+def _trunc_div(a: np.ndarray, b: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """C-style truncating ``a / b`` (numpy // floors); ``d`` is ``b``
+    with zeros replaced by 1."""
+    q = np.floor_divide(a, d)
+    r = a - q * d
+    return q + ((r != 0) & ((a < 0) != (b < 0)))
+
+
+def _int_div(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    nz = b != 0
+    return np.where(nz, _trunc_div(a, b, np.where(nz, b, 1)), 0)
+
+
+def _int_rem(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    nz = b != 0
+    return np.where(nz, a - _trunc_div(a, b, np.where(nz, b, 1)) * b, 0)
+
+
+def _f32_div(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.divide(a, b, out=np.zeros_like(a), where=b != 0).astype(np.float32)
+
+
+def _rounded(op: Callable) -> Callable:
+    """``op`` with its result rounded to float32."""
+    return lambda *xs: op(*xs).astype(np.float32)
+
+
+def _alu_ops() -> Dict[str, Tuple[Tuple[Optional[np.dtype], ...], Callable]]:
+    bitwise = {"and": operator.and_, "or": operator.or_, "xor": operator.xor}
+    arith = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
+    compares = {"lt": operator.lt, "le": operator.le, "gt": operator.gt,
+                "ge": operator.ge, "eq": operator.eq, "ne": operator.ne}
+    to_int = lambda a: np.trunc(a).astype(np.int64)  # noqa: E731
+    ops: Dict[str, Tuple[Tuple[Optional[np.dtype], ...], Callable]] = {
+        "mov.pred": ((None,), np.ndarray.copy),
+        "not.pred": ((_B,), operator.invert),
+        **{f"{op}.pred": ((_B, _B), fn) for op, fn in bitwise.items()},
+    }
+    for t in (*_INT_TYPES, "f32"):
+        is_f = t == "f32"
+        r = _F if is_f else _I       # how most ops read their sources
+        w = _D if is_f else _I       # f32 arithmetic reads widened
+        fit = _rounded if is_f else (lambda fn: fn)
+        mad = fit(lambda a, b, c: a * b + c)
+        ops.update({
+            f"mov.{t}": ((r,), np.ndarray.copy),
+            f"abs.{t}": ((r,), np.abs),
+            f"min.{t}": ((r, r), np.minimum),
+            f"max.{t}": ((r, r), np.maximum),
+            f"div.{t}": ((w, w), _f32_div if is_f else _int_div),
+            f"fma.{t}": ((w, w, w), mad),
+            f"mad.{t}": ((w, w, w), mad),
+            f"selp.{t}": ((r, r, _B),
+                          lambda a, b, p: np.where(p, a, b).astype(a.dtype)),
+            f"cvt.f32.{t}": ((r,), lambda a: a.astype(np.float32)),
+            **{f"cvt.{i}.{t}": ((r,), to_int) for i in _INT_TYPES},
+            **{f"{op}.{t}": ((w, w), fit(fn)) for op, fn in arith.items()},
+            **{f"setp.{op}.{t}": ((r, r), fn) for op, fn in compares.items()},
+        })
+        if not is_f:
+            ops.update({
+                f"rem.{t}": ((r, r), _int_rem),
+                f"shl.{t}": ((r, r), operator.lshift),
+                f"shr.{t}": ((r, r), operator.rshift),
+                **{f"{op}.{t}": ((r, r), fn) for op, fn in bitwise.items()},
+            })
+    return ops
+
+
+ALU_OPS = _alu_ops()
+_SFU_ROOTS = {"div"}
+_ALU_ROOTS = {op.split(".")[0] for op in ALU_OPS} - _SFU_ROOTS
+
 _LABEL_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*):$")
 _NUM_RE = re.compile(r"^[+-]?(\d+\.?\d*([eE][+-]?\d+)?|0x[0-9a-fA-F]+|\.\d+)$")
+_MEM_RE = re.compile(r"^(%?[A-Za-z_]\w*)\s*(?:([+-])\s*(\S+))?$")
 
 
 def _classify(opcode: str, has_guard_target: bool) -> OpClass:
@@ -193,8 +259,8 @@ def _classify(opcode: str, has_guard_target: bool) -> OpClass:
 
 def _validate(instr: Instr) -> None:
     parts = instr.opcode.split(".")
-    root = parts[0]
     oc = instr.op_class
+    reads: Sequence[Optional[np.dtype]] = ()
     if oc in (OpClass.MEM_LOAD, OpClass.MEM_STORE, OpClass.MEM_RED, OpClass.MEM_ATOM):
         if len(parts) < 3 or parts[1] != "global":
             raise ISAError(f"memory ops must target .global space: {instr.opcode}")
@@ -210,9 +276,20 @@ def _validate(instr: Instr) -> None:
             raise ISAError("ld needs a destination register")
         if oc is OpClass.MEM_ATOM and instr.dst is None:
             raise ISAError("atom returns a value and needs a destination")
-    if root == "setp":
-        if len(parts) != 3 or parts[1] not in _CMP_OPS or parts[2] not in _DTYPES:
-            raise ISAError(f"setp must be setp.<cmp>.<dtype>: {instr.opcode}")
+        nsrcs = (0 if oc is OpClass.MEM_LOAD or parts[2] == "inc"
+                 else 2 if parts[2] == "cas" else 1)
+        if len(instr.srcs) != nsrcs:
+            raise ISAError(f"{instr.opcode} takes {nsrcs} value operand(s): {instr}")
+        reads = [_F if parts[-1] == "f32" else _I] * nsrcs
+    if oc in (OpClass.ALU, OpClass.SFU):
+        if instr.opcode not in ALU_OPS:
+            raise ISAError(f"unsupported opcode/type combination: {instr.opcode}")
+        reads = ALU_OPS[instr.opcode][0]
+        if len(instr.srcs) != len(reads) or instr.mem is not None:
+            raise ISAError(f"{instr.opcode} takes a destination and {len(reads)} "
+                           f"source operand(s): {instr}")
+    if any(isinstance(s, float) and r is _I for s, r in zip(instr.srcs, reads)):
+        raise ISAError(f"float immediate in an integer operand: {instr}")
     if oc is OpClass.BRANCH and instr.target_label is None:
         raise ISAError("bra needs a target label")
 
@@ -222,22 +299,25 @@ def _parse_operand(tok: str):
     if not tok:
         raise ISAError("empty operand")
     if _NUM_RE.match(tok):
-        if tok.startswith("0x"):
+        if "0x" in tok:
             return int(tok, 16)
-        if any(c in tok for c in ".eE") and not tok.startswith("0x"):
+        if any(c in tok for c in ".eE"):
             return float(tok)
         return int(tok)
     return tok  # register or special register name
 
 
 def _parse_mem(tok: str) -> MemOperand:
+    """``[reg]``, ``[reg+imm]``, ``[reg-imm]`` or ``[imm]``."""
     inner = tok[1:-1].strip()
-    if "+" in inner:
-        reg, off = inner.split("+", 1)
-        return MemOperand(reg.strip(), int(off.strip(), 0))
-    if _NUM_RE.match(inner):
-        return MemOperand(None, int(inner, 0))
-    return MemOperand(inner, 0)
+    m = _MEM_RE.match(inner)
+    reg, sign, off = m.groups() if m else (None, "", inner)
+    if reg is not None and not sign:
+        return MemOperand(reg, 0)
+    offset = _parse_operand(sign + off)
+    if not isinstance(offset, int):
+        raise ISAError(f"address must be [reg], [reg+imm], [reg-imm] or [imm]: {tok}")
+    return MemOperand(reg, offset)
 
 
 def _split_operands(text: str) -> List[str]:
@@ -269,6 +349,15 @@ class Program:
     instrs: List[Instr]
     labels: Dict[str, int] = field(default_factory=dict)
     source: str = ""
+    #: per warp size, one executor per instruction, built by
+    #: ``repro.arch.warp.decode`` when the first warp runs the program.
+    decoded: Dict[int, list] = field(default_factory=dict, init=False,
+                                     repr=False, compare=False)
+
+    def __getstate__(self) -> dict:
+        # Executors are closures: a copy or an unpickled program
+        # decodes again on first use.
+        return {**self.__dict__, "decoded": {}}
 
     def __len__(self) -> int:
         return len(self.instrs)

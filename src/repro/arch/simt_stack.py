@@ -18,7 +18,9 @@ class SIMTStack:
     """Stack of ``(reconv_pc, pc, active_mask)`` entries.
 
     The top entry defines the warp's current PC and active mask.  ``-1``
-    is used as "no reconvergence point" for the base entry.
+    is used as "no reconvergence point" for the base entry.  A mask is
+    replaced, never written in place (``Warp.step`` keys its active-lane
+    count on the mask object).
     """
 
     __slots__ = ("_entries", "warp_size")

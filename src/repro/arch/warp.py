@@ -7,6 +7,10 @@ element per lane), a SIMT reconvergence stack and a program counter.
 instruction's class, the memory sectors it touches, and any atomic
 operations it produced.
 
+Each :class:`Program` is decoded once per warp size (:func:`decode`,
+DESIGN.md §5) into one :class:`Executor` per instruction, which
+``step()`` runs at the pc.
+
 Timing/functional split (documented simplification, see DESIGN.md §5):
 
 * loads and stores take effect at issue; the warp still pays the full
@@ -21,13 +25,14 @@ Timing/functional split (documented simplification, see DESIGN.md §5):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from heapq import heappush
-from typing import Dict, List, Optional, Tuple
+from itertools import repeat
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.arch.isa import Instr, OpClass, Program
+from repro.arch.isa import ALU_OPS, Instr, MemOperand, OpClass, Program
 from repro.arch.kernel import CTA, Kernel
 from repro.arch.simt_stack import SIMTStack
 from repro.memory.globalmem import AtomicOp, GlobalMemory
@@ -82,7 +87,7 @@ class Warp:
         "cta", "warp_id_in_cta", "warp_size", "program", "regs", "stack",
         "outstanding_stores", "buffered_reds", "_exited", "dyn_instrs",
         "dyn_atomics", "sleep_until", "launched_cycle", "fence_arrived_at",
-        "_red_cache", "capture_addrs",
+        "_red_cache", "capture_addrs", "_code", "_mask", "_nact",
         "_rc", "_ol", "_oa", "_bar", "_act", "_pc", "_row", "_col", "_slabs",
     )
 
@@ -105,6 +110,7 @@ class Warp:
         self.hw_slot = hw_slot
         self.batch = cta.batch
         self.program: Program = cta.kernel.program
+        self._code = decode(self.program, warp_size)
 
         first_thread = warp_id_in_cta * warp_size
         lanes = np.arange(warp_size)
@@ -113,7 +119,8 @@ class Warp:
             raise ValueError("warp has no live threads")
         self.stack = SIMTStack(warp_size, 0, in_cta)
 
-        self.regs: Dict[str, np.ndarray] = {}
+        self.regs: Dict[str, np.ndarray] = _Registers()
+        self.regs.kernel = cta.kernel.name
         self._init_special_registers(first_thread, lanes, in_cta)
 
         # Timing-model state (owned by the SM).  ready_cycle, the load
@@ -145,6 +152,9 @@ class Warp:
         self.dyn_instrs = 0
         self.dyn_atomics = 0
         self._red_cache = None  # (dyn_instrs, pc, ops) memo for peek_red_ops
+        #: the last mask step ran under and its active-lane count (masks
+        #: are never mutated: the stack replaces its mask on a change)
+        self._mask, self._nact = None, 0
         #: when True, memory StepResults carry exact per-lane addresses
         #: and gtids (race-certification tracing; off on the hot path).
         self.capture_addrs = False
@@ -298,68 +308,21 @@ class Warp:
         exists").  The result is memoized per dynamic instruction —
         registers cannot change while the warp is stalled at this PC.
         """
-        ins = self.peek()
-        if ins is None or ins.op_class is not OpClass.MEM_RED:
+        if self.done:
+            return ()
+        ex = self._code[self.stack.pc]
+        if ex.red_ops is None:
             return ()
         if self._red_cache is not None:
             n, pc, ops = self._red_cache
             if n == self.dyn_instrs and pc == self.stack.pc:
                 return ops
-        dtype = ins.dtype
-        op_suffix = ins.op_suffix
-        mask = self._effective_mask(ins)
-        lane_ids = np.nonzero(mask)[0]
-        addrs = self._mem_addresses(ins)
-        vals = self._read(ins.srcs[0], dtype)
-        ops = tuple(
-            AtomicOp(a, op_suffix, (v,))
-            for a, v in zip(addrs[lane_ids].tolist(),
-                            _scalar_list(vals, lane_ids))
-        )
+        mask = self.stack.active_mask
+        if ex.guard is not None:
+            mask = ex.guard(self.regs, mask)
+        ops = ex.red_ops(self.regs, np.nonzero(mask)[0])
         self._red_cache = (self.dyn_instrs, self.stack.pc, ops)
         return ops
-
-    # -- operand helpers -------------------------------------------------
-    def _read(self, operand, dtype: Optional[str] = None) -> np.ndarray:
-        if isinstance(operand, str):
-            try:
-                arr = self.regs[operand]
-            except KeyError:
-                raise KeyError(
-                    f"register {operand!r} read before write in {self.cta.kernel.name}"
-                ) from None
-        else:
-            if isinstance(operand, float) or dtype == "f32":
-                arr = np.full(self.warp_size, np.float32(operand), dtype=np.float32)
-            else:
-                arr = np.full(self.warp_size, int(operand), dtype=np.int64)
-            return arr
-        if dtype == "f32" and arr.dtype != np.float32:
-            return arr.astype(np.float32)
-        if dtype in ("s32", "u32", "b32", "s64") and arr.dtype != np.int64:
-            if arr.dtype == np.bool_:
-                return arr.astype(np.int64)
-            return arr.astype(np.int64)
-        return arr
-
-    def _write(self, dst: str, values: np.ndarray, mask: np.ndarray) -> None:
-        cur = self.regs.get(dst)
-        if cur is None or cur.dtype != values.dtype:
-            base = np.zeros(self.warp_size, dtype=values.dtype)
-            if cur is not None:
-                base[:] = cur.astype(values.dtype)
-            cur = base
-            self.regs[dst] = cur
-        cur[mask] = values[mask]
-
-    def _effective_mask(self, ins: Instr) -> np.ndarray:
-        mask = self.stack.active_mask
-        if ins.guard is not None:
-            pred = self._read(ins.guard)
-            if pred.dtype != np.bool_:
-                pred = pred != 0
-            mask = np.logical_and(mask, ~pred if ins.guard_negated else pred)
-        return mask
 
     # ------------------------------------------------------------------
     def step(self, mem: GlobalMemory) -> StepResult:
@@ -369,143 +332,27 @@ class Warp:
         because GPUDet's serial commit mode steps warps directly,
         bypassing ``SM._issue``.
         """
-        result = self._step(mem)
         st = self.stack
+        if self._exited or st.done:
+            raise RuntimeError("step() on a finished warp")
+        ex = self._code[st.pc]
+        mask = st.active_mask
+        if ex.guard is not None:
+            mask = ex.guard(self.regs, mask)
+        if mask is not self._mask:
+            self._mask, self._nact = mask, int(np.count_nonzero(mask))
+        active = self._nact
+        self.dyn_instrs += 1
+        if active or ex.always:
+            result = ex.run(self, mem, mask, active)
+        else:  # guarded off: retires as a nop
+            st.advance()
+            result = StepResult(ex.ins, OpClass.NOP, 0)
         if st.done:
             self._act[self._col] = False
         else:
             self._pc[self._col] = st.pc
         return result
-
-    def _step(self, mem: GlobalMemory) -> StepResult:
-        if self.done:
-            raise RuntimeError("step() on a finished warp")
-        ins = self.program.instrs[self.stack.pc]
-        mask = self._effective_mask(ins)
-        active = int(np.count_nonzero(mask))
-        self.dyn_instrs += 1
-        oc = ins.op_class
-
-        # Guarded-off non-branch instructions become nops.
-        if active == 0 and oc not in (OpClass.BRANCH, OpClass.EXIT):
-            self.stack.advance()
-            return StepResult(ins, OpClass.NOP, 0)
-
-        if oc is OpClass.BRANCH:
-            if ins.guard is None:
-                self.stack.jump(ins.target_pc)
-            else:
-                self.stack.branch(mask, ins.target_pc, ins.reconv_pc)
-            return StepResult(ins, oc, active)
-
-        if oc is OpClass.EXIT:
-            self.stack.exit_lanes(mask if ins.guard is not None else None)
-            exited = self.stack.done
-            if not exited:
-                # Some lanes survive (guarded exit); they continue.
-                pass
-            return StepResult(ins, oc, active, exited=exited)
-
-        if oc is OpClass.BARRIER:
-            self.stack.advance()
-            return StepResult(ins, oc, active, barrier=True)
-
-        if oc is OpClass.FENCE:
-            self.stack.advance()
-            return StepResult(ins, oc, active, fence=True)
-
-        if oc is OpClass.NOP:
-            self.stack.advance()
-            return StepResult(ins, oc, active)
-
-        if oc is OpClass.SLEEP:
-            if ins.srcs:
-                vals = self._read(ins.srcs[0])
-                cycles = int(vals[mask].max()) if active else 1
-            else:
-                cycles = 1
-            self.stack.advance()
-            return StepResult(ins, oc, active, sleep_cycles=max(1, cycles))
-
-        if oc in (OpClass.ALU, OpClass.SFU):
-            self._exec_alu(ins, mask)
-            self.stack.advance()
-            return StepResult(ins, oc, active)
-
-        # Memory operations.
-        dtype = ins.dtype
-        addrs = self._mem_addresses(ins)
-        lane_ids = np.nonzero(mask)[0]
-        act_addrs = addrs[lane_ids]
-        addr_list = act_addrs.tolist()
-        sectors = tuple(sorted({a // SECTOR_BYTES * SECTOR_BYTES
-                                for a in addr_list}))
-
-        if oc is OpClass.MEM_LOAD:
-            raw = mem.load_many(act_addrs)
-            vals = np.zeros(self.warp_size, dtype=np.float32 if dtype == "f32" else np.int64)
-            vals[lane_ids] = raw.astype(vals.dtype)
-            self._write(ins.dst, vals, mask)
-            spec = MemRequestSpec(kind="load", sectors=sectors)
-        elif oc is OpClass.MEM_STORE:
-            vals = self._read(ins.srcs[0], dtype)
-            mem.store_many(act_addrs, vals[lane_ids])
-            spec = MemRequestSpec(kind="store", sectors=sectors)
-        elif oc is OpClass.MEM_RED:
-            op_suffix = ins.op_suffix  # e.g. "add.f32"
-            vals = self._read(ins.srcs[0], dtype)
-            red_ops = tuple(
-                AtomicOp(a, op_suffix, (v,))
-                for a, v in zip(addr_list, _scalar_list(vals, lane_ids))
-            )
-            self.dyn_atomics += 1
-            spec = MemRequestSpec(kind="red", sectors=sectors, red_ops=red_ops)
-        else:  # MEM_ATOM
-            op_suffix = ins.op_suffix
-            atom_root = ins.parts[2]
-            lanes_list = lane_ids.tolist()
-            if atom_root == "cas":
-                cmp_v = self._read(ins.srcs[0], dtype)
-                val_v = self._read(ins.srcs[1], dtype)
-                ops = tuple(
-                    (l, AtomicOp(a, op_suffix, (cv, vv)))
-                    for l, a, cv, vv in zip(
-                        lanes_list, addr_list,
-                        _scalar_list(cmp_v, lane_ids),
-                        _scalar_list(val_v, lane_ids))
-                )
-            elif atom_root == "inc":
-                ops = tuple(
-                    (l, AtomicOp(a, op_suffix, (1,)))
-                    for l, a in zip(lanes_list, addr_list)
-                )
-            else:
-                val_v = self._read(ins.srcs[0], dtype)
-                ops = tuple(
-                    (l, AtomicOp(a, op_suffix, (v,)))
-                    for l, a, v in zip(lanes_list, addr_list,
-                                       _scalar_list(val_v, lane_ids))
-                )
-            self.dyn_atomics += 1
-            spec = MemRequestSpec(kind="atom", sectors=sectors, atom_ops=ops,
-                                  atom_dst=ins.dst)
-
-        if self.capture_addrs:
-            gtid = self.regs["%gtid"]
-            spec.addrs = tuple(addr_list)
-            spec.gtids = tuple(gtid[lane_ids].tolist())
-
-        self.stack.advance()
-        return StepResult(ins, oc, active, mem=spec)
-
-    # ------------------------------------------------------------------
-    def _mem_addresses(self, ins: Instr) -> np.ndarray:
-        m = ins.mem
-        assert m is not None
-        if m.reg is None:
-            return np.full(self.warp_size, m.offset, dtype=np.int64)
-        base = self._read(m.reg, "s64")
-        return base + m.offset
 
     def write_atom_result(self, dst: str, lane: int, value) -> None:
         """Deliver a returning atomic's old-value into a lane (at response)."""
@@ -519,156 +366,235 @@ class Warp:
             self.regs[dst] = cur
         cur[lane] = value
 
-    # ------------------------------------------------------------------
-    def _exec_alu(self, ins: Instr, mask: np.ndarray) -> None:
-        parts = ins.parts
-        root = ins.root
-        dtype = ins.alu_dtype
 
-        if root == "mov":
-            src = self._read(ins.srcs[0], dtype)
-            self._write(ins.dst, src.copy(), mask)
-            return
-        if root == "setp":
-            cmp_op = parts[1]
-            a = self._read(ins.srcs[0], parts[2])
-            b = self._read(ins.srcs[1], parts[2])
-            res = _COMPARES[cmp_op](a, b)
-            self._write(ins.dst, res, mask)
-            return
-        if root == "selp":
-            a = self._read(ins.srcs[0], dtype)
-            b = self._read(ins.srcs[1], dtype)
-            p = self._read(ins.srcs[2])
-            if p.dtype != np.bool_:
-                p = p != 0
-            self._write(ins.dst, np.where(p, a, b).astype(a.dtype), mask)
-            return
-        if root == "cvt":
-            to_t, from_t = parts[1], parts[2]
-            src = self._read(ins.srcs[0], from_t)
-            if to_t == "f32":
-                self._write(ins.dst, src.astype(np.float32), mask)
-            else:
-                self._write(ins.dst, np.trunc(src).astype(np.int64), mask)
-            return
-        if root == "not":
-            p = self._read(ins.srcs[0])
-            if p.dtype != np.bool_:
-                p = p != 0
-            self._write(ins.dst, ~p, mask)
-            return
-        if dtype == "pred" and root in ("and", "or", "xor"):
-            a = self._read(ins.srcs[0])
-            b = self._read(ins.srcs[1])
-            if a.dtype != np.bool_:
-                a = a != 0
-            if b.dtype != np.bool_:
-                b = b != 0
-            if root == "and":
-                res = a & b
-            elif root == "or":
-                res = a | b
-            else:
-                res = a ^ b
-            self._write(ins.dst, res, mask)
-            return
-        if root in ("fma", "mad"):
-            if dtype == "f32":
-                a = self._read(ins.srcs[0], "f32").astype(np.float64)
-                b = self._read(ins.srcs[1], "f32").astype(np.float64)
-                c = self._read(ins.srcs[2], "f32").astype(np.float64)
-                self._write(ins.dst, (a * b + c).astype(np.float32), mask)
-            else:
-                a = self._read(ins.srcs[0], "s64")
-                b = self._read(ins.srcs[1], "s64")
-                c = self._read(ins.srcs[2], "s64")
-                self._write(ins.dst, a * b + c, mask)
-            return
-        if root == "abs":
-            src = self._read(ins.srcs[0], dtype)
-            self._write(ins.dst, np.abs(src), mask)
-            return
+# ----------------------------------------------------------------------
+# Decode: one executor per instruction, built once per (Program, warp
+# size).  Operand reads follow the convention of repro.arch.isa.ALU_OPS.
+# ----------------------------------------------------------------------
+_I64, _F32, _F64, _BOOL = (np.dtype(t) for t in (np.int64, np.float32,
+                                                 np.float64, np.bool_))
+Reader = Callable[[Dict[str, np.ndarray]], np.ndarray]
 
-        a = self._read(ins.srcs[0], dtype)
-        b = self._read(ins.srcs[1], dtype)
-        if dtype == "f32":
-            a64, b64 = a.astype(np.float64), b.astype(np.float64)
-            if root == "add":
-                res = (a64 + b64).astype(np.float32)
-            elif root == "sub":
-                res = (a64 - b64).astype(np.float32)
-            elif root == "mul":
-                res = (a64 * b64).astype(np.float32)
-            elif root == "div":
-                res = np.divide(a64, b64, out=np.zeros_like(a64),
-                                where=b64 != 0).astype(np.float32)
-            elif root == "min":
-                res = np.minimum(a, b)
-            elif root == "max":
-                res = np.maximum(a, b)
-            else:
-                raise ValueError(f"unsupported f32 op {ins.opcode!r}")
+
+class _Registers(dict):
+    """A warp's register file (name -> one value per lane)."""
+
+    __slots__ = ("kernel",)
+
+    def __missing__(self, name: str):
+        raise KeyError(f"register {name!r} read before write in {self.kernel}")
+
+
+class Executor:
+    """One decoded instruction: ``guard(regs, mask) -> mask`` (or None),
+    ``run(warp, mem, mask, active) -> StepResult`` and, for ``red``,
+    ``red_ops(regs, lane_ids)``.  Only branches and exits run with no
+    lane active (``always``); anything else then retires as a nop."""
+
+    __slots__ = ("ins", "guard", "run", "red_ops", "always")
+
+    def __init__(self, ins: Instr, guard, run, red_ops=None):
+        self.ins, self.guard, self.run, self.red_ops = ins, guard, run, red_ops
+        self.always = ins.op_class in (OpClass.BRANCH, OpClass.EXIT)
+
+
+def decode(program: Program, warp_size: int) -> List[Executor]:
+    """``program``'s executors for ``warp_size`` lanes, built on first
+    use and cached on the program."""
+    code = program.decoded.get(warp_size)
+    if code is None:
+        code = [_decode(ins, warp_size) for ins in program.instrs]
+        program.decoded[warp_size] = code
+    return code
+
+
+def _const(values: np.ndarray) -> Reader:
+    values.flags.writeable = False
+    return lambda regs: values
+
+
+def _reader(operand, want: Optional[np.dtype], ws: int) -> Reader:
+    """Read ``operand`` (register name or immediate) as ``want``."""
+    if not isinstance(operand, str):
+        if isinstance(operand, float) or (want is not None and want.kind == "f"):
+            arr = np.full(ws, np.float32(operand), dtype=np.float32)
         else:
-            if root == "add":
-                res = a + b
-            elif root == "sub":
-                res = a - b
-            elif root == "mul":
-                res = a * b
-            elif root == "div":
-                res = np.where(b != 0, _trunc_div(a, b), 0)
-            elif root == "rem":
-                res = np.where(b != 0, a - _trunc_div(a, b) * b, 0)
-            elif root == "min":
-                res = np.minimum(a, b)
-            elif root == "max":
-                res = np.maximum(a, b)
-            elif root == "and":
-                res = a & b
-            elif root == "or":
-                res = a | b
-            elif root == "xor":
-                res = a ^ b
-            elif root == "shl":
-                res = a << b
-            elif root == "shr":
-                res = a >> b
+            arr = np.full(ws, int(operand), dtype=np.int64)
+        if want is _F64:
+            arr = arr.astype(np.float64)
+        elif want is _BOOL:
+            arr = arr != 0
+        return _const(arr)
+    name = operand
+    if want is None:
+        return lambda regs: regs[name]
+    if want is _BOOL:
+        def read(regs):
+            p = regs[name]
+            return p if p.dtype == _BOOL else p != 0
+    elif want is _F64:
+        def read(regs):
+            a = regs[name]
+            return (a if a.dtype == _F32 else a.astype(_F32)).astype(np.float64)
+    else:
+        def read(regs):
+            a = regs[name]
+            return a if a.dtype == want else a.astype(want)
+    return read
+
+
+def _write(regs: Dict[str, np.ndarray], dst: str, values: np.ndarray,
+           mask: np.ndarray) -> None:
+    """Copy ``values`` into ``dst`` on the lanes of ``mask``; the register
+    takes ``values``' dtype (fresh registers start at zero)."""
+    cur = regs.get(dst)
+    if cur is None:
+        cur = regs[dst] = np.zeros_like(values)
+    elif cur.dtype != values.dtype:
+        cur = regs[dst] = cur.astype(values.dtype)
+    np.copyto(cur, values, where=mask)
+
+
+def _guard(ins: Instr, ws: int):
+    if ins.guard is None:
+        return None
+    pred = _reader(ins.guard, _BOOL, ws)
+    if ins.guard_negated:
+        return lambda regs, mask: np.logical_and(mask, ~pred(regs))
+    return lambda regs, mask: np.logical_and(mask, pred(regs))
+
+
+def _decode(ins: Instr, ws: int) -> Executor:
+    oc = ins.op_class
+    if oc in (OpClass.ALU, OpClass.SFU):
+        return Executor(ins, _guard(ins, ws), _alu(ins, ws))
+    if oc in (OpClass.MEM_LOAD, OpClass.MEM_STORE, OpClass.MEM_RED,
+              OpClass.MEM_ATOM):
+        return _memory(ins, ws)
+    if oc is OpClass.BRANCH:
+        target, reconv = ins.target_pc, ins.reconv_pc
+        if ins.guard is None:
+            def run(warp, mem, mask, active):
+                warp.stack.jump(target)
+                return StepResult(ins, oc, active)
+        else:
+            def run(warp, mem, mask, active):
+                warp.stack.branch(mask, target, reconv)
+                return StepResult(ins, oc, active)
+    elif oc is OpClass.EXIT:
+        guarded = ins.guard is not None
+
+        def run(warp, mem, mask, active):
+            st = warp.stack
+            st.exit_lanes(mask if guarded else None)
+            return StepResult(ins, oc, active, exited=st.done)
+    elif oc is OpClass.SLEEP:
+        cycles = _reader(ins.srcs[0], None, ws) if ins.srcs else None
+
+        def run(warp, mem, mask, active):
+            n = int(cycles(warp.regs)[mask].max()) if cycles else 1
+            warp.stack.advance()
+            return StepResult(ins, oc, active, sleep_cycles=max(1, n))
+    else:  # BARRIER, FENCE, NOP
+        barrier, fence = oc is OpClass.BARRIER, oc is OpClass.FENCE
+
+        def run(warp, mem, mask, active):
+            warp.stack.advance()
+            return StepResult(ins, oc, active, barrier=barrier, fence=fence)
+    return Executor(ins, _guard(ins, ws), run)
+
+
+def _alu(ins: Instr, ws: int):
+    reads, fn = ALU_OPS[ins.opcode]
+    rd = [_reader(src, want, ws) for src, want in zip(ins.srcs, reads)]
+    if len(rd) == 1:
+        a, = rd
+        compute = lambda regs: fn(a(regs))  # noqa: E731
+    elif len(rd) == 2:
+        a, b = rd
+        compute = lambda regs: fn(a(regs), b(regs))  # noqa: E731
+    else:
+        a, b, c = rd
+        compute = lambda regs: fn(a(regs), b(regs), c(regs))  # noqa: E731
+    dst, oc = ins.dst, ins.op_class
+
+    def run(warp, mem, mask, active):
+        regs = warp.regs
+        values = compute(regs)
+        if active == ws:
+            regs[dst] = values
+        else:
+            _write(regs, dst, values, mask)
+        warp.stack.advance()
+        return StepResult(ins, oc, active)
+    return run
+
+
+def _address(m: MemOperand, ws: int) -> Reader:
+    if m.reg is None:
+        return _const(np.full(ws, m.offset, dtype=np.int64))
+    base, off = _reader(m.reg, _I64, ws), m.offset
+    return (lambda regs: base(regs) + off) if off else base
+
+
+def _memory(ins: Instr, ws: int) -> Executor:
+    parts = ins.opcode.split(".")
+    oc, dst, suffix = ins.op_class, ins.dst, ".".join(parts[2:])
+    kind = oc.value                     # "load", "store", "red", "atom"
+    dtype = _F32 if parts[-1] == "f32" else _I64
+    addr = _address(ins.mem, ws)
+    vals = [_reader(src, dtype, ws) for src in ins.srcs]
+    all_lanes = np.arange(ws)
+    all_lanes.flags.writeable = False
+
+    def operands(regs, lane_ids):
+        """Per-lane operand tuples of a red/atom (``atom.inc`` adds 1).
+        The values are float32 or int64, which ``tolist`` turns into the
+        exact Python floats and ints an AtomicOp carries."""
+        if not vals:
+            return repeat((1,))
+        return zip(*[v(regs)[lane_ids].tolist() for v in vals])
+
+    def red_ops(regs, lane_ids, addr_list=None):
+        if addr_list is None:
+            addr_list = addr(regs)[lane_ids].tolist()
+        return tuple(AtomicOp(a, suffix, o)
+                     for a, o in zip(addr_list, operands(regs, lane_ids)))
+
+    def run(warp, mem, mask, active):
+        regs = warp.regs
+        full = active == ws
+        lane_ids = all_lanes if full else np.nonzero(mask)[0]
+        act_addrs = addr(regs)[lane_ids]
+        addr_list = act_addrs.tolist()
+        sectors = tuple(sorted({a // SECTOR_BYTES * SECTOR_BYTES
+                                for a in addr_list}))
+        if oc is OpClass.MEM_LOAD:
+            raw = mem.load_many(act_addrs)
+            if full:
+                regs[dst] = raw.astype(dtype)
             else:
-                raise ValueError(f"unsupported int op {ins.opcode!r}")
-        self._write(ins.dst, res, mask)
-
-
-def _trunc_div(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """C-style truncating integer division (numpy // floors)."""
-    q = np.floor_divide(a, np.where(b == 0, 1, b))
-    r = a - q * np.where(b == 0, 1, b)
-    fix = (r != 0) & ((a < 0) != (b < 0))
-    return q + fix
-
-
-def _scalar(v):
-    """Convert a numpy scalar to a plain Python value for AtomicOp."""
-    if isinstance(v, np.floating):
-        return float(np.float32(v))
-    if isinstance(v, np.integer):
-        return int(v)
-    return v
-
-def _scalar_list(arr: np.ndarray, lane_ids: np.ndarray):
-    """Bulk `_scalar` over selected lanes (one tolist beats per-lane
-    numpy scalar extraction).  float32/int64 arrays convert exactly the
-    way `_scalar` does; anything else falls back to the scalar path."""
-    if arr.dtype == np.float32 or arr.dtype == np.int64:
-        return arr[lane_ids].tolist()
-    return [_scalar(arr[l]) for l in lane_ids]
-
-
-_COMPARES = {
-    "lt": lambda a, b: a < b,
-    "le": lambda a, b: a <= b,
-    "gt": lambda a, b: a > b,
-    "ge": lambda a, b: a >= b,
-    "eq": lambda a, b: a == b,
-    "ne": lambda a, b: a != b,
-}
+                values = np.zeros(ws, dtype=dtype)
+                values[lane_ids] = raw.astype(dtype)
+                _write(regs, dst, values, mask)
+            spec = MemRequestSpec(kind=kind, sectors=sectors)
+        elif oc is OpClass.MEM_STORE:
+            mem.store_many(act_addrs, vals[0](regs)[lane_ids])
+            spec = MemRequestSpec(kind=kind, sectors=sectors)
+        elif oc is OpClass.MEM_RED:
+            warp.dyn_atomics += 1
+            spec = MemRequestSpec(kind=kind, sectors=sectors,
+                                  red_ops=red_ops(regs, lane_ids, addr_list))
+        else:
+            warp.dyn_atomics += 1
+            ops = tuple((lane, AtomicOp(a, suffix, o)) for lane, a, o in zip(
+                lane_ids.tolist(), addr_list, operands(regs, lane_ids)))
+            spec = MemRequestSpec(kind=kind, sectors=sectors, atom_ops=ops,
+                                  atom_dst=dst)
+        if warp.capture_addrs:
+            spec.addrs = tuple(addr_list)
+            spec.gtids = tuple(regs["%gtid"][lane_ids].tolist())
+        warp.stack.advance()
+        return StepResult(ins, oc, active, mem=spec)
+    return Executor(ins, _guard(ins, ws), run,
+                    red_ops if oc is OpClass.MEM_RED else None)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, TYPE_CHECKING
 
-from repro.arch.isa import OpClass
+from repro.arch.isa import Instr, OpClass
 from repro.arch.kernel import CTA, Kernel
 from repro.arch.warp import Warp
 from repro.core.atomic_buffer import AtomicBuffer, FlushTransaction
@@ -124,10 +124,10 @@ class SM:
         #: and the first epoch the window covers.
         self._acct_reason: List[Optional[str]] = [None] * ns
         self._acct_epoch = [0] * ns
-        #: per-kernel decode table: instrs[pc].atomic as a plain list
-        #: (replaced in begin_kernel; consulted only for live warps, so
-        #: stale done-warp PCs from a previous kernel are never read).
-        self._atomic_pc: List[bool] = [False]
+        #: the current kernel's instructions (set in begin_kernel; read
+        #: only at live warps' PCs, so stale done-warp PCs from a
+        #: previous kernel are never looked up).
+        self._instrs: List[Instr] = []
         #: baseline-only: a barrier/fence/outstanding transition since
         #: the last _check_baseline_releases poll (property over the
         #: per-SM soa.sm_release_dirty list so GPU call sites are
@@ -161,12 +161,7 @@ class SM:
                 f"{self.total_slots} slots"
             )
         self._ctas_per_wave = max(1, self.total_slots // self._warps_per_cta)
-        prog = kernel.program
-        tbl = getattr(prog, "_atomic_pc", None)
-        if tbl is None:
-            tbl = [ins.atomic for ins in prog.instrs] or [False]
-            prog._atomic_pc = tbl
-        self._atomic_pc = tbl
+        self._instrs = kernel.program.instrs
         for sched in self.schedulers:
             sched.reset_for_drain()
 
@@ -352,7 +347,7 @@ class SM:
         pc_row = soa.pc[r0]
         rows = self._status_rows[sched]
         out = self._status_lists[sched]
-        atbl = self._atomic_pc
+        instrs = self._instrs
         gpudet = self.gpu.gpudet
         dab = self.dab
         live = []
@@ -366,7 +361,7 @@ class SM:
             ready = ol[i] == 0 and oa[i] == 0 and rc[i] <= now
             if ready and gpudet is not None:
                 ready = gpudet.can_issue(w)
-            next_atomic = atbl[pc_row[i]]
+            next_atomic = instrs[pc_row[i]].atomic
             at_b = bar[i]
             gate_ok = True
             gate_reason = ""

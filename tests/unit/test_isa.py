@@ -29,6 +29,23 @@ class TestParsing:
         p = asm("    mov.s32 r_x, 0x10")
         assert p[0].srcs == (16,)
 
+    @pytest.mark.parametrize("tok,value", [("-0x10", -16), ("+0x1e", 30),
+                                           ("-0x1E", -30)])
+    def test_signed_hex_immediate(self, tok, value):
+        p = asm(f"    mov.s32 r_x, {tok}")
+        assert p[0].srcs == (value,)
+
+    @pytest.mark.parametrize("text,mem", [
+        ("[r_b-4]", MemOperand("r_b", -4)),
+        ("[r_b - 0x10]", MemOperand("r_b", -16)),
+        ("[ r_b + 8 ]", MemOperand("r_b", 8)),
+        ("[-0x10]", MemOperand(None, -16)),
+    ])
+    def test_memory_operand_signed_offset(self, text, mem):
+        p = asm(f"    ld.global.s32 r_x, {text}")
+        assert p[0].mem == mem
+        assert asm(f"    ld.global.s32 r_x, {p[0].mem}")[0].mem == mem
+
     def test_memory_operand_with_offset(self):
         p = asm("    ld.global.s32 r_x, [r_a+4]")
         assert p[0].mem == MemOperand("r_a", 4)
@@ -134,6 +151,73 @@ class TestValidation:
     def test_guard_without_instruction(self):
         with pytest.raises(ISAError):
             asm("@p_x")
+
+    @pytest.mark.parametrize("line", [
+        "mov.s32 r_a",                      # 1 source
+        "cvt.f32.s32 r_a",
+        "abs.s32 r_a, r_b, r_c",
+        "not.pred p_a, p_b, p_c",
+        "add.s32 r_a, r_b",                 # 2 sources
+        "setp.lt.s32 p_a, r_b",
+        "div.s32 r_a, r_b, r_c, r_d",
+        "fma.f32 r_a, 1.0, 2.0",            # 3 sources
+        "mad.s32 r_a, r_b, r_c",
+        "selp.s32 r_a, 1, 2",
+        "add.s32 r_a, r_b, [r_c]",          # no memory operand
+    ])
+    def test_alu_arity_checked(self, line):
+        with pytest.raises(ISAError, match="source operand"):
+            asm("    " + line)
+
+    @pytest.mark.parametrize("line", [
+        "sqrt.f32 r_a, r_b",                # SFU roots without executors
+        "rcp.f32 r_a, r_b",
+        "rem.f32 r_a, r_b, r_c",            # no f32 executor
+        "and.f32 r_a, r_b, r_c",
+        "shl.f32 r_a, r_b, 1",
+        "shr.f32 r_a, r_b, 1",
+        "add.pred p_a, p_b, p_c",
+        "not.s32 r_a, r_b",
+        "add r_a, r_b, r_c",                # untyped
+        "cvt.f32 r_a, r_b",
+        "cvt.f64.s32 r_a, r_b",
+    ])
+    def test_alu_opcode_needs_an_executor(self, line):
+        with pytest.raises(ISAError):
+            asm("    " + line)
+
+    @pytest.mark.parametrize("line", [
+        "st.global.s32 [r_a]",
+        "red.global.add.f32 [r_a], r_v, r_w",
+        "atom.global.cas.s32 r_o, [r_a], 1",
+        "atom.global.exch.s32 r_o, [r_a]",
+        "ld.global.s32 r_x, [r_a], r_b",
+    ])
+    def test_memory_value_operands_checked(self, line):
+        with pytest.raises(ISAError, match="value operand"):
+            asm("    " + line)
+
+    @pytest.mark.parametrize("line", [
+        "and.s32 r_a, r_b, 1.5",
+        "shl.s32 r_a, r_b, 2.0",
+        "add.s32 r_a, 1.5, r_b",
+        "selp.s32 r_a, 0.5, 1, p_c",
+        "st.global.s32 [r_a], 1.5",
+        "atom.global.cas.s32 r_o, [r_a], 1, 2.0",
+    ])
+    def test_float_immediate_in_integer_operand_rejected(self, line):
+        with pytest.raises(ISAError, match="float immediate"):
+            asm("    " + line)
+
+    def test_float_immediates_where_floats_or_predicates_are_read(self):
+        asm("    add.f32 r_a, r_b, 1.5\n    selp.s32 r_a, 1, 2, 0.5\n"
+            "    st.global.f32 [r_a], -0.5")
+
+    @pytest.mark.parametrize("text", ["[r_b*4]", "[r_b+1.5]", "[r_b+r_c]",
+                                      "[r_b+]", "[]", "[4+r_b]"])
+    def test_bad_address_rejected(self, text):
+        with pytest.raises(ISAError):
+            asm(f"    ld.global.s32 r_x, {text}")
 
 
 class TestReconvergence:

@@ -79,6 +79,18 @@ class TestALU:
         run_to_completion(w, GlobalMemory())
         assert w.regs["r_b"][0] == np.float32(2 ** 24)
 
+    def test_f32_ops_round_int_operands_to_f32_first(self):
+        # 2**24 + 1 has no float32; the operand rounds before the
+        # float64 add, so the sum is 0, not 1.
+        w = make_warp("""
+            mov.s32 r_i, 16777217
+            add.f32 r_f, r_i, -16777216.0
+            fma.f32 r_g, r_i, 1.0, -16777216.0
+            exit
+        """)
+        run_to_completion(w, GlobalMemory())
+        assert (w.regs["r_f"] == 0).all() and (w.regs["r_g"] == 0).all()
+
     def test_fma(self):
         w = make_warp("""
             mov.f32 r_a, 3.0
@@ -304,3 +316,91 @@ class TestMemoryInstructions:
         assert not w.next_is_atomic()
         w.step(mem)
         assert w.next_is_atomic()
+
+
+class TestDecodeTable:
+    """A Program's decoded executors are shared by every warp that runs
+    it (they are cached on the Program), so they must hold no state a
+    warp can change."""
+
+    SOURCE = """
+        mov.s32 r_a, 5
+        mov.s32 r_b, r_a
+        mov.f32 r_f, 1.5
+        mov.s32 r_l, %laneid
+        setp.lt.s32 p_lo, r_l, 8
+    @p_lo add.s32 r_a, r_a, 1
+    @p_lo mov.s32 r_b, 9
+    @p_lo add.f32 r_f, r_f, 1.0
+        mov.s32 r_c, 7
+    @p_lo mov.s32 r_c, r_l
+        exit
+    """
+
+    @staticmethod
+    def _run(prog, cta_dim):
+        kernel = Kernel("t", prog, grid_dim=1, cta_dim=cta_dim)
+        w = Warp(uid=1, cta=CTA(kernel=kernel, cta_id=0), warp_id_in_cta=0,
+                 warp_size=32)
+        run_to_completion(w, GlobalMemory())
+        return w.regs
+
+    @staticmethod
+    def _assert_own_writable_arrays(regs):
+        arrays = list(regs.items())
+        for i, (name, a) in enumerate(arrays):
+            assert a.flags.writeable, f"{name} is a read-only constant"
+            for other, b in arrays[i + 1:]:
+                assert not np.shares_memory(a, b), f"{name} aliases {other}"
+
+    @pytest.mark.parametrize("order", [(20, 32), (32, 20)])
+    def test_runs_do_not_leak_into_each_other(self, order):
+        shared = assemble(self.SOURCE)
+        for cta_dim in order:
+            regs = self._run(shared, cta_dim)
+            fresh = self._run(assemble(self.SOURCE), cta_dim)
+            assert sorted(regs) == sorted(fresh)
+            for name in fresh:
+                assert regs[name].dtype == fresh[name].dtype, name
+                assert regs[name].tobytes() == fresh[name].tobytes(), name
+            self._assert_own_writable_arrays(regs)
+        assert sorted(shared.decoded) == [32]
+
+    def test_program_pickles_after_decode(self):
+        import pickle
+
+        prog = assemble(self.SOURCE)
+        regs = self._run(prog, 32)
+        copy = pickle.loads(pickle.dumps(prog))
+        assert copy == prog and copy.decoded == {}
+        again = self._run(copy, 32)
+        assert all(again[n].tobytes() == regs[n].tobytes() for n in regs)
+
+    def test_decoded_constants_are_read_only(self):
+        from repro.arch.warp import decode
+
+        def arrays(obj, seen):
+            if id(obj) in seen:
+                return
+            seen.add(id(obj))
+            if isinstance(obj, np.ndarray):
+                yield obj
+            elif isinstance(obj, (list, tuple)):
+                for item in obj:
+                    yield from arrays(item, seen)
+            elif callable(obj):
+                for cell in getattr(obj, "__closure__", None) or ():
+                    yield from arrays(cell.cell_contents, seen)
+
+        prog = assemble(self.SOURCE + """
+            ld.global.s32 r_v, [64]
+            red.global.add.f32 [r_a+4], 2.0
+            atom.global.cas.s32 r_o, [r_b-4], 1, r_c
+            exit
+        """)
+        seen = set()
+        found = [a for ex in decode(prog, 32)
+                 for fn in (ex.guard, ex.run, ex.red_ops)
+                 for a in arrays(fn, seen)]
+        assert len(found) >= 8
+        assert not any(a.flags.writeable for a in found)
