@@ -179,9 +179,9 @@ class Warp:
                 self.regs[name] = np.full(self.warp_size, np.float32(value), dtype=np.float32)
 
     # ------------------------------------------------------------------
-    # Row cells (DESIGN §16).  These setters and bind_slab are the only
+    # Row cells (DESIGN §12).  These setters and bind_slab are the only
     # writers of a bound warp's timing cells (step refreshes just the
-    # active/pc caches), and the only place the fast engine learns of a
+    # active/pc caches), and the only place the run loop learns of a
     # change: each write dirties the warp's scheduler, puts its SM on
     # the visit agenda and, while the warp is eligible to wake by time
     # alone (live, not at a barrier, nothing outstanding), pushes its
@@ -212,7 +212,7 @@ class Warp:
         self._slabs = None
 
     def _wrote(self, c: int) -> None:
-        """Record a write of cell ``c`` for the fast engine (no-op while
+        """Record a write of cell ``c`` for the run loop (no-op while
         standalone)."""
         slabs = self._slabs
         if slabs is None:
@@ -292,9 +292,8 @@ class Warp:
         return self.program.instrs[self.stack.pc]
 
     def next_is_atomic(self) -> bool:
-        """Used by determinism-aware schedulers (GTRR/GTAR/GWAT)."""
-        # Inlined peek(): this runs once per live slot per status
-        # snapshot, the hottest read in the issue path.
+        """Whether the next instruction is an atomic (GPUDet ends a
+        warp's quantum there)."""
         if self.exited or self.stack.done:
             return False
         return self.program.instrs[self.stack.pc].atomic

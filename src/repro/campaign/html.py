@@ -497,19 +497,7 @@ def _bench_section(db: RunDB) -> str:
     for source in sorted(sources):
         entries = sources[source]
         out.append(f"<h3>{_esc(source)} ({len(entries)} run(s))</h3>")
-        if source == "hotloop":
-            series = []
-            for arch in ("baseline", "DAB", "GPUDet"):
-                pts = [(f"run {i + 1}", float(e["geomean"][arch]))
-                       for i, e in enumerate(entries)
-                       if isinstance(e.get("geomean"), dict)
-                       and arch in e["geomean"]]
-                if pts:
-                    series.append((arch, pts))
-            out.append(svg_line_chart(
-                series, "event-engine speedup vs polling (geomean, ×)",
-                ref_line=1.0))
-        elif source == "sweep":
+        if source == "sweep":
             series = []
             for k, label in (("parallel_speedup", "parallel vs serial"),
                              ("warm_speedup", "warm cache vs serial")):

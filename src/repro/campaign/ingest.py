@@ -1,7 +1,7 @@
 """Fold ``BENCH_*.json`` trajectory files into the run database.
 
-The hot-loop and sweep-speed benchmarks have appended their wall-clock
-trajectories to loose JSON files since PR 2/5.  ``repro report`` calls
+Benchmarks such as the sweep-speed benchmark append their wall-clock
+trajectories to loose JSON files.  ``repro report`` calls
 :func:`ingest_bench_dir` before rendering, so that history shows up in
 the dashboard instead of living as orphaned artifacts.  Ingest is
 idempotent — entries are keyed by ``(source, run_index, entry_hash)``
@@ -19,7 +19,6 @@ from repro.campaign.rundb import RunDB
 
 #: Known trajectory files: filename -> (source name, schema tag).
 BENCH_SOURCES = {
-    "BENCH_hotloop.json": ("hotloop", "repro.bench_hotloop/v1"),
     "BENCH_sweep.json": ("sweep", "repro.bench_sweep/v1"),
 }
 

@@ -109,7 +109,7 @@ class AtomicBuffer:
         self._index: Dict[Tuple[int, str], int] = {}  # (addr, opcode) -> entry idx
         self._full = False
         # Optional GPU-wide summaries (repro.sim.soa): the plain-int
-        # nonempty/full counters the fast engine's trigger queries read.
+        # nonempty/full counters the flush trigger queries read.
         # None for standalone buffers (unit tests).
         self._counters = None
 

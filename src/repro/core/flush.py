@@ -130,13 +130,12 @@ class FlushController:
             return False
         sms = self.gpu.sms
         soa = getattr(self.gpu, "soa", None)
-        if soa is not None and getattr(self.gpu, "fastpath", False):
-            # O(1) counters (fast engine only: the polling oracle walks
-            # the buffers, so a counter-maintenance bug surfaces as an
-            # engine divergence instead of corrupting both).
+        if soa is not None:
+            # O(1) counters kept by the buffers (repro.sim.soa); the
+            # armed `wake` invariant checks them against the buffers.
             nonempty = soa.buf_nonempty_count > 0
             any_full = soa.buf_full_count > 0
-        else:  # oracle path and test doubles without counters
+        else:  # test doubles without counters
             nonempty = any(sm.any_buffer_nonempty() for sm in sms)
             any_full = any(sm.any_buffer_full() for sm in sms)
         want = (
@@ -149,8 +148,8 @@ class FlushController:
             if self._drain_requested and not nonempty:
                 self._drain_requested = False
             return False
-        # The feeder scan is the expensive query; both engines evaluate
-        # it only once a trigger condition is actually met.
+        # The feeder scan is the expensive query, evaluated only once a
+        # trigger condition is actually met.
         if not all(sm.buffers_flush_ready() for sm in sms):
             # Not every buffer is at a deterministic point yet; under a
             # global quiesce this cannot happen (everything is blocked),
@@ -202,10 +201,9 @@ class FlushController:
             # Fence/drain requests are satisfied once every cluster with
             # content has flushed; cleared lazily when all complete.
             soa = getattr(self.gpu, "soa", None)
-            if (soa.buf_nonempty_count == 0
-                    if soa is not None and getattr(self.gpu, "fastpath", False)
-                    else all(not sm.any_buffer_nonempty()
-                             for sm in self.gpu.sms)):
+            if (soa.buf_nonempty_count == 0 if soa is not None
+                    else not any(sm.any_buffer_nonempty()
+                                 for sm in self.gpu.sms)):
                 self._fence_requested = False
                 self._drain_requested = False
         return started

@@ -108,9 +108,10 @@ class SchedulerPolicy:
         """Pick the warp to issue.
 
         ``live`` optionally carries the precomputed ``_live(slots)``
-        list: the fast engine builds it while writing the status rows,
-        so policies need not re-filter the slots (identical contents
-        and order; the polling engine passes None and filters here).
+        list: the SM builds it while writing the status rows, so
+        policies need not re-filter the slots (identical contents and
+        order; a caller without it passes None and the policy filters
+        here).
         """
         raise NotImplementedError
 

@@ -23,6 +23,15 @@ paper's Section IV-D flush state machine):
     The reorder buffer releases transactions to the ROP in exactly the
     round-robin-across-SM order recomputed independently by the checker
     from the expected counts.
+``wake``
+    The run engine's incremental issue state matches a full rescan of
+    the warps: every timing-ready warp's scheduler is dirty and
+    its SM on the visit agenda, every dirty scheduler's SM is on the
+    agenda, the ``active``/``pc`` cells match the warps, the buffer
+    counters match the buffers, and no fast-forward passes (and no
+    deadlock ignores) an eligible warp's wake time.  Not a protocol
+    guarantee: a failure is always a simulator bug, so no config flag
+    turns it off.
 
 Violations raise :class:`InvariantViolation` naming the invariant, the
 cycle, the unit (buffer / partition / SM), and — when a fault injector
@@ -84,6 +93,27 @@ class InvariantConfig:
     def enabled(self) -> bool:
         return (self.flush_counts or self.buffer_capacity
                 or self.batch_order or self.rop_order)
+
+
+def _eligible(w) -> bool:
+    """Live, not at a barrier, nothing outstanding: wakes by time alone."""
+    return not (w.done or w.at_barrier or w.outstanding_loads
+                or w.outstanding_atoms)
+
+
+def _earliest_warp_wake(gpu, now: int):
+    """``(ready_cycle, unit, warp uid)`` of the eligible warp with the
+    earliest future wake, by a full scan of the live SMs, or None."""
+    best = None
+    for sm in gpu.sms:
+        if not sm.live_count:
+            continue
+        for s, table in enumerate(sm.sched_slots):
+            for w in table:
+                if (w is not None and _eligible(w) and w.ready_cycle > now
+                        and (best is None or w.ready_cycle < best[0])):
+                    best = (w.ready_cycle, f"sm.{sm.sm_id}.sched.{s}", w.uid)
+    return best
 
 
 class _Round:
@@ -239,6 +269,73 @@ class InvariantChecker:
                 f"flush entry from sm {sm_id} arrived after its flush "
                 f"completed (duplicated or stale entry)",
             )
+
+    # -- wake -----------------------------------------------------------
+    # The run loop examines a scheduler only while its row is dirty and
+    # visits an SM only while it is on the agenda (DESIGN §12).  These
+    # scans recompute from the warps what that incremental state must
+    # hold.  They only read, and visit only SMs with live warps.
+    def check_issue_agenda(self, gpu, now: int) -> None:
+        """At an issue phase, after ``pop_due``."""
+        self.checks += 1
+        soa = gpu.soa
+        dirty = soa.sched_dirty
+        agenda = soa.visit_dirty
+        for sm in gpu.sms:
+            if not sm.live_count:
+                continue
+            on_agenda = sm.sm_id in agenda
+            for s, table in enumerate(sm.sched_slots):
+                r = sm.row0 + s
+                if dirty[r] and not on_agenda:
+                    self._fail("wake", f"sm.{sm.sm_id}.sched.{s}",
+                               "scheduler is dirty but its SM is off the "
+                               "visit agenda")
+                examined = dirty[r] and on_agenda
+                act, pc = soa.active[r], soa.pc[r]
+                for i, w in enumerate(table):
+                    if w is None:
+                        continue
+                    if act[i] == w.done:
+                        self._fail("wake", f"sm.{sm.sm_id}.sched.{s}",
+                                   f"warp {w.uid}: active cell {act[i]} "
+                                   f"but done={w.done}")
+                    if w.done:
+                        continue
+                    if pc[i] != w.pc:
+                        self._fail("wake", f"sm.{sm.sm_id}.sched.{s}",
+                                   f"warp {w.uid}: pc cell {pc[i]} but "
+                                   f"pc {w.pc}")
+                    if (not examined and _eligible(w)
+                            and w.ready_cycle <= now):
+                        self._fail("wake", f"sm.{sm.sm_id}.sched.{s}",
+                                   f"warp {w.uid} ready since cycle "
+                                   f"{w.ready_cycle} but its scheduler "
+                                   f"will not be examined")
+        if gpu.flush is not None:
+            bufs = [b for sm in gpu.sms for b in sm.buffers]
+            counts = (sum(b.non_empty for b in bufs),
+                      sum(b.full for b in bufs))
+            if counts != (soa.buf_nonempty_count, soa.buf_full_count):
+                self._fail("wake", "buffers",
+                           f"counters say {soa.buf_nonempty_count} "
+                           f"non-empty / {soa.buf_full_count} full, the "
+                           f"buffers {counts[0]} / {counts[1]}")
+
+    def check_fast_forward(self, gpu, now: int,
+                           target: Optional[int]) -> None:
+        """Before a jump to ``target``, or before a deadlock error
+        (``target`` None): no eligible warp's wake is passed or
+        ignored."""
+        self.checks += 1
+        wake = _earliest_warp_wake(gpu, now)
+        if wake is not None and (target is None or target > wake[0]):
+            cycle, unit, uid = wake
+            action = ("declares a deadlock" if target is None
+                      else f"jumps to cycle {target}")
+            self._fail("wake", unit,
+                       f"warp {uid} wakes at cycle {cycle} but the run "
+                       f"loop {action}")
 
     # -- deadlock post-mortem -------------------------------------------
     def explain_deadlock(self, cycle: int, flush_controller) -> None:

@@ -116,9 +116,9 @@ class Histogram:
     def observe_bulk(self, v: Number, n: int) -> None:
         """Record ``n`` identical observations of ``v`` in one call.
 
-        Equivalent to ``n`` :meth:`observe` calls; lets event-driven
-        producers (e.g. the fastpath issue engine closing an N-epoch
-        stall window) book a whole skipped range without an O(N) loop.
+        Equivalent to ``n`` :meth:`observe` calls; lets an event-driven
+        producer (closing an N-epoch stall window, say) book a whole
+        skipped range without an O(N) loop.
         """
         if n <= 0:
             return

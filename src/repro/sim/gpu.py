@@ -18,7 +18,6 @@ other's results exactly as on a real GPU.
 from __future__ import annotations
 
 import heapq
-import os
 import time
 from typing import Callable, Dict, List, Optional
 
@@ -210,29 +209,25 @@ class GPU:
         self.pending_store_acks = 0
         self.last_atomic_done = 0
 
-        # Event-driven issue engine (the default).  REPRO_NO_FASTPATH=1
-        # selects the original poll-every-cycle loop, kept verbatim as
-        # the differential reference; both engines must produce
-        # byte-identical metrics, traces, and digests.
-        self.fastpath = os.environ.get("REPRO_NO_FASTPATH", "") in ("", "0")
-        #: issue-phase executions (== polling-loop iterations).  The
-        #: unit of bulk stall accounting: one stall record per stalled
-        #: scheduler per epoch, exactly like the polling loop.
+        #: issue-phase executions (run-loop iterations).  The unit of
+        #: stall accounting: one stall record per stalled scheduler per
+        #: epoch, booked in bulk when a scheduler's stall window closes.
         self.epochs = 0
         #: accumulated wall-clock seconds spent inside run() across all
         #: kernels — the engine-only cost (excludes workload build and
-        #: result digesting).  Telemetry only, never a determinism
-        #: surface; the hot-loop bench compares engines on this.
+        #: result digesting).  Telemetry only (``host_profile``), never
+        #: a determinism surface.
         self.sim_wall_s = 0.0
-        # Dirty flags gating the polled subsystems in _run_fast.  Every
-        # mutation that could change the subsystem's answer must set the
-        # flag (over-approximating is safe: the poll loop runs them
-        # every iteration and they are no-ops on unchanged state).
+        # Dirty flags gating the polled subsystems in the run loop.
+        # Every mutation that could change the subsystem's answer must
+        # set the flag (over-approximating is safe: a gated call on
+        # unchanged state is a no-op).
         self._dispatch_dirty = True
         self._flush_dirty = True
         self._gpudet_dirty = True
-        #: baseline barrier/fence releases are polled inside issue_cycle
-        #: only when neither DAB nor GPUDet owns release timing.
+        #: baseline barrier/fence releases are polled inside
+        #: issue_cycle_fast only when neither DAB nor GPUDet owns
+        #: release timing.
         self._poll_releases = dab is None and self.gpudet is None
 
     # ------------------------------------------------------------------
@@ -419,9 +414,7 @@ class GPU:
         if self.flush is not None:
             if self.flush.any_active:
                 return False
-            nonempty = (self.soa.buf_nonempty_count > 0 if self.fastpath
-                        else any(sm.any_buffer_nonempty() for sm in self.sms))
-            if nonempty:
+            if self.soa.buf_nonempty_count:
                 self.flush.request_drain_flush()
                 return False
         if self.gpudet is not None and not self.gpudet.drained():
@@ -452,9 +445,7 @@ class GPU:
         """
         if self._current is not None or self._queue:
             raise SimulationError("checkpoint requires an idle GPU")
-        if self.flush is not None and any(
-            sm.any_buffer_nonempty() for sm in self.sms
-        ):
+        if self.soa.buf_nonempty_count:
             raise SimulationError("atomic buffers not drained at checkpoint")
         if self.gpudet is not None and not self.gpudet.drained():
             raise SimulationError("store buffers not drained at checkpoint")
@@ -466,156 +457,26 @@ class GPU:
     def run(self, max_cycles: Optional[int] = None) -> SimResult:
         t0 = time.perf_counter()
         try:
-            if self.fastpath:
-                return self._run_fast(max_cycles)
-            return self._run_poll(max_cycles)
+            return self._run_loop(max_cycles)
         finally:
             self.sim_wall_s += time.perf_counter() - t0
 
-    def _run_poll(self, max_cycles: Optional[int] = None) -> SimResult:
-        """The poll-every-cycle loop (``REPRO_NO_FASTPATH=1``).
+    def _run_loop(self, max_cycles: Optional[int] = None) -> SimResult:
+        """The event-driven cycle loop (DESIGN §12).
 
-        The differential reference for the event-driven engine below: it
-        reads only the object graph — no dirty flag, agenda, wake heap
-        or memo — and re-derives every answer on every iteration.  The
-        ``epochs`` counter advances exactly as in the fast engine (once
-        per issue phase).
-        """
-        limit = self.max_cycles if max_cycles is None else max_cycles
-        obs = self.obs
-        prof = obs.profiler if obs is not None else None
-        run_t0 = prof.start() if prof is not None else 0.0
-        while True:
-            if self.cycle > limit:
-                raise SimulationError(f"exceeded {limit} cycles")
-            progressed = False
-            if obs is not None:
-                obs.cycle = self.cycle
-            if self.inv is not None:
-                self.inv.cycle = self.cycle
-
-            if prof is not None:
-                t0 = prof.start()
-            while self._heap and self._heap[0][0] <= self.cycle:
-                _t, _s, fn, args = heapq.heappop(self._heap)
-                fn(self.cycle, args)
-                progressed = True
-            if prof is not None:
-                prof.stop("event_heap", t0)
-
-            if self._current is None:
-                if not self._queue:
-                    break
-                self._start_next_kernel()
-                progressed = True
-
-            if prof is not None:
-                t0 = prof.start()
-            if self.dispatcher.place(self.cycle):
-                progressed = True
-            if prof is not None:
-                prof.stop("dispatch", t0)
-
-            if prof is not None:
-                t0 = prof.start()
-            self.epochs += 1
-            issued = 0
-            for sm in self.sms:
-                # An SM with no live warps cannot issue, stall-account,
-                # or release a barrier/fence (those lists only ever hold
-                # live warps): skipping it whole is behaviour-identical.
-                if sm.live_count:
-                    issued += sm.issue_cycle(self.cycle)
-            if issued:
-                progressed = True
-            if prof is not None:
-                prof.stop("issue", t0)
-
-            if prof is not None:
-                t0 = prof.start()
-            if self.gpudet is not None and self.gpudet.tick(self.cycle):
-                progressed = True
-            if self.flush is not None and self.flush.maybe_trigger(self.cycle):
-                progressed = True
-            if prof is not None:
-                prof.stop("flush", t0)
-
-            if self._kernel_complete():
-                self._finish_kernel()
-                continue
-
-            if issued:
-                self.cycle += 1
-                continue
-
-            # Nothing issued: fast-forward to the next interesting time.
-            next_time = self._heap[0][0] if self._heap else None
-            wake = self._earliest_warp_wake()
-            candidates = [t for t in (next_time, wake) if t is not None]
-            if self._current is not None and self.cycle < self.last_atomic_done:
-                # Waiting for the ROP to drain fire-and-forget atomics.
-                candidates.append(self.last_atomic_done)
-            if candidates:
-                self.cycle = max(self.cycle + 1, min(candidates))
-                continue
-
-            # Fully quiesced: last-resort flush trigger, then deadlock.
-            if progressed:
-                self.cycle += 1
-                continue
-            if self.flush is not None and self.flush.maybe_trigger(
-                self.cycle, quiesced=True
-            ):
-                continue
-            if self.inv is not None:
-                # Turn a silent protocol hang (e.g. a dropped flush
-                # entry) into a structured violation before the generic
-                # deadlock error.
-                self.inv.explain_deadlock(self.cycle, self.flush)
-            raise SimulationError(
-                f"deadlock at cycle {self.cycle}: no events, no issuable warps "
-                f"(kernel={self._current.name if self._current else None})"
-            )
-
-        if prof is not None:
-            prof.stop("run_total", run_t0)
-        return self._collect_result()
-
-    def _earliest_warp_wake(self) -> Optional[int]:
-        """Min future ready_cycle among eligible live warps, or None."""
-        best: Optional[int] = None
-        for sm in self.sms:
-            if not sm.live_count:
-                continue
-            for table in sm.sched_slots:
-                for w in table:
-                    if w is None or w.done or w.at_barrier:
-                        continue
-                    if w.outstanding_loads or w.outstanding_atoms:
-                        continue  # woken by an event
-                    if w.ready_cycle > self.cycle:
-                        if best is None or w.ready_cycle < best:
-                            best = w.ready_cycle
-        return best
-
-    # ------------------------------------------------------------------
-    # Event-driven issue engine (fastpath).
-    # ------------------------------------------------------------------
-    def _run_fast(self, max_cycles: Optional[int] = None) -> SimResult:
-        """Event-driven counterpart of :meth:`_run_poll` (the default).
-
-        Same iteration structure, but the issue phase visits only SMs
-        on the agenda and examines only dirty schedulers, and the
+        Each iteration drains the due events, places CTAs, runs one
+        issue phase (an *epoch*), ticks GPUDet and the flush trigger,
+        then either steps one cycle (something issued) or fast-forwards
+        to the next event or warp wake-up.  The issue phase visits only
+        SMs on the agenda and examines only dirty schedulers, and the
         polled subsystems (dispatcher, flush controller, GPUDet tick)
         run only when a dirty flag says their answer may have changed.
-        Calendar invariant (DESIGN §12): warp timing cells are written
-        only through bound-``Warp`` setters, which dirty the warp's
-        scheduler and push its wake time; ``pop_due`` dirties the
-        schedulers whose wake time has come.  Every mutation a polled
-        subsystem reads must set its dirty flag.  Skipped calls are
-        no-ops on unchanged state, so both engines execute the same
-        state transitions at the same (cycle, epoch) points and produce
-        byte-identical metrics, traces, and digests.
+        Calendar invariant: warp timing cells are written only through
+        bound-``Warp`` setters, which dirty the warp's scheduler and
+        push its wake time; ``pop_due`` dirties the schedulers whose
+        wake time has come.  An armed :class:`InvariantChecker` rescans
+        the warps at every issue phase and fast-forward to confirm it
+        (the ``wake`` invariant).
         """
         limit = self.max_cycles if max_cycles is None else max_cycles
         obs = self.obs
@@ -665,14 +526,15 @@ class GPU:
             ww = soa.warp_wake
             if ww and ww[0][0] <= cycle:
                 soa.pop_due(cycle)
+            if self.inv is not None:
+                self.inv.check_issue_agenda(self, cycle)
             vd = soa.visit_dirty
             if vd:
-                # Ascending SM order with lazy re-evaluation, exactly
-                # like the polling loop's `for sm in sms: if
-                # needs_visit` — an SM dirtied mid-phase by a LOWER id
-                # is merged into the remaining batch (visited this
-                # cycle); one dirtied by a higher id stays on the
-                # agenda for the next cycle.
+                # Ascending SM order with lazy re-evaluation: an SM
+                # dirtied mid-phase whose id is above the one being
+                # visited is merged into the remaining batch (visited
+                # this cycle); a lower id, or the visited SM itself,
+                # stays on the agenda for the next cycle.
                 batch = sorted(vd)
                 vd.clear()
                 i = 0
@@ -714,7 +576,8 @@ class GPU:
 
             # Nothing issued: fast-forward to the next interesting time.
             # The wake heap's peek validates entries against the rows, so
-            # it returns exactly _earliest_warp_wake's full-scan minimum.
+            # it returns the earliest future ready_cycle of an eligible
+            # warp (the armed `wake` check rescans the warps to confirm).
             next_time = self._heap[0][0] if self._heap else None
             wake = soa.next_wake(self.cycle)
             candidates = [t for t in (next_time, wake) if t is not None]
@@ -722,12 +585,15 @@ class GPU:
                 # Waiting for the ROP to drain fire-and-forget atomics.
                 candidates.append(self.last_atomic_done)
             if candidates:
-                self.cycle = max(self.cycle + 1, min(candidates))
+                target = max(self.cycle + 1, min(candidates))
+                if self.inv is not None:
+                    self.inv.check_fast_forward(self, self.cycle, target)
+                self.cycle = target
                 continue
 
             # Fully quiesced: last-resort flush trigger, then deadlock.
-            # Bypasses the dirty gate: the polling loop always makes
-            # this call, and it is the only time-(not state-)driven one.
+            # Bypasses the dirty gate: it is the only time- (not
+            # state-) driven call.
             if progressed:
                 self.cycle += 1
                 continue
@@ -736,6 +602,7 @@ class GPU:
             ):
                 continue
             if self.inv is not None:
+                self.inv.check_fast_forward(self, self.cycle, None)
                 self.inv.explain_deadlock(self.cycle, self.flush)
             raise SimulationError(
                 f"deadlock at cycle {self.cycle}: no events, no issuable warps "
@@ -847,8 +714,8 @@ class GPU:
         cumulative value.
         """
         m = self.obs.metrics
-        # Cross-checked by the fastpath differential tests: both engines
-        # must execute the same number of issue-phase epochs.
+        # Pinned per cell by the golden timing matrix
+        # (tests/golden/timing_matrix.json).
         m.gauge("gpu.run.epochs").set(self.epochs)
         for sm in self.sms:
             prefix = f"sm.{sm.sm_id}"

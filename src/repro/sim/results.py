@@ -39,8 +39,8 @@ def strict_stalls() -> bool:
     """Strict stall accounting: unknown reasons raise instead of being
     folded into the ``other`` bucket.  Enabled via the
     ``REPRO_STRICT_STALLS`` environment variable (any non-empty value
-    except ``0``); tests and CI set it to catch new stall sources that
-    were never given a Fig 15 bucket."""
+    except ``0``); ``tests/conftest.py`` and every CI job set it to
+    catch new stall sources that were never given a Fig 15 bucket."""
     v = os.environ.get(_STRICT_ENV, "")
     return v not in ("", "0")
 
@@ -89,12 +89,11 @@ class StallBreakdown:
     def record_bulk(self, reason: str, count: int) -> None:
         """Book ``count`` stalled scheduler-cycles of one reason at once.
 
-        The event-driven issue engine skips a scheduler while none of
-        its warps can issue; when the stall window closes, the whole
-        window is accounted here in one call.  Equivalent by definition
-        to ``count`` individual :meth:`record` calls (the per-cycle
-        accounting the polling loop performs), which the unit tests pin
-        down — the Fig 15 breakdown must not depend on the engine.
+        The run loop skips a scheduler while none of its warps can
+        issue; when the stall window closes, the whole window is
+        accounted here in one call.  Equivalent by definition to
+        ``count`` individual :meth:`record` calls (one per epoch), which
+        the unit tests pin down.
         """
         if count <= 0:
             return

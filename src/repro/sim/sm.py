@@ -109,16 +109,15 @@ class SM:
         self.instructions = 0
         self.atomics = 0
         #: number of placed, not-yet-exited warps; the GPU run loop
-        #: skips issue_cycle entirely while this is 0 (idle-SM skip).
+        #: skips the SM's issue phase while this is 0 (idle-SM skip).
         self.live_count = 0
 
-        # Event-driven issue engine (GPU._run_fast) per-scheduler state.
-        # A scheduler is *examined* during an issue phase only when its
-        # dirty bit is set — by a write to one of its warps' timing
-        # cells, which goes through a bound-Warp setter (DESIGN §12), or
-        # by a due wake-heap entry; in between, it sits in a frozen
-        # stall window whose per-epoch records are booked in bulk at
-        # the next examination.
+        # Per-scheduler issue state.  A scheduler is *examined* during an
+        # issue phase only when its dirty bit is set — by a write to one
+        # of its warps' timing cells, which goes through a bound-Warp
+        # setter (DESIGN §12), or by a due wake-heap entry; in between,
+        # it sits in a frozen stall window whose per-epoch records are
+        # booked in bulk at the next examination.
         ns = self.num_schedulers
         #: open stall window: frozen reason (None = idle, books nothing)
         #: and the first epoch the window covers.
@@ -268,9 +267,9 @@ class SM:
             return [w] if w is not None else []
         return [w for w in self.sched_slots[idx] if w is not None]
 
-    # The buffer queries below walk the buffers themselves.  The fast
-    # engine answers the first two from the O(1) counters on
-    # repro.sim.soa instead; buffers_flush_ready serves both engines.
+    # The first two queries walk the buffers; the run loop reads the
+    # O(1) counters on repro.sim.soa instead, so only the per-cluster
+    # flush trigger and test doubles without counters use them.
     def any_buffer_nonempty(self) -> bool:
         return any(b.non_empty for b in self.buffers)
 
@@ -306,16 +305,16 @@ class SM:
         return stream
 
     # ------------------------------------------------------------------
-    # Event-driven issue engine (fastpath) plumbing.
+    # Issue.
     # ------------------------------------------------------------------
     def settle_stall_windows(self, epoch_end: int) -> None:
         """Book every open stall window through ``epoch_end - 1``.
 
-        Called at the end of GPU._run_fast.  Normally a no-op: a warp
-        only becomes done by issuing EXIT through its scheduler, which
-        forces an examination that settles the window, so by kernel
-        drain every window is idle.  Kept as a defensive backstop so an
-        unsettled window can never silently drop stall records.
+        Called at the end of GPU.run.  Normally a no-op: a warp only
+        becomes done by issuing EXIT through its scheduler, which forces
+        an examination that settles the window, so by kernel drain every
+        window is idle.  Kept as a defensive backstop so an unsettled
+        window can never silently drop stall records.
         """
         for s in range(self.num_schedulers):
             reason = self._acct_reason[s]
@@ -327,15 +326,17 @@ class SM:
                 self.soa.sched_dirty[self.row0 + s] = True
 
     def _fast_statuses(self, sched: int, now: int):
-        """Per-slot status snapshots, rewritten into reusable records.
+        """Per-slot status records for ``select()``, rewritten in place.
 
-        Must mirror :meth:`_status` exactly — the polling engine's
-        per-warp snapshot is the behavioural reference.  The timing
-        terms are read straight from the scheduler's rows instead of
-        through five property reads per warp; the GPUDet consult and
-        the atomic gate keep their per-warp side effects.  Also returns
-        the live-status list (identical to SchedulerPolicy._live) so
-        select() skips a second slot scan.
+        ``None`` for an empty slot, ``DONE_STATUS`` for a finished warp;
+        otherwise the warp is ready when nothing is outstanding, its
+        ready cycle has come and (GPUDet) its quantum lets it issue, and
+        its next atomic is gated (DAB, not at a barrier) by
+        :meth:`_atomic_gate`.  The timing terms are read straight from
+        the scheduler's rows; the GPUDet consult and the atomic gate
+        have per-warp side effects.  Also returns the live-status list
+        (identical to SchedulerPolicy._live) so select() skips a second
+        slot scan.
         """
         soa = self.soa
         r0 = self.row0 + sched
@@ -379,13 +380,15 @@ class SM:
         return out, live
 
     def issue_cycle_fast(self, now: int, epoch: int) -> int:
-        """Event-driven counterpart of :meth:`issue_cycle`.
+        """One issue phase (epoch ``epoch``) over the dirty schedulers.
 
-        Observably identical to the polling version: the same warps
-        issue at the same cycles, policies see the same select calls,
-        gate side effects fire at the same epochs, and the per-epoch
-        stall records the polling loop books while a scheduler cannot
-        issue are reproduced in bulk when its window closes.
+        Every scheduler with live warps books one stall record per
+        epoch: ``issued``, or why it could not issue.  A dirty scheduler
+        with no timing-ready warp opens a frozen stall window (``mem``
+        or ``barrier``) and goes clean; the window is booked in bulk at
+        its next examination.  One with a timing-ready warp runs
+        ``select()`` and stays dirty, so its policy state and gate side
+        effects advance every epoch.
         """
         soa = self.soa
         if soa.sm_release_dirty[self.sm_id]:
@@ -402,14 +405,13 @@ class SM:
         oa_rows = soa.out_atoms
         # The dirty flags are read LIVE: an earlier scheduler of this
         # pass can dirty a later one (e.g. an immediate barrier
-        # release), and the polling loop's lazy evaluation sees that
-        # within the same cycle.
+        # release), which must be examined within the same cycle.
         for s, sched in enumerate(self.schedulers):
             r0 = base + s
             if not dirty[r0]:
                 continue  # frozen stall/idle window; booked later
-            # Close the open window: the polling loop booked one stall
-            # per epoch under the frozen reason while we skipped.
+            # Close the open window: one stall per skipped epoch under
+            # the frozen reason.
             reason = self._acct_reason[s]
             if reason is not None:
                 owed = epoch - self._acct_epoch[s]
@@ -419,8 +421,7 @@ class SM:
             dirty[r0] = False
 
             # Row precheck: the rows are the warps' own storage, so an
-            # earlier scheduler's issue side effects are always observed
-            # (same as the polling scan's property reads).
+            # earlier scheduler's issue side effects are always observed.
             act = act_rows[r0]
             bar = bar_rows[r0]
             rc = rc_rows[r0]
@@ -451,69 +452,11 @@ class SM:
             # A warp is timing-ready: run the full select machinery and
             # stay dirty — select calls mutate policy state and gate
             # evaluation has side effects (sticky full bits, GPUDet
-            # quantum ends), so they must happen at every epoch the
-            # polling loop would run them.
+            # quantum ends), so they must happen at every such epoch.
             dirty[r0] = True
             left_dirty = True
             statuses, live = self._fast_statuses(s, now)
             warp, reason = sched.select(now, statuses, live)
-            blocked = getattr(sched, "gate_blocked_warp", None)
-            if blocked is not None:
-                sched.gate_blocked_warp = None
-                if self.dab is not None and not self._warp_level:
-                    buf = self.buffer_for(blocked)
-                    if not buf.full:
-                        buf.mark_full()
-                        self.gpu._flush_dirty = True
-            self.stalls.record(None if warp is not None else reason)
-            if warp is not None:
-                self._issue(now, warp)
-                issued += 1
-        if left_dirty:
-            # A scheduler stayed dirty (select side effects must rerun
-            # next epoch): keep this SM on the agenda.
-            soa.visit_dirty.add(self.sm_id)
-        return issued
-
-    # ------------------------------------------------------------------
-    # Issue.
-    # ------------------------------------------------------------------
-    def issue_cycle(self, now: int) -> int:
-        self._check_baseline_releases(now)
-        issued = 0
-        for s, sched in enumerate(self.schedulers):
-            table = self.sched_slots[s]
-            # Fast path: skip the full status/select machinery when no
-            # warp could issue this cycle.  A warp blocked on memory, a
-            # barrier, or future latency cannot trigger any scheduler
-            # state transition (those depend on *ready* warps reaching
-            # atomics), so skipping is behaviour-preserving.
-            any_live = False
-            any_ready = False
-            all_barrier = True
-            for w in table:
-                if w is None or w.done:
-                    continue
-                any_live = True
-                if not w.at_barrier:
-                    all_barrier = False
-                    if (
-                        w.ready_cycle <= now
-                        and w.outstanding_loads == 0
-                        and w.outstanding_atoms == 0
-                    ):
-                        any_ready = True
-                        break
-            if not any_live:
-                continue  # idle scheduler: not counted as a stall slot
-            if not any_ready:
-                self.stalls.record("barrier" if all_barrier else "mem")
-                continue
-            statuses = [
-                self._status(w, now) if w is not None else None
-                for w in table
-            ]
-            warp, reason = sched.select(now, statuses)
             blocked = getattr(sched, "gate_blocked_warp", None)
             if blocked is not None:
                 # The policy's deterministic atomic candidate was blocked
@@ -529,31 +472,11 @@ class SM:
             if warp is not None:
                 self._issue(now, warp)
                 issued += 1
+        if left_dirty:
+            # A scheduler stayed dirty (select side effects must rerun
+            # next epoch): keep this SM on the agenda.
+            soa.visit_dirty.add(self.sm_id)
         return issued
-
-    def _status(self, warp: Warp, now: int) -> Optional[WarpStatus]:
-        if warp.done:
-            return DONE_STATUS
-        ready = (
-            warp.ready_cycle <= now
-            and warp.outstanding_loads == 0
-            and warp.outstanding_atoms == 0
-        )
-        if ready and self.gpu.gpudet is not None:
-            ready = self.gpu.gpudet.can_issue(warp)
-        next_atomic = warp.next_is_atomic()
-        gate_ok = True
-        gate_reason = ""
-        if next_atomic and self.dab is not None and not warp.at_barrier:
-            gate_ok, gate_reason = self._atomic_gate(warp)
-        return WarpStatus(
-            warp,
-            ready=ready,
-            at_barrier=warp.at_barrier,
-            next_atomic=next_atomic,
-            gate_ok=gate_ok,
-            gate_reason=gate_reason,
-        )
 
     def _atomic_gate(self, warp: Warp):
         ins = warp.peek()

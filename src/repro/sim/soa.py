@@ -1,11 +1,10 @@
-"""Warp timing state as plain-list scheduler rows (DESIGN §16).
+"""Warp timing state as plain-list scheduler rows (DESIGN §12).
 
 Every placed warp's timing fields live in exactly one place: a cell of
 a per-(SM, scheduler) *row*, one plain Python list per field, indexed
 by the warp's hardware slot.  :class:`~repro.arch.warp.Warp` properties
-read and write ``row[col]`` directly, so the polling engine (through
-the properties) and the event-driven engine (scanning whole rows) see
-the same cells.
+read and write ``row[col]`` directly, and the run loop scans whole
+rows, so both see the same cells.
 
 Layout
 ------
@@ -23,10 +22,11 @@ the ISA oracle, the model checker, unit tests — own one-cell rows of
 their own and are never bound.
 
 The ``active``/``pc`` cells are caches of ``not warp.done`` and the
-SIMT stack's PC, refreshed by ``Warp.step``; only the fast engine reads
-them.  The same holds for the scheduler dirty flags, the visit agenda
-and the wake heap below: the bound-warp setters record every cell
-write there, and only the fast engine drains them.
+SIMT stack's PC, refreshed by ``Warp.step``; the run loop reads them
+instead of the warps.  The bound-warp setters record every cell write
+in the scheduler dirty flags, the visit agenda and the wake heap
+below, and the run loop drains them.  An armed ``wake`` invariant
+(:mod:`repro.faults.invariants`) checks all of these against the warps.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from typing import List
 
 
 class WarpSlabs:
-    """GPU-wide warp timing rows plus the fast engine's agendas."""
+    """GPU-wide warp timing rows plus the run loop's agendas."""
 
     def __init__(self, num_sms: int, schedulers_per_sm: int,
                  slots_per_scheduler: int):
@@ -49,7 +49,7 @@ class WarpSlabs:
         self.out_loads = [[0] * cols for _ in range(rows)]
         self.out_atoms = [[0] * cols for _ in range(rows)]
         self.at_barrier = [[False] * cols for _ in range(rows)]
-        #: live (placed and not done): the fast engine's ``not w.done``.
+        #: live (placed and not done): the run loop's ``not w.done``.
         self.active = [[False] * cols for _ in range(rows)]
         #: current PC (stale once inactive; read only for live warps).
         self.pc = [[0] * cols for _ in range(rows)]
@@ -63,12 +63,12 @@ class WarpSlabs:
 
         #: DAB buffer summaries maintained by AtomicBuffer on its
         #: insert/drain/mark-full transitions: the flush trigger and
-        #: kernel-drain checks of the fast engine read these instead of
-        #: walking every buffer.
+        #: kernel-drain checks read these instead of walking every
+        #: buffer.
         self.buf_nonempty_count = 0
         self.buf_full_count = 0
 
-        # -- incremental visit agenda (fast engine) --------------------
+        # -- incremental visit agenda ----------------------------------
         #: SM ids with a dirty scheduler or pending release poll; fed by
         #: the warp setters, pop_due and SM._release_dirty, and drained
         #: by the issue phase.

@@ -155,7 +155,8 @@ class TestStallBreakdown:
         assert sb.issued == 1 and sb.mem == 1 and sb.token == 1
         assert sb.total == 3
 
-    def test_unknown_reason_goes_to_other(self):
+    def test_unknown_reason_goes_to_other(self, monkeypatch):
+        monkeypatch.delenv("REPRO_STRICT_STALLS", raising=False)
         sb = StallBreakdown()
         sb.record("weird")
         assert sb.other == 1 and sb.mem == 0

@@ -4,7 +4,11 @@ InvariantViolation naming the invariant, cycle, and unit."""
 
 import pytest
 
+from repro.config import GPUConfig
+from repro.core.dab import DABConfig
 from repro.faults import InvariantChecker, InvariantConfig, InvariantViolation
+from repro.sim.gpu import GPU
+from repro.workloads.microbench import build_atomic_sum
 
 
 def make_checker(cycle=0, fault=None, **flags):
@@ -177,3 +181,99 @@ class TestViolationPayload:
         chk.on_flush_arrival(0, 0)
         chk.on_flush_release(0, 0, 0)
         assert chk.checks == 5
+
+
+def placed_gpu(dab=None):
+    """An armed tiny GPU right after its first CTAs were placed: every
+    placed warp is ready at cycle 0, with its scheduler dirty and its SM
+    on the visit agenda, so all ``wake`` checks pass."""
+    workload = build_atomic_sum(n=512, cta_dim=128)
+    gpu = GPU(GPUConfig.tiny(), workload.mem, dab=dab, invariants=True)
+    gpu.launch(workload.kernels[0])
+    gpu._start_next_kernel()
+    assert gpu.dispatcher.place(0)
+    gpu.inv.check_issue_agenda(gpu, 0)
+    gpu.inv.check_fast_forward(gpu, 0, 1)
+    return gpu
+
+
+def first_warp(gpu, sm_id=0):
+    """``(warp, row, col)`` of the first placed warp on ``sm_id``."""
+    sm = gpu.sms[sm_id]
+    for s, table in enumerate(sm.sched_slots):
+        for i, w in enumerate(table):
+            if w is not None:
+                return w, sm.row0 + s, i
+    raise AssertionError("no placed warp")
+
+
+def raises_wake(check, *args):
+    with pytest.raises(InvariantViolation) as ei:
+        check(*args)
+    assert ei.value.invariant == "wake"
+    return ei.value
+
+
+class TestWake:
+    """Each test plants one fault that only its own check can see."""
+
+    def test_ready_warp_with_clean_scheduler(self):
+        gpu = placed_gpu()
+        w, row, _ = first_warp(gpu)
+        gpu.soa.sched_dirty[row] = False  # a lost wake-up
+        v = raises_wake(gpu.inv.check_issue_agenda, gpu, 0)
+        assert v.unit == f"sm.0.sched.{w.scheduler_id}"
+        assert f"warp {w.uid} ready" in v.detail
+
+    def test_dirty_scheduler_off_the_agenda(self):
+        gpu = placed_gpu()
+        for w in gpu.sms[0].all_warps():
+            w.ready_cycle = 5  # nothing ready: only the agenda is wrong
+        gpu.soa.visit_dirty.discard(0)
+        v = raises_wake(gpu.inv.check_issue_agenda, gpu, 0)
+        assert v.unit == "sm.0.sched.0"
+        assert "off the visit agenda" in v.detail
+
+    @pytest.mark.parametrize("cell", ["pc", "active"])
+    def test_stale_row_cache(self, cell):
+        gpu = placed_gpu()
+        w, row, col = first_warp(gpu, sm_id=1)
+        if cell == "pc":
+            gpu.soa.pc[row][col] += 1
+        else:
+            gpu.soa.active[row][col] = False
+        v = raises_wake(gpu.inv.check_issue_agenda, gpu, 0)
+        assert v.unit == f"sm.1.sched.{w.scheduler_id}"
+        assert f"warp {w.uid}: {cell} cell" in v.detail
+
+    @pytest.mark.parametrize("counter",
+                             ["buf_nonempty_count", "buf_full_count"])
+    def test_skewed_buffer_counter(self, counter):
+        gpu = placed_gpu(dab=DABConfig())
+        setattr(gpu.soa, counter, getattr(gpu.soa, counter) + 1)
+        v = raises_wake(gpu.inv.check_issue_agenda, gpu, 0)
+        assert v.unit == "buffers"
+
+    def test_fast_forward_past_a_wake(self):
+        gpu = placed_gpu()
+        w, _, _ = first_warp(gpu, sm_id=1)
+        w.ready_cycle = 10
+        gpu.inv.check_fast_forward(gpu, 0, 10)  # lands on the wake: fine
+        v = raises_wake(gpu.inv.check_fast_forward, gpu, 0, 11)
+        assert v.unit == f"sm.1.sched.{w.scheduler_id}"
+        assert "wakes at cycle 10" in v.detail
+        assert "jumps to cycle 11" in v.detail
+        v = raises_wake(gpu.inv.check_fast_forward, gpu, 0, None)
+        assert "declares a deadlock" in v.detail
+
+    def test_checks_are_counted_and_need_no_config_flag(self):
+        gpu = placed_gpu()
+        gpu.inv.config = InvariantConfig(
+            flush_counts=False, buffer_capacity=False, batch_order=False,
+            rop_order=False)
+        before = gpu.inv.checks
+        gpu.inv.check_issue_agenda(gpu, 0)
+        gpu.inv.check_fast_forward(gpu, 0, 1)
+        assert gpu.inv.checks == before + 2
+        gpu.soa.sched_dirty[first_warp(gpu)[1]] = False
+        raises_wake(gpu.inv.check_issue_agenda, gpu, 0)

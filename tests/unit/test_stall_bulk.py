@@ -1,9 +1,8 @@
 """Bulk accounting must equal per-cycle accounting, field for field.
 
-The event-driven issue engine books a whole skipped stall window in one
-``record_bulk`` / ``observe_bulk`` call; the polling reference books the
-same window one cycle at a time.  Fig 15 data must not depend on which
-engine produced it, so these pin the equivalence down exactly.
+The run loop books a whole skipped stall window in one ``record_bulk``
+/ ``observe_bulk`` call instead of one record per epoch.  Fig 15 data
+must not depend on that, so these pin the equivalence down exactly.
 """
 
 import pytest

@@ -1,6 +1,6 @@
-"""The single wake path of the event-driven engine.
+"""The single wake path of the event-driven run loop.
 
-The fast engine examines a scheduler only while its dirty flag is set.
+The run loop examines a scheduler only while its dirty flag is set.
 That flag, the SM visit agenda and the ``warp_wake`` heap are written
 only by ``Warp.bind_slab``, the bound warp's timing-cell setters and
 ``WarpSlabs.pop_due``; these tests pin what each of them records.
