@@ -197,9 +197,11 @@ class RunDB:
                 "SELECT value FROM meta WHERE key = 'schema'")
             row = cur.fetchone()
             if row is None:
+                # Another handle opening the same new file may insert
+                # the tag between the SELECT and here.
                 self._conn.execute(
-                    "INSERT INTO meta (key, value) VALUES ('schema', ?)",
-                    (RUNDB_SCHEMA,))
+                    "INSERT OR IGNORE INTO meta (key, value)"
+                    " VALUES ('schema', ?)", (RUNDB_SCHEMA,))
             elif row[0] in _MIGRATABLE:
                 self._migrate(row[0])
             elif row[0] != RUNDB_SCHEMA:

@@ -14,8 +14,8 @@
 from repro.core.atomic_buffer import AtomicBuffer, BufferEntry, FlushTransaction
 from repro.core.dab import DABConfig, BufferLevel
 from repro.core.schedulers import (
+    SchedRow,
     SchedulerPolicy,
-    WarpStatus,
     GTOScheduler,
     SRRScheduler,
     GTRRScheduler,
@@ -32,8 +32,8 @@ __all__ = [
     "FlushTransaction",
     "DABConfig",
     "BufferLevel",
+    "SchedRow",
     "SchedulerPolicy",
-    "WarpStatus",
     "GTOScheduler",
     "SRRScheduler",
     "GTRRScheduler",

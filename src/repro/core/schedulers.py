@@ -13,10 +13,17 @@ deterministic function of the program:
 * **GWAT** — a token passes among warps in slot order; only the holder
   may issue an atomic; everything else is scheduled greedily.
 
-The SM presents each scheduler a per-slot :class:`WarpStatus` snapshot;
-``select`` returns the warp to issue this cycle (the SM guarantees the
-issue happens) or ``None`` plus a stall-reason keyword used for the
-Fig 15 overhead breakdown.
+Selection runs over rows, not per-warp records.  The SM hands each
+scheduler its :class:`SchedRow`: the slot table, the live slots in slot
+order and in placement order, the scheduler's warp timing rows
+(:mod:`repro.sim.soa`) and the results of the two consults with side
+effects (GPUDet's quantum check, DAB's atomic-issue gates).  A policy
+reads the cells of the slots it looks at; its own state is slot
+indices (GTO's greedy warp, SRR's pointer, GTAR's pending round,
+GWAT's token), each tagged with the warp uid wherever the slot could
+be reused under it.  ``select`` returns the warp to issue this cycle
+(the SM guarantees the issue happens) or ``None`` plus a stall-reason
+keyword used for the Fig 15 overhead breakdown.
 
 Determinism notes (the properties the tests pin down):
 
@@ -37,8 +44,8 @@ Determinism notes (the properties the tests pin down):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from bisect import bisect_left, insort
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.arch.warp import Warp
 
@@ -54,33 +61,65 @@ STALL_GATE_FLUSH = "flush"       # atomic blocked: flush in progress
 STALL_GATE_BATCH = "batch"       # atomic blocked: CTA batch ordering
 
 
-@dataclass
-class WarpStatus:
-    """One slot's issue-readiness snapshot for this cycle.
+class SchedRow:
+    """One scheduler's slots as ``select`` reads them.
 
-    The SM reuses one record per hardware slot across cycles (rewriting
-    the fields in place) rather than allocating a fresh snapshot per
-    warp per cycle; policies must therefore not retain references across
-    ``select`` calls (they keep warp uids / slot indices instead).
+    * ``warps`` — the slot table: the warp bound to each local slot, or
+      None; a finished warp stays until its slot is reused.
+    * ``live`` — the slots of live warps in slot order, and ``order``
+      the same slots in placement order (ascending warp uid).  Warp
+      uids and launch cycles only grow, so placement order is GTO's
+      oldest-first order.  :meth:`add` and :meth:`remove` keep both.
+    * ``act``, ``bar``, ``rc``, ``ol``, ``oa``, ``pc`` — the
+      scheduler's ``active``, ``at_barrier``, ``ready_cycle``,
+      ``out_loads``, ``out_atoms`` and ``pc`` rows.  A warp is
+      *timing-ready* when nothing is outstanding and its ready cycle
+      has come.
+    * ``atomic`` — per PC of the current kernel: the instruction is a
+      ``red``/``atom``.
+    * ``held`` — timing-ready slots whose warp may still not issue
+      this cycle (GPUDet: its quantum ended, or it waits at a barrier).
+    * ``gated`` — slot → gate reason for each live warp, not at a
+      barrier, whose next atomic an external gate blocks (DAB: buffer
+      full, flush in progress, later CTA batch), in slot order.
+
+    The SM refills ``held`` and ``gated`` before each ``select``;
+    policies only read a row and keep no reference to it.
     """
 
-    warp: Optional[Warp]
-    ready: bool              # can issue *something* this cycle (latency, mem)
-    at_barrier: bool
-    next_atomic: bool        # next instruction is red/atom
-    gate_ok: bool = True     # external atomic gates (buffer/flush/batch)
-    gate_reason: str = ""    # which gate failed
+    __slots__ = ("warps", "live", "order", "act", "bar", "rc", "ol", "oa",
+                 "pc", "atomic", "held", "gated")
 
-    @property
-    def live(self) -> bool:
-        return self.warp is not None and not self.warp.done
+    def __init__(self, warps: List[Optional[Warp]], act: List[bool],
+                 bar: List[bool], rc: List[int], ol: List[int],
+                 oa: List[int], pc: List[int]):
+        self.warps = warps
+        self.act = act
+        self.bar = bar
+        self.rc = rc
+        self.ol = ol
+        self.oa = oa
+        self.pc = pc
+        self.live: List[int] = []
+        self.order: List[int] = []
+        self.atomic: Sequence[bool] = ()
+        self.held: Set[int] = set()
+        self.gated: Dict[int, str] = {}
 
+    def add(self, slot: int) -> None:
+        """A warp was placed at ``slot`` (its uid exceeds every live one)."""
+        insort(self.live, slot)
+        self.order.append(slot)
 
-#: Shared snapshot for finished warps.  Every policy treats done warps
-#: as non-candidates (filtered on ``live``), so the per-warp fields a
-#: populated status used to carry were dead — one immutable sentinel
-#: with ``warp=None`` serves every slot.
-DONE_STATUS = WarpStatus(None, ready=False, at_barrier=False, next_atomic=False)
+    def remove(self, slot: int) -> None:
+        """The warp at ``slot`` exited."""
+        self.live.remove(slot)
+        self.order.remove(slot)
+
+    def ready(self, i: int, now: int) -> bool:
+        """The warp at slot ``i`` can issue something this cycle."""
+        return (self.ol[i] == 0 and self.oa[i] == 0 and self.rc[i] <= now
+                and i not in self.held)
 
 
 class SchedulerPolicy:
@@ -95,68 +134,91 @@ class SchedulerPolicy:
         #: atomic candidate was blocked on buffer capacity; the SM trips
         #: the buffer's sticky full bit in response (see sim.sm).
         self.gate_blocked_warp = None
+        #: greedy warp of the GTO picks: its slot and uid (the uid tells
+        #: a reused slot apart).
+        self._last_slot: Optional[int] = None
+        self._last_uid: Optional[int] = None
         #: observability hub + (sm, scheduler) coordinates, wired by the
         #: owning SM; None/-1 for standalone schedulers (unit tests).
         self.obs = None
         self.obs_sm = -1
         self.obs_id = -1
 
-    def select(
-        self, now: int, slots: Sequence[Optional[WarpStatus]],
-        live: Optional[List[WarpStatus]] = None,
-    ) -> Tuple[Optional[Warp], Optional[str]]:
-        """Pick the warp to issue.
-
-        ``live`` optionally carries the precomputed ``_live(slots)``
-        list: the SM builds it while writing the status rows, so
-        policies need not re-filter the slots (identical contents and
-        order; a caller without it passes None and the policy filters
-        here).
-        """
+    def select(self, now: int,
+               row: SchedRow) -> Tuple[Optional[Warp], Optional[str]]:
+        """Pick the warp to issue from ``row``."""
         raise NotImplementedError
 
     # -- event hooks (called by the SM; see module docstring) -------------
-    def notify_warp_added(self, warps: Sequence[Optional[Warp]], slot: int) -> None:
+    def notify_warp_added(self, row: SchedRow, slot: int) -> None:
         pass
 
-    def notify_exit(self, warps: Sequence[Optional[Warp]], slot: int) -> None:
+    def notify_exit(self, row: SchedRow, slot: int) -> None:
         pass
 
-    def notify_barrier(self, warps: Sequence[Optional[Warp]], slot: int) -> None:
+    def notify_barrier(self, row: SchedRow, slot: int) -> None:
         pass
 
-    def notify_barrier_release(self, warps: Sequence[Optional[Warp]], slot: int) -> None:
+    def notify_barrier_release(self, row: SchedRow, slot: int) -> None:
         pass
 
     def reset_for_drain(self) -> None:
         """Called when the scheduler has no live warps (kernel boundary)."""
+        self._last_slot = self._last_uid = None
 
     # -- helpers ----------------------------------------------------------
-    @staticmethod
-    def _live(slots: Sequence[Optional[WarpStatus]]) -> List[WarpStatus]:
-        return [s for s in slots if s is not None and s.live]
+    def _gto_pick(self, row: SchedRow, now: int,
+                  atomics: bool) -> Optional[int]:
+        """Greedy-then-oldest: the last-issued warp if it can issue,
+        else the first issuable warp in placement order.
+
+        Issuable: timing-ready, not held, not at a barrier, and either
+        not at an atomic or (``atomics``) at one no gate blocks.
+        """
+        bar, rc, ol, oa = row.bar, row.rc, row.ol, row.oa
+        pc, atomic, held, gated = row.pc, row.atomic, row.held, row.gated
+        i = self._last_slot
+        if (i is not None and row.act[i]
+                and row.warps[i].uid == self._last_uid
+                and not bar[i] and ol[i] == 0 and oa[i] == 0
+                and rc[i] <= now and i not in held
+                and (not atomic[pc[i]] or (atomics and i not in gated))):
+            return i
+        for i in row.order:
+            if (not bar[i] and ol[i] == 0 and oa[i] == 0 and rc[i] <= now
+                    and i not in held
+                    and (not atomic[pc[i]] or (atomics and i not in gated))):
+                self._last_slot = i
+                self._last_uid = row.warps[i].uid
+                return i
+        return None
 
     @staticmethod
-    def _fallback_reason(live: List[WarpStatus]) -> str:
-        if not live:
+    def _first_gated(row: SchedRow, now: int) -> Optional[int]:
+        """The first timing-ready slot in slot order whose atomic a
+        gate blocks."""
+        for i in row.gated:
+            if row.ready(i, now):
+                return i
+        return None
+
+    @classmethod
+    def _fallback_reason(cls, row: SchedRow, now: int) -> str:
+        if not row.live:
             return STALL_EMPTY
-        if all(s.at_barrier for s in live):
+        bar = row.bar
+        if all(bar[i] for i in row.live):
             return STALL_BARRIER
-        gated = [s for s in live if s.ready and s.next_atomic and not s.gate_ok]
-        if gated:
-            return gated[0].gate_reason or STALL_GATE_BUFFER
+        i = cls._first_gated(row, now)
+        if i is not None:
+            return row.gated[i]
         return STALL_MEM
 
     @staticmethod
-    def _gto_pick(candidates: List[WarpStatus], last_uid: Optional[int]) -> Optional[WarpStatus]:
-        """Greedy-then-oldest among issuable candidates."""
-        if not candidates:
-            return None
-        if last_uid is not None:
-            for s in candidates:
-                if s.warp.uid == last_uid:
-                    return s
-        return min(candidates, key=lambda s: (s.warp.launched_cycle, s.warp.uid))
+    def _atomic_ready(row: SchedRow, now: int) -> bool:
+        """Some live warp is timing-ready at an atomic."""
+        pc, atomic = row.pc, row.atomic
+        return any(atomic[pc[i]] and row.ready(i, now) for i in row.live)
 
 
 class GTOScheduler(SchedulerPolicy):
@@ -165,32 +227,15 @@ class GTOScheduler(SchedulerPolicy):
     name = "gto"
     deterministic_atomics = False
 
-    def __init__(self, num_slots: int):
-        super().__init__(num_slots)
-        self._last_uid: Optional[int] = None
-
-    def select(self, now, slots, live=None):
+    def select(self, now, row):
         self.gate_blocked_warp = None
-        if live is None:
-            live = self._live(slots)
-        issuable = [
-            s for s in live
-            if s.ready and not s.at_barrier and (not s.next_atomic or s.gate_ok)
-        ]
-        pick = self._gto_pick(issuable, self._last_uid)
-        if pick is None:
-            reason = self._fallback_reason(live)
-            if reason == STALL_GATE_BUFFER:
-                for s in live:
-                    if s.ready and s.next_atomic and s.gate_reason == STALL_GATE_BUFFER:
-                        self.gate_blocked_warp = s.warp
-                        break
-            return None, reason
-        self._last_uid = pick.warp.uid
-        return pick.warp, None
-
-    def reset_for_drain(self):
-        self._last_uid = None
+        i = self._gto_pick(row, now, True)
+        if i is not None:
+            return row.warps[i], None
+        reason = self._fallback_reason(row, now)
+        if reason == STALL_GATE_BUFFER:
+            self.gate_blocked_warp = row.warps[self._first_gated(row, now)]
+        return None, reason
 
 
 class SRRScheduler(SchedulerPolicy):
@@ -208,43 +253,40 @@ class SRRScheduler(SchedulerPolicy):
         super().__init__(num_slots)
         self._ptr = 0
 
-    def select(self, now, slots, live=None):
+    def select(self, now, row):
         self.gate_blocked_warp = None
-        if live is None:
-            live = self._live(slots)
+        live = row.live
         if not live:
             return None, STALL_EMPTY
-        for step in range(self.num_slots):
-            idx = (self._ptr + step) % self.num_slots
-            s = slots[idx]
-            if s is None or not s.live or s.at_barrier:
+        bar, gated = row.bar, row.gated
+        # Live slots from the pointer on, wrapping around.
+        k = bisect_left(live, self._ptr)
+        for i in live[k:] + live[:k]:
+            if bar[i]:
                 continue  # skippable
-            if (
-                s.next_atomic
-                and not s.gate_ok
-                and s.gate_reason == STALL_GATE_BATCH
-            ):
+            gate = gated.get(i)
+            if gate == STALL_GATE_BATCH:
                 # A later-batch warp waiting on the batch gate is
                 # skipped like a barrier-blocked warp: its turn in the
                 # deterministic order only comes once its batch opens.
                 continue
-            if s.ready and (not s.next_atomic or s.gate_ok):
-                self._ptr = (idx + 1) % self.num_slots
-                return s.warp, None
+            if row.ready(i, now):
+                if gate is None:
+                    self._ptr = (i + 1) % self.num_slots
+                    return row.warps[i], None
+                # In-order warp is gated: strict RR cannot pass it.
+                if gate == STALL_GATE_BUFFER:
+                    self.gate_blocked_warp = row.warps[i]
+                return None, gate
             # In-order warp is stalled: strict RR cannot pass it.
-            if s.ready and s.next_atomic and not s.gate_ok:
-                if (s.gate_reason or STALL_GATE_BUFFER) == STALL_GATE_BUFFER:
-                    self.gate_blocked_warp = s.warp
-                return None, s.gate_reason or STALL_GATE_BUFFER
             others_ready = any(
-                t is not None and t.live and t.ready and not t.at_barrier
-                and t.warp is not s.warp
-                for t in slots
+                t != i and not bar[t] and row.ready(t, now) for t in live
             )
             return None, STALL_INORDER if others_ready else STALL_MEM
-        return None, self._fallback_reason(live)
+        return None, self._fallback_reason(row, now)
 
     def reset_for_drain(self):
+        super().reset_for_drain()
         self._ptr = 0
 
 
@@ -264,44 +306,38 @@ class GTRRScheduler(SchedulerPolicy):
     def __init__(self, num_slots: int):
         super().__init__(num_slots)
         self._mode = "gto"
-        self._gto = GTOScheduler(num_slots)
         self._srr = SRRScheduler(num_slots)
 
     @property
     def mode(self) -> str:
         return self._mode
 
-    def select(self, now, slots, live=None):
+    def select(self, now, row):
         self.gate_blocked_warp = None
-        if live is None:
-            live = self._live(slots)
+        live = row.live
         if not live:
             return None, STALL_EMPTY
         if self._mode == "gto":
-            if all(s.next_atomic or s.at_barrier for s in live):
+            bar, pc, atomic = row.bar, row.pc, row.atomic
+            if all(atomic[pc[i]] or bar[i] for i in live):
                 self._mode = "srr"
                 if self.obs is not None:
                     self.obs.emit("sched", "mode_switch", sm=self.obs_sm,
                                   sched=self.obs_id, mode="srr")
             else:
-                issuable = [
-                    s for s in live
-                    if s.ready and not s.at_barrier and not s.next_atomic
-                ]
-                pick = self._gto_pick(issuable, self._gto._last_uid)
-                if pick is not None:
-                    self._gto._last_uid = pick.warp.uid
-                    return pick.warp, None
-                if any(s.ready and s.next_atomic for s in live):
+                i = self._gto_pick(row, now, False)
+                if i is not None:
+                    return row.warps[i], None
+                if self._atomic_ready(row, now):
                     return None, STALL_ROUND
-                return None, self._fallback_reason(live)
-        picked = self._srr.select(now, slots, live)
+                return None, self._fallback_reason(row, now)
+        picked = self._srr.select(now, row)
         self.gate_blocked_warp = self._srr.gate_blocked_warp
         return picked
 
     def reset_for_drain(self):
+        super().reset_for_drain()
         self._mode = "gto"
-        self._gto.reset_for_drain()
         self._srr.reset_for_drain()
 
 
@@ -327,96 +363,81 @@ class GTARScheduler(SchedulerPolicy):
 
     def __init__(self, num_slots: int):
         super().__init__(num_slots)
-        self._gto = GTOScheduler(num_slots)
-        self._pending: List[int] = []   # warp uids, slot order
+        #: the open round's (slot, warp uid) pairs in issue order; the
+        #: uid drops an entry whose warp exited and whose slot was reused.
+        self._pending: List[Tuple[int, int]] = []
         self._round_open = False
 
     @property
     def round_open(self) -> bool:
         return self._round_open
 
-    def select(self, now, slots, live=None):
+    def select(self, now, row):
         self.gate_blocked_warp = None
-        if live is None:
-            live = self._live(slots)
+        live = row.live
         if not live:
             return None, STALL_EMPTY
+        warps, act, bar = row.warps, row.act, row.bar
+        pc, atomic = row.pc, row.atomic
 
         if not self._round_open:
-            if all(s.next_atomic or s.at_barrier for s in live):
+            if all(atomic[pc[i]] or bar[i] for i in live):
                 # Barrier-blocked warps joined the *barrier*, not this
                 # atomic round — even when their first post-barrier
                 # instruction happens to be an atomic (it issues in a
-                # later round, after release).
+                # later round, after release).  Batch-major, then slot
+                # order (a stable sort of the slot-order list).
                 ordered = sorted(
-                    (s for s in live if s.next_atomic and not s.at_barrier),
-                    key=lambda s: (s.warp.batch, s.warp.hw_slot),
+                    (i for i in live if atomic[pc[i]] and not bar[i]),
+                    key=lambda i: warps[i].batch,
                 )
-                self._pending = [s.warp.uid for s in ordered]
+                self._pending = [(i, warps[i].uid) for i in ordered]
                 self._round_open = bool(self._pending)
                 if self._round_open and self.obs is not None:
                     self.obs.emit("sched", "round_advance", sm=self.obs_sm,
                                   sched=self.obs_id,
                                   pending=len(self._pending))
 
-        head_status: Optional[WarpStatus] = None
+        head: Optional[int] = None
         while self._round_open:
-            head_uid = self._pending[0]
-            head_status = None
-            for s in live:
-                if s.warp.uid == head_uid:
-                    head_status = s
-                    break
-            if head_status is None or not head_status.next_atomic:
-                # Head exited or its atomic was guarded off; drop it.
+            i, uid = self._pending[0]
+            if (not act[i] or warps[i].uid != uid or not atomic[pc[i]]
+                    or bar[i]):
+                # Head exited, its atomic was guarded off, or it reached
+                # a barrier before its atomic could issue (e.g. the gate
+                # opened a flush that released it into a different
+                # path): it waits for a later round.  Drop it.
                 self._pending.pop(0)
                 if not self._pending:
                     self._round_open = False
-                    head_status = None
                 continue
-            if head_status.at_barrier:
-                # Head reached a barrier before its atomic could issue
-                # (e.g. the gate opened a flush that released it into a
-                # different path): it waits for a later round.
-                self._pending.pop(0)
-                if not self._pending:
-                    self._round_open = False
-                    head_status = None
-                continue
-            if head_status.ready and head_status.gate_ok:
-                self._pending.pop(0)
-                if not self._pending:
-                    self._round_open = False
-                return head_status.warp, None
-            if (
-                head_status.ready
-                and not head_status.gate_ok
-                and (head_status.gate_reason or STALL_GATE_BUFFER)
-                == STALL_GATE_BUFFER
-            ):
-                self.gate_blocked_warp = head_status.warp
+            if row.ready(i, now):
+                gate = row.gated.get(i)
+                if gate is None:
+                    self._pending.pop(0)
+                    if not self._pending:
+                        self._round_open = False
+                    return warps[i], None
+                if gate == STALL_GATE_BUFFER:
+                    self.gate_blocked_warp = warps[i]
+            head = i
             break  # head stalled (latency or gate); round waits
 
         # Non-atomic work under GTO (atomics only issue as round heads).
-        issuable = [
-            s for s in live
-            if s.ready and not s.at_barrier and not s.next_atomic
-        ]
-        pick = self._gto_pick(issuable, self._gto._last_uid)
-        if pick is not None:
-            self._gto._last_uid = pick.warp.uid
-            return pick.warp, None
+        i = self._gto_pick(row, now, False)
+        if i is not None:
+            return warps[i], None
 
-        if self._round_open and head_status is not None:
-            if head_status.ready and not head_status.gate_ok:
-                return None, head_status.gate_reason or STALL_GATE_BUFFER
+        if head is not None:
+            if head in row.gated and row.ready(head, now):
+                return None, row.gated[head]
             return None, STALL_ROUND
-        if any(s.ready and s.next_atomic for s in live):
+        if self._atomic_ready(row, now):
             return None, STALL_ROUND
-        return None, self._fallback_reason(live)
+        return None, self._fallback_reason(row, now)
 
     def reset_for_drain(self):
-        self._gto.reset_for_drain()
+        super().reset_for_drain()
         self._pending = []
         self._round_open = False
 
@@ -429,7 +450,6 @@ class GWATScheduler(SchedulerPolicy):
 
     def __init__(self, num_slots: int):
         super().__init__(num_slots)
-        self._gto = GTOScheduler(num_slots)
         self._token: Optional[int] = None  # slot index
 
     @property
@@ -437,19 +457,19 @@ class GWATScheduler(SchedulerPolicy):
         return self._token
 
     # -- event-driven token passing ----------------------------------------
-    def notify_warp_added(self, warps, slot):
+    def notify_warp_added(self, row, slot):
         if self._token is None:
             self._token = slot
 
-    def notify_exit(self, warps, slot):
+    def notify_exit(self, row, slot):
         if self._token == slot:
-            self._pass_token(warps, slot)
+            self._pass_token(row, slot)
 
-    def notify_barrier(self, warps, slot):
+    def notify_barrier(self, row, slot):
         if self._token == slot:
-            self._pass_token(warps, slot)
+            self._pass_token(row, slot)
 
-    def notify_barrier_release(self, warps, slot):
+    def notify_barrier_release(self, row, slot):
         """Reclaim the token from a frozen later-batch holder.
 
         A barrier-blocked warp is skipped by token passes; if the token
@@ -460,21 +480,16 @@ class GWATScheduler(SchedulerPolicy):
         frozen holder never issued, so the reclaim does not reorder any
         issued atomics.
         """
-        w = warps[slot]
-        if w is None or w.done:
+        act = row.act
+        if not act[slot]:
             return
-        if self._token is None:
-            self._token = slot
-            return
-        holder = warps[self._token]
-        if holder is None or holder.done:
-            self._token = slot
-            return
-        if holder.batch > w.batch:
+        holder = self._token
+        if (holder is None or not act[holder]
+                or row.warps[holder].batch > row.warps[slot].batch):
             self._token = slot
 
-    def _pass_token(self, warps: Sequence[Optional[Warp]], from_slot: int) -> None:
-        """Hand the token to the next warp in (batch, slot-cyclic) order.
+    def _next_holder(self, row: SchedRow, from_slot: int) -> Optional[int]:
+        """The next warp in (batch, slot-cyclic) order after ``from_slot``.
 
         Skips empty slots, exited warps and barrier-blocked warps (see
         module docstring for why skipping preserves determinism).
@@ -485,120 +500,74 @@ class GWATScheduler(SchedulerPolicy):
         holding the token while earlier-batch atomics are pending would
         deadlock against the batch gate.  At any instant live warps span
         at most two consecutive batches and lower-batch warps can never
-        appear after the pass, so the choice is timing-invariant.  If no
-        eligible warp exists the token is dropped; the next
-        ``notify_warp_added`` or barrier release re-seeds it.
+        appear after the pass, so the choice is timing-invariant.
+        ``from_slot`` itself comes last; None if no warp is eligible.
         """
+        n = self.num_slots
+        bar, warps = row.bar, row.warps
         best = None
         best_key = None
-        for step in range(1, self.num_slots + 1):
-            idx = (from_slot + step) % self.num_slots
-            w = warps[idx]
-            if w is None or w.done or w.at_barrier:
+        for i in row.live:
+            if bar[i]:
                 continue
-            key = (w.batch, step)
+            key = (warps[i].batch, (i - from_slot - 1) % n)
             if best_key is None or key < best_key:
-                best, best_key = idx, key
-        self._token = best
+                best, best_key = i, key
+        return best
+
+    def _pass_token(self, row: SchedRow, from_slot: int) -> None:
+        """Hand the token on; if no eligible warp exists it is dropped
+        and the next ``notify_warp_added``, barrier release or select
+        re-seeds it."""
+        self._token = best = self._next_holder(row, from_slot)
         if self.obs is not None:
             self.obs.emit("sched", "token_pass", sm=self.obs_sm,
                           sched=self.obs_id, from_slot=from_slot,
                           to_slot=best)
 
-    def _pass_token_slots(
-        self, slots: Sequence[Optional[WarpStatus]], from_slot: int
-    ) -> None:
-        """Status-based twin of :meth:`_pass_token` for the select path.
-
-        The statuses snapshot ``done``/``at_barrier`` at the top of this
-        very select call and nothing can mutate them before the pass, so
-        the decision is identical — without materializing a warps list
-        and re-reading warp state through the Warp properties.
-        """
-        best = None
-        best_key = None
-        for step in range(1, self.num_slots + 1):
-            idx = (from_slot + step) % self.num_slots
-            s = slots[idx]
-            if s is None or not s.live or s.at_barrier:
-                continue
-            key = (s.warp.batch, step)
-            if best_key is None or key < best_key:
-                best, best_key = idx, key
-        self._token = best
-        if self.obs is not None:
-            self.obs.emit("sched", "token_pass", sm=self.obs_sm,
-                          sched=self.obs_id, from_slot=from_slot,
-                          to_slot=best)
-
-    def _reseed_token(self, slots: Sequence[Optional[WarpStatus]]) -> None:
-        best = None
-        best_key = None
-        for idx in range(self.num_slots):
-            s = slots[idx]
-            if s is not None and s.live and not s.at_barrier:
-                key = (s.warp.batch, idx)
-                if best_key is None or key < best_key:
-                    best, best_key = idx, key
-        if best is not None:
-            self._token = best
-
-    def select(self, now, slots, live=None):
+    def select(self, now, row):
         self.gate_blocked_warp = None
-        if live is None:
-            live = self._live(slots)
-        if not live:
+        if not row.live:
             self._token = None
             return None, STALL_EMPTY
 
         if self._token is None:
             # Token was dropped (everyone was blocked); re-seed it at the
-            # smallest runnable slot — a deterministic choice because the
-            # drop happens only when *all* warps sit at program-order
-            # blocked points.
-            self._reseed_token(slots)
+            # smallest runnable (batch, slot) — a deterministic choice
+            # because the drop happens only when *all* warps sit at
+            # program-order blocked points.
+            self._token = self._next_holder(row, self.num_slots - 1)
 
-        holder = slots[self._token] if self._token is not None else None
-        if holder is not None and (not holder.live):
-            holder = None
-
+        h = self._token
+        if h is not None and not row.act[h]:
+            h = None
         # Highest priority: the token holder's atomic.
-        if (
-            holder is not None
-            and holder.next_atomic
-            and holder.ready
-            and not holder.at_barrier
-        ):
-            if holder.gate_ok:
-                self._pass_token_slots(slots, holder.warp.hw_slot)
-                return holder.warp, None
+        holder_atomic = (h is not None and row.atomic[row.pc[h]]
+                         and not row.bar[h] and row.ready(h, now))
+        if holder_atomic:
+            gate = row.gated.get(h)
+            if gate is None:
+                self._pass_token(row, h)
+                return row.warps[h], None
             # Gated (buffer full / flush): holder keeps the token so the
             # deterministic order is preserved; non-atomic work continues.
-            if (holder.gate_reason or STALL_GATE_BUFFER) == STALL_GATE_BUFFER:
-                self.gate_blocked_warp = holder.warp
+            if gate == STALL_GATE_BUFFER:
+                self.gate_blocked_warp = row.warps[h]
 
-        issuable = [
-            s for s in live
-            if s.ready and not s.at_barrier and not s.next_atomic
-        ]
-        pick = self._gto_pick(issuable, self._gto._last_uid)
-        if pick is not None:
-            self._gto._last_uid = pick.warp.uid
-            return pick.warp, None
+        i = self._gto_pick(row, now, False)
+        if i is not None:
+            return row.warps[i], None
 
-        if (
-            holder is not None
-            and holder.next_atomic
-            and holder.ready
-            and not holder.gate_ok
-        ):
-            return None, holder.gate_reason or STALL_GATE_BUFFER
-        if any(s.ready and s.next_atomic and not s.at_barrier for s in live):
+        if holder_atomic:
+            return None, row.gated[h]
+        bar, pc, atomic = row.bar, row.pc, row.atomic
+        if any(atomic[pc[i]] and not bar[i] and row.ready(i, now)
+               for i in row.live):
             return None, STALL_TOKEN
-        return None, self._fallback_reason(live)
+        return None, self._fallback_reason(row, now)
 
     def reset_for_drain(self):
-        self._gto.reset_for_drain()
+        super().reset_for_drain()
         self._token = None
 
 

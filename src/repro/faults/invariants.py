@@ -27,11 +27,12 @@ paper's Section IV-D flush state machine):
     The run engine's incremental issue state matches a full rescan of
     the warps: every timing-ready warp's scheduler is dirty and
     its SM on the visit agenda, every dirty scheduler's SM is on the
-    agenda, the ``active``/``pc`` cells match the warps, the buffer
-    counters match the buffers, and no fast-forward passes (and no
-    deadlock ignores) an eligible warp's wake time.  Not a protocol
-    guarantee: a failure is always a simulator bug, so no config flag
-    turns it off.
+    agenda, the ``active``/``pc`` cells match the warps, each
+    scheduler's live-slot lists hold the active slots (in slot order,
+    and in ascending warp uid), the buffer counters match the buffers,
+    and no fast-forward passes (and no deadlock ignores) an eligible
+    warp's wake time.  Not a protocol guarantee: a failure is always a
+    simulator bug, so no config flag turns it off.
 
 Violations raise :class:`InvariantViolation` naming the invariant, the
 cycle, the unit (buffer / partition / SM), and — when a fault injector
@@ -312,6 +313,19 @@ class InvariantChecker:
                                    f"warp {w.uid} ready since cycle "
                                    f"{w.ready_cycle} but its scheduler "
                                    f"will not be examined")
+                row = sm.rows[s]
+                live = [i for i, a in enumerate(act) if a]
+                if row.live != live:
+                    self._fail("wake", f"sm.{sm.sm_id}.sched.{s}",
+                               f"live slots {row.live} but active cells "
+                               f"at {live}")
+                order = row.order
+                if sorted(order) != live or any(
+                        table[a].uid > table[b].uid
+                        for a, b in zip(order, order[1:])):
+                    self._fail("wake", f"sm.{sm.sm_id}.sched.{s}",
+                               f"placement order {order} is not the "
+                               f"active slots {live} by warp uid")
         if gpu.flush is not None:
             bufs = [b for sm in gpu.sms for b in sm.buffers]
             counts = (sum(b.non_empty for b in bufs),

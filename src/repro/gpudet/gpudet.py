@@ -142,6 +142,11 @@ class GPUDetController:
         st = self._live[warp.uid]
         if st.reason is not None:
             return False
+        if warp.at_barrier:
+            # Waiting at bar.sync/membar: an atomic right after it must
+            # not end the quantum, or the next serial mode would run it
+            # before the barrier releases.
+            return False
         if warp.next_is_atomic():
             # Atomics may not execute in parallel mode: end the quantum.
             st.reason = "atomic"

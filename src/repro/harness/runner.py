@@ -137,4 +137,5 @@ def run_workload(
             },
             separators=(",", ":"), sort_keys=True,
         )
+    gpu.release()
     return result

@@ -451,6 +451,18 @@ class GPU:
             raise SimulationError("store buffers not drained at checkpoint")
         return self.mem.snapshot_digest()
 
+    def release(self) -> None:
+        """Drop every reference this GPU holds; it is unusable after.
+
+        SMs, clusters and controllers point back at their GPU, so a
+        finished GPU's component graph is cyclic garbage that only a
+        full collection frees, and a process running many simulations
+        (a sweep worker, the engine benchmark) holds several dead GPUs
+        at its peak.  Cutting the GPU's side of every cycle lets
+        reference counting free the graph at once.
+        """
+        self.__dict__.clear()
+
     # ------------------------------------------------------------------
     # Main loop.
     # ------------------------------------------------------------------

@@ -20,17 +20,16 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, TYPE_CHECKING
 
-from repro.arch.isa import Instr, OpClass
+from repro.arch.isa import OpClass
 from repro.arch.kernel import CTA, Kernel
 from repro.arch.warp import Warp
 from repro.core.atomic_buffer import AtomicBuffer, FlushTransaction
 from repro.core.dab import BufferLevel, DABConfig
 from repro.core.schedulers import (
-    DONE_STATUS,
     STALL_GATE_BATCH,
     STALL_GATE_BUFFER,
     STALL_GATE_FLUSH,
-    WarpStatus,
+    SchedRow,
     make_scheduler,
 )
 from repro.memory.cache import SectorCache
@@ -72,6 +71,15 @@ class SM:
         self.sched_slots: List[List[Optional[Warp]]] = [
             [None] * self.slots_per_scheduler for _ in range(self.num_schedulers)
         ]
+        #: what each scheduler's select() reads: its slot table, live
+        #: slots (kept by try_place_cta and _handle_exit) and rows.
+        self.rows: List[SchedRow] = []
+        for s, table in enumerate(self.sched_slots):
+            r = self.row0 + s
+            self.rows.append(SchedRow(
+                table, soa.active[r], soa.at_barrier[r], soa.ready_cycle[r],
+                soa.out_loads[r], soa.out_atoms[r], soa.pc[r],
+            ))
         self.l1 = SectorCache(cfg.l1_cache)
         self.stalls = StallBreakdown()
 
@@ -123,26 +131,11 @@ class SM:
         #: and the first epoch the window covers.
         self._acct_reason: List[Optional[str]] = [None] * ns
         self._acct_epoch = [0] * ns
-        #: the current kernel's instructions (set in begin_kernel; read
-        #: only at live warps' PCs, so stale done-warp PCs from a
-        #: previous kernel are never looked up).
-        self._instrs: List[Instr] = []
         #: baseline-only: a barrier/fence/outstanding transition since
         #: the last _check_baseline_releases poll (property over the
         #: per-SM soa.sm_release_dirty list so GPU call sites are
         #: unchanged).
         self._release_dirty = True
-        #: reusable per-slot status records + per-scheduler status list,
-        #: rewritten in place for examined schedulers (no per-cycle
-        #: allocation); policies do not retain them across select calls.
-        self._status_rows: List[List[WarpStatus]] = [
-            [WarpStatus(None, False, False, False)
-             for _ in range(self.slots_per_scheduler)]
-            for _ in range(ns)
-        ]
-        self._status_lists: List[List[Optional[WarpStatus]]] = [
-            [None] * self.slots_per_scheduler for _ in range(ns)
-        ]
 
     # ------------------------------------------------------------------
     # Kernel / CTA management.
@@ -160,8 +153,11 @@ class SM:
                 f"{self.total_slots} slots"
             )
         self._ctas_per_wave = max(1, self.total_slots // self._warps_per_cta)
-        self._instrs = kernel.program.instrs
-        for sched in self.schedulers:
+        # Read only at live warps' PCs, so stale done-warp PCs from a
+        # previous kernel are never looked up.
+        atomic = [ins.atomic for ins in kernel.program.instrs]
+        for row, sched in zip(self.rows, self.schedulers):
+            row.atomic = atomic
             sched.reset_for_drain()
 
     def _slot_range(self, per_sm_index: int) -> range:
@@ -223,7 +219,9 @@ class SM:
                 warp.capture_addrs = True
             warp.bind_slab(self.soa, self.row0 + sched, local)
             self.sched_slots[sched][local] = warp
-            self.schedulers[sched].notify_warp_added(self.sched_slots[sched], local)
+            row = self.rows[sched]
+            row.add(local)
+            self.schedulers[sched].notify_warp_added(row, local)
             self.live_count += 1
             placed.append(warp)
         self.ctas_placed += 1
@@ -325,60 +323,6 @@ class SM:
                 self._acct_reason[s] = None
                 self.soa.sched_dirty[self.row0 + s] = True
 
-    def _fast_statuses(self, sched: int, now: int):
-        """Per-slot status records for ``select()``, rewritten in place.
-
-        ``None`` for an empty slot, ``DONE_STATUS`` for a finished warp;
-        otherwise the warp is ready when nothing is outstanding, its
-        ready cycle has come and (GPUDet) its quantum lets it issue, and
-        its next atomic is gated (DAB, not at a barrier) by
-        :meth:`_atomic_gate`.  The timing terms are read straight from
-        the scheduler's rows; the GPUDet consult and the atomic gate
-        have per-warp side effects.  Also returns the live-status list
-        (identical to SchedulerPolicy._live) so select() skips a second
-        slot scan.
-        """
-        soa = self.soa
-        r0 = self.row0 + sched
-        act = soa.active[r0]
-        bar = soa.at_barrier[r0]
-        rc = soa.ready_cycle[r0]
-        ol = soa.out_loads[r0]
-        oa = soa.out_atoms[r0]
-        pc_row = soa.pc[r0]
-        rows = self._status_rows[sched]
-        out = self._status_lists[sched]
-        instrs = self._instrs
-        gpudet = self.gpu.gpudet
-        dab = self.dab
-        live = []
-        for i, w in enumerate(self.sched_slots[sched]):
-            if w is None:
-                out[i] = None
-                continue
-            if not act[i]:
-                out[i] = DONE_STATUS
-                continue
-            ready = ol[i] == 0 and oa[i] == 0 and rc[i] <= now
-            if ready and gpudet is not None:
-                ready = gpudet.can_issue(w)
-            next_atomic = instrs[pc_row[i]].atomic
-            at_b = bar[i]
-            gate_ok = True
-            gate_reason = ""
-            if next_atomic and dab is not None and not at_b:
-                gate_ok, gate_reason = self._atomic_gate(w)
-            r = rows[i]
-            r.warp = w
-            r.ready = ready
-            r.at_barrier = at_b
-            r.next_atomic = next_atomic
-            r.gate_ok = gate_ok
-            r.gate_reason = gate_reason
-            out[i] = r
-            live.append(r)
-        return out, live
-
     def issue_cycle_fast(self, now: int, epoch: int) -> int:
         """One issue phase (epoch ``epoch``) over the dirty schedulers.
 
@@ -386,9 +330,10 @@ class SM:
         epoch: ``issued``, or why it could not issue.  A dirty scheduler
         with no timing-ready warp opens a frozen stall window (``mem``
         or ``barrier``) and goes clean; the window is booked in bulk at
-        its next examination.  One with a timing-ready warp runs
-        ``select()`` and stays dirty, so its policy state and gate side
-        effects advance every epoch.
+        its next examination.  One with a timing-ready warp runs the
+        consults (GPUDet's quantum check or DAB's atomic gates) over its
+        live slots, then ``select()``, and stays dirty, so its policy
+        state and the consults' side effects advance every epoch.
         """
         soa = self.soa
         if soa.sm_release_dirty[self.sm_id]:
@@ -398,11 +343,8 @@ class SM:
         left_dirty = False
         base = self.row0
         dirty = soa.sched_dirty
-        act_rows = soa.active
-        bar_rows = soa.at_barrier
-        rc_rows = soa.ready_cycle
-        ol_rows = soa.out_loads
-        oa_rows = soa.out_atoms
+        gpudet = self.gpu.gpudet
+        dab = self.dab
         # The dirty flags are read LIVE: an earlier scheduler of this
         # pass can dirty a later one (e.g. an immediate barrier
         # release), which must be examined within the same cycle.
@@ -420,28 +362,23 @@ class SM:
                 self._acct_reason[s] = None
             dirty[r0] = False
 
-            # Row precheck: the rows are the warps' own storage, so an
-            # earlier scheduler's issue side effects are always observed.
-            act = act_rows[r0]
-            bar = bar_rows[r0]
-            rc = rc_rows[r0]
-            ol = ol_rows[r0]
-            oa = oa_rows[r0]
-            any_live = False
+            # Precheck over the live slots: the rows are the warps' own
+            # storage, so an earlier scheduler's issue side effects are
+            # always observed.
+            row = self.rows[s]
+            live = row.live
+            if not live:
+                continue  # idle scheduler: not counted as a stall slot
+            bar, rc, ol, oa = row.bar, row.rc, row.ol, row.oa
             any_ready = False
             all_barrier = True
-            for i in range(len(act)):
-                if not act[i]:
-                    continue
-                any_live = True
+            for i in live:
                 if bar[i]:
                     continue
                 all_barrier = False
                 if ol[i] == 0 and oa[i] == 0 and rc[i] <= now:
                     any_ready = True
                     break
-            if not any_live:
-                continue  # idle scheduler: not counted as a stall slot
             if not any_ready:
                 # Frozen until a cell write or a due warp_wake entry
                 # dirties the row again.
@@ -449,15 +386,31 @@ class SM:
                 self._acct_epoch[s] = epoch
                 continue
 
-            # A warp is timing-ready: run the full select machinery and
-            # stay dirty — select calls mutate policy state and gate
-            # evaluation has side effects (sticky full bits, GPUDet
-            # quantum ends), so they must happen at every such epoch.
+            # A warp is timing-ready: consult, select and stay dirty —
+            # select calls mutate policy state and the consults have
+            # side effects (GPUDet quantum ends, sticky full bits), so
+            # they must happen at every such epoch.
             dirty[r0] = True
             left_dirty = True
-            statuses, live = self._fast_statuses(s, now)
-            warp, reason = sched.select(now, statuses, live)
-            blocked = getattr(sched, "gate_blocked_warp", None)
+            warps = row.warps
+            if gpudet is not None:
+                held = row.held
+                held.clear()
+                for i in live:
+                    if (ol[i] == 0 and oa[i] == 0 and rc[i] <= now
+                            and not gpudet.can_issue(warps[i])):
+                        held.add(i)
+            elif dab is not None:
+                gated = row.gated
+                gated.clear()
+                pc, atomic = row.pc, row.atomic
+                for i in live:
+                    if atomic[pc[i]] and not bar[i]:
+                        gate = self._atomic_gate(warps[i])
+                        if gate:
+                            gated[i] = gate
+            warp, reason = sched.select(now, row)
+            blocked = sched.gate_blocked_warp
             if blocked is not None:
                 # The policy's deterministic atomic candidate was blocked
                 # on buffer capacity: trip the sticky full bit now (the
@@ -478,7 +431,8 @@ class SM:
             soa.visit_dirty.add(self.sm_id)
         return issued
 
-    def _atomic_gate(self, warp: Warp):
+    def _atomic_gate(self, warp: Warp) -> str:
+        """Why an external gate blocks ``warp``'s next atomic, or ""."""
         ins = warp.peek()
         if ins is not None and ins.op_class is OpClass.MEM_ATOM:
             from repro.sim.gpu import SimulationError
@@ -489,9 +443,9 @@ class SM:
                 "(Section IV-A)"
             )
         if self.gpu.flush is not None and self.gpu.flush.flush_gate_blocked(self.cluster_id):
-            return False, STALL_GATE_FLUSH
+            return STALL_GATE_FLUSH
         if warp.batch > self.current_batch:
-            return False, STALL_GATE_BATCH
+            return STALL_GATE_BATCH
         buf = self.buffer_for(warp)
         ops = warp.peek_red_ops()
         if not buf.can_accept(ops):
@@ -506,8 +460,8 @@ class SM:
             if self._warp_level and not buf.full:
                 buf.mark_full()
                 self.gpu._flush_dirty = True
-            return False, STALL_GATE_BUFFER
-        return True, ""
+            return STALL_GATE_BUFFER
+        return ""
 
     def _issue(self, now: int, warp: Warp) -> None:
         cfg = self.config
@@ -585,8 +539,9 @@ class SM:
             self._release_dirty = True
         cta = warp.cta
         cta.warps_exited += 1
-        table = self.sched_slots[warp.scheduler_id]
-        self.schedulers[warp.scheduler_id].notify_exit(table, warp.hw_slot)
+        row = self.rows[warp.scheduler_id]
+        row.remove(warp.hw_slot)
+        self.schedulers[warp.scheduler_id].notify_exit(row, warp.hw_slot)
         self._advance_batch()
         if cta.done:
             self.gpu.on_cta_done(now, cta)
@@ -628,8 +583,8 @@ class SM:
             # last, which is timing, and would scramble the
             # deterministic atomic order (caught by the conv seed-sweep
             # tests).
-            table = self.sched_slots[warp.scheduler_id]
-            self.schedulers[warp.scheduler_id].notify_barrier(table, warp.hw_slot)
+            self.schedulers[warp.scheduler_id].notify_barrier(
+                self.rows[warp.scheduler_id], warp.hw_slot)
 
     def _maybe_complete_barrier(self, now: int, cta: CTA) -> None:
         if cta not in self._barrier_ctas:
@@ -663,8 +618,8 @@ class SM:
         if self.gpu._poll_releases:
             self._release_dirty = True
         self._fence_warps.append(warp)
-        table = self.sched_slots[warp.scheduler_id]
-        self.schedulers[warp.scheduler_id].notify_barrier(table, warp.hw_slot)
+        self.schedulers[warp.scheduler_id].notify_barrier(
+            self.rows[warp.scheduler_id], warp.hw_slot)
         if self.gpu.flush is not None:
             self.gpu.flush.request_fence_flush()
 
@@ -725,8 +680,8 @@ class SM:
 
     def _notify_releases(self, warps) -> None:
         for w in warps:
-            table = self.sched_slots[w.scheduler_id]
-            self.schedulers[w.scheduler_id].notify_barrier_release(table, w.hw_slot)
+            self.schedulers[w.scheduler_id].notify_barrier_release(
+                self.rows[w.scheduler_id], w.hw_slot)
 
     # ------------------------------------------------------------------
     def _handle_mem(self, now: int, warp: Warp, result) -> None:

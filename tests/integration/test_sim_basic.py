@@ -1,5 +1,8 @@
 """Integration tests: the simulator runs kernels and computes correctly."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -7,9 +10,11 @@ from repro.arch.isa import assemble
 from repro.arch.kernel import Kernel
 from repro.config import GPUConfig
 from repro.core.dab import DABConfig
+from repro.harness.runner import ArchSpec, run_workload
 from repro.memory.globalmem import GlobalMemory
 from repro.sim.gpu import GPU, SimulationError
 from repro.sim.nondet import JitterSource
+from repro.workloads.microbench import build_atomic_sum
 
 from tests.integration.conftest import run_sum
 
@@ -225,3 +230,30 @@ class TestDABBasics:
         ):
             res, value, _ = run_sum(n=256, dab=cfg)
             assert value != 0.0
+
+
+class TestRelease:
+    @pytest.mark.parametrize("arch", [ArchSpec.baseline(),
+                                      ArchSpec.make_dab(),
+                                      ArchSpec.make_gpudet()],
+                             ids=["baseline", "dab", "gpudet"])
+    def test_finished_run_frees_its_gpu_without_the_collector(
+            self, arch, monkeypatch):
+        """run_workload releases its GPU: the SMs die by reference
+        counting, not at the next full cyclic collection."""
+        sms = []
+        init = GPU.__init__
+
+        def spy(gpu, *args, **kwargs):
+            init(gpu, *args, **kwargs)
+            sms.extend(weakref.ref(sm) for sm in gpu.sms)
+
+        monkeypatch.setattr(GPU, "__init__", spy)
+        gc.disable()
+        try:
+            res = run_workload(lambda: build_atomic_sum(n=256), arch,
+                               gpu_config=GPUConfig.tiny())
+            assert sms and all(ref() is None for ref in sms)
+        finally:
+            gc.enable()
+        assert res.instructions > 0

@@ -1,4 +1,4 @@
-"""Property-based tests for scheduler policies under random status
+"""Property-based tests for scheduler policies under random row state
 sequences: no policy may issue a warp that could not issue, and the
 deterministic policies must keep their ordering invariants."""
 
@@ -9,7 +9,7 @@ from repro.arch.kernel import CTA, Kernel
 from repro.arch.warp import Warp
 from repro.core.schedulers import (
     STALL_GATE_BUFFER,
-    WarpStatus,
+    SchedRow,
     make_scheduler,
 )
 
@@ -33,15 +33,22 @@ status_bits = st.tuples(
 )
 
 
-def mk_statuses(warps, bits):
-    out = []
-    for w, (ready, barrier, atomic, gate_ok) in zip(warps, bits):
-        out.append(WarpStatus(
-            w, ready=ready, at_barrier=barrier, next_atomic=atomic,
-            gate_ok=gate_ok,
-            gate_reason="" if gate_ok else STALL_GATE_BUFFER,
-        ))
-    return out
+def mk_row(warps, bits):
+    """A row of live ``warps``: a not-ready warp has a load outstanding,
+    pc 1 is an atomic, and a closed gate blocks an atomic not at a
+    barrier (as the SM's consult pass reports it)."""
+    n = len(warps)
+    r = SchedRow(warps, act=[True] * n,
+                 bar=[barrier for _, barrier, _, _ in bits],
+                 rc=[0] * n, ol=[int(not ready) for ready, *_ in bits],
+                 oa=[0] * n, pc=[int(atomic) for _, _, atomic, _ in bits])
+    r.atomic = (False, True)
+    r.live = list(range(n))
+    r.order = list(range(n))
+    for i, (_, barrier, atomic, gate_ok) in enumerate(bits):
+        if atomic and not barrier and not gate_ok:
+            r.gated[i] = STALL_GATE_BUFFER
+    return r
 
 
 @st.composite
@@ -63,16 +70,16 @@ class TestPolicySafety:
         warps = [mk_warp(i + 1, i) for i in range(nslots)]
         sched = make_scheduler(name, nslots)
         for bits in steps:
-            statuses = mk_statuses(warps, bits)
-            pick, reason = sched.select(0, statuses)
+            row = mk_row(warps, bits)
+            pick, reason = sched.select(0, row)
             if pick is None:
                 assert isinstance(reason, str) and reason
                 continue
-            status = statuses[pick.hw_slot]
-            assert status.ready
-            assert not status.at_barrier
-            if status.next_atomic:
-                assert status.gate_ok, (
+            i = pick.hw_slot
+            assert row.ready(i, 0)
+            assert not row.bar[i]
+            if row.atomic[row.pc[i]]:
+                assert i not in row.gated, (
                     f"{name} issued a gate-blocked atomic warp"
                 )
 
@@ -82,13 +89,14 @@ class TestPolicySafety:
         nslots, steps = seq
         warps = [mk_warp(i + 1, i) for i in range(nslots)]
         sched = make_scheduler("gwat", nslots)
+        placed = mk_row(warps, [(True, False, False, True)] * nslots)
         for w in warps:
-            sched.notify_warp_added(warps, w.hw_slot)
+            sched.notify_warp_added(placed, w.hw_slot)
         for bits in steps:
-            statuses = mk_statuses(warps, bits)
+            row = mk_row(warps, bits)
             token_before = sched.token_slot
-            pick, _ = sched.select(0, statuses)
-            if pick is not None and statuses[pick.hw_slot].next_atomic:
+            pick, _ = sched.select(0, row)
+            if pick is not None and row.atomic[row.pc[pick.hw_slot]]:
                 assert pick.hw_slot == token_before
 
     @given(status_sequences())
@@ -98,7 +106,7 @@ class TestPolicySafety:
         warps = [mk_warp(i + 1, i) for i in range(nslots)]
         sched = make_scheduler("srr", nslots)
         for bits in steps:
-            sched.select(0, mk_statuses(warps, bits))
+            sched.select(0, mk_row(warps, bits))
             assert 0 <= sched._ptr < nslots
 
     @given(status_sequences())
@@ -109,6 +117,6 @@ class TestPolicySafety:
         sched = make_scheduler("gtar", nslots)
         uids = {w.uid for w in warps}
         for bits in steps:
-            sched.select(0, mk_statuses(warps, bits))
-            assert set(sched._pending) <= uids
+            sched.select(0, mk_row(warps, bits))
+            assert {uid for _slot, uid in sched._pending} <= uids
             assert sched._round_open == bool(sched._pending) or not sched._round_open

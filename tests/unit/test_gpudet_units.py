@@ -4,11 +4,15 @@ the controller's live-warp registry."""
 import numpy as np
 import pytest
 
+from repro.arch.isa import assemble
+from repro.arch.kernel import Kernel
 from repro.config import GPUConfig
 from repro.gpudet.gpudet import GPUDetConfig, GPUDetController, StoreBufferView
 from repro.harness.runner import ArchSpec, run_workload
 from repro.memory.globalmem import GlobalMemory
 from repro.memory.store_buffer import StoreBuffer
+from repro.sim.gpu import GPU
+from repro.sim.nondet import JitterSource
 from repro.workloads.bc import build_bc
 from repro.workloads.convolution import build_conv
 
@@ -143,3 +147,50 @@ class TestLiveRegistry:
         run_workload(lambda: build_conv("cnv2_1"), ArchSpec.make_gpudet(),
                      gpu_config=GPUConfig.small(), seed=1)
         assert max(arrived_sms) > 1  # releases on several SMs at once
+
+
+class TestBarrierThenAtomic:
+    """A warp waiting at a barrier must not end its quantum on the
+    atomic behind it: serial mode would run that atomic before the
+    barrier released."""
+
+    PROG = """
+        mov.s32 r_w, %warpid
+        mov.s32 r_l, %laneid
+        setp.eq.s32 p_l0, r_l, 0
+        setp.ne.s32 p_w, r_w, 0
+        and.pred p_do, p_l0, p_w
+    @p_w bra BAR
+        mov.s32 r_i, 0
+    SPIN:
+        add.s32 r_i, r_i, 1
+        setp.lt.s32 p_more, r_i, 60
+    @p_more bra SPIN
+        mov.s32 r_k, 1000
+    @p_l0 st.global.s32 [c_x], r_k
+    BAR:
+        bar.sync
+    @p_do atom.global.add.s32 r_old, [c_x], 1
+        shl.s32 r_o, r_w, 2
+        add.s32 r_a, c_old, r_o
+    @p_do st.global.s32 [r_a], r_old
+        exit
+    """
+
+    @pytest.mark.parametrize("preset", ["tiny", "small", "titan_v"])
+    @pytest.mark.parametrize("seed", [1, 2, 3, 7])
+    def test_post_barrier_atomic_waits_for_release(self, preset, seed):
+        mem = GlobalMemory()
+        x = mem.alloc("x", 1, "s32")
+        old = mem.alloc("old", 8, "s32", init=np.full(8, -1, np.int32))
+        config = getattr(GPUConfig, preset)()
+        gpu = GPU(config, mem, gpudet=GPUDetConfig(quantum_instrs=20),
+                  jitter=JitterSource(seed))
+        # One CTA of 8 warps: warp 0 stores 1000 after a long spin,
+        # warps 1-7 add 1 right after the barrier.
+        gpu.launch(Kernel("k", assemble(self.PROG), grid_dim=1,
+                          cta_dim=8 * config.warp_size,
+                          params={"c_x": x, "c_old": old}))
+        gpu.run()
+        assert mem.buffer("x")[0] == 1007
+        assert all(v >= 1000 for v in mem.buffer("old")[1:])

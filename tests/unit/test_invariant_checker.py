@@ -246,6 +246,21 @@ class TestWake:
         assert v.unit == f"sm.1.sched.{w.scheduler_id}"
         assert f"warp {w.uid}: {cell} cell" in v.detail
 
+    def test_stale_live_slots(self):
+        gpu = placed_gpu()
+        w, _, col = first_warp(gpu, sm_id=1)
+        gpu.sms[1].rows[w.scheduler_id].live.remove(col)  # a lost exit
+        v = raises_wake(gpu.inv.check_issue_agenda, gpu, 0)
+        assert v.unit == f"sm.1.sched.{w.scheduler_id}"
+        assert "live slots" in v.detail
+
+    def test_placement_order_out_of_uid_order(self):
+        gpu = placed_gpu()
+        row = next(r for r in gpu.sms[0].rows if len(r.order) > 1)
+        row.order.reverse()
+        v = raises_wake(gpu.inv.check_issue_agenda, gpu, 0)
+        assert "placement order" in v.detail
+
     @pytest.mark.parametrize("counter",
                              ["buf_nonempty_count", "buf_full_count"])
     def test_skewed_buffer_counter(self, counter):
