@@ -1,9 +1,9 @@
 """Benchmark harness glue.
 
-Every benchmark regenerates one paper table/figure.  Simulation runs are
-deterministic and expensive, so each measurement executes exactly once
-(``rounds=1``) inside pytest-benchmark, and each experiment's table is
-printed and archived under ``benchmarks/results/``.
+``bench_figures.py`` regenerates every paper table/figure.  Simulation
+runs are deterministic and expensive, so each measurement executes
+exactly once (``rounds=1``) inside pytest-benchmark, and each
+experiment's table is printed and archived under ``benchmarks/results/``.
 """
 
 import json

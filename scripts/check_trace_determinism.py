@@ -23,7 +23,8 @@ import sys
 import tempfile
 from pathlib import Path
 
-from repro.cli import PRESETS, parse_arch, parse_workload
+from repro.cli import parse_arch, parse_workload_ref
+from repro.config import GPU_PRESETS
 from repro.harness.runner import run_workload
 from repro.obs import ObsConfig
 
@@ -33,7 +34,7 @@ def main(argv=None) -> int:
     p.add_argument("--workload", default="microbench:256")
     p.add_argument("--arch", default="dab",
                    choices=["baseline", "dab", "gpudet"])
-    p.add_argument("--preset", default="tiny", choices=list(PRESETS))
+    p.add_argument("--preset", default="tiny", choices=list(GPU_PRESETS))
     p.add_argument("--seed", type=int, default=1)
     # parse_arch reads the full `run` flag set; supply the defaults.
     p.add_argument("--scheduler", default="gwat",
@@ -46,9 +47,9 @@ def main(argv=None) -> int:
     p.add_argument("--quantum", type=int, default=200)
     args = p.parse_args(argv)
 
-    factory = parse_workload(args.workload)
+    factory = parse_workload_ref(args.workload)
     arch = parse_arch(args)
-    config = PRESETS[args.preset]()
+    config = GPU_PRESETS[args.preset]()
     obs = ObsConfig(trace=True, trace_capacity=0)
 
     digests, paths = [], []

@@ -13,8 +13,8 @@ Three pieces:
 * :mod:`repro.campaign.spec` — declarative campaign files
   (``repro.campaign/v1`` yaml): figures are named job matrices
   (workload x architecture x seed grids) that compile to the sweep
-  engine's :class:`~repro.harness.sweep.JobSpec` lists, turning the
-  per-figure logic of ``harness/experiments.py`` into data;
+  engine's :class:`~repro.harness.sweep.JobSpec` lists; every paper
+  figure of ``harness/experiments.py`` is such a list of matrices;
 * :mod:`repro.campaign.runner` — ``repro campaign run <yaml>``: routes
   every figure through :func:`repro.harness.sweep.run_jobs` (parallel,
   cached, journaled) and appends each result to the run database from
@@ -27,7 +27,7 @@ Three pieces:
   at different ``--jobs`` levels, yields identical files.
 
 :mod:`repro.campaign.ingest` folds the historical ``BENCH_*.json``
-trajectory files into the database so hot-loop/sweep perf history
+trajectory files into the database so the sweep-speed history
 appears in the dashboard instead of living as orphaned JSON.
 """
 

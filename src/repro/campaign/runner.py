@@ -1,4 +1,5 @@
-"""``repro campaign run``: execute a campaign and persist every job.
+"""``repro campaign run`` and ``repro experiment``: execute a campaign
+and persist every job.
 
 Each figure's job matrix goes through the sweep engine
 (:func:`repro.harness.sweep.run_jobs` — parallel fan-out, the
@@ -9,7 +10,8 @@ writer**: workers never see the database, so the row order — and
 therefore the rendered dashboard — is identical at every ``--jobs``
 level.  Wall-clock and ``created_at`` columns are the one exception
 (they record host time and are never rendered into determinism
-surfaces).
+surfaces).  Each figure's results also come back, in job order, on its
+:class:`FigureSummary` (the paper figures' reducers read them).
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from repro.campaign.spec import Campaign
 from repro.harness.report import Table
 from repro.harness.sweep import code_fingerprint, run_jobs
 from repro.resilience import ResilienceContext
+from repro.sim.results import SimResult
 
 
 @dataclass
@@ -33,6 +36,8 @@ class FigureSummary:
     journal_hits: int
     simulated: int
     quarantined: int = 0
+    #: the figure's results in job order (None for a quarantined job)
+    results: List[Optional[SimResult]] = field(default_factory=list)
 
 
 @dataclass
@@ -130,7 +135,8 @@ def run_campaign(
             results = run_jobs(specs, jobs=jobs, cache=cache,
                                cache_dir=cache_dir, journal=journal,
                                resilience=resilience)
-            fig_sum = FigureSummary(figure.name, len(specs), 0, 0, 0)
+            fig_sum = FigureSummary(figure.name, len(specs), 0, 0, 0,
+                                    results=results)
             for index, (job, result) in enumerate(zip(figure.jobs, results)):
                 if result is None:
                     # Quarantined poison job: record blame, not a result.

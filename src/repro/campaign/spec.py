@@ -3,9 +3,9 @@
 A campaign file names *figures*; each figure is a job matrix — the
 cross product of its workloads, architectures, and seeds — that
 compiles to the sweep engine's :class:`~repro.harness.sweep.JobSpec`
-list.  This turns the per-figure enumeration logic of
-``harness/experiments.py`` into data (the ARMI idiom: settings files
-drive entry points, SNIPPETS.md #1/#3)::
+list.  Every paper figure of ``harness/experiments.py`` is written this
+way, as Python dicts (the ARMI idiom: settings files drive entry
+points, SNIPPETS.md #1/#3)::
 
     schema: repro.campaign/v1
     campaign: fig10_quick
@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional
 
-from repro.config import GPUConfig
+from repro.config import GPU_PRESETS, GPUConfig
 from repro.core.dab import BufferLevel, DABConfig
 from repro.gpudet.gpudet import GPUDetConfig
 from repro.harness.runner import ArchSpec
@@ -52,14 +52,6 @@ from repro.harness.sweep import WORKLOAD_FACTORIES, JobSpec, WorkloadRef
 
 #: Schema tag accepted at the top of a campaign file.
 CAMPAIGN_SCHEMA = "repro.campaign/v1"
-
-#: GPU machine presets addressable from yaml.
-GPU_PRESETS = {
-    "titan_v": GPUConfig.titan_v,
-    "small": GPUConfig.small,
-    "narrow": GPUConfig.narrow,
-    "tiny": GPUConfig.tiny,
-}
 
 
 class CampaignError(ValueError):

@@ -43,8 +43,8 @@ tiny micro-kernels across *every* legal warp interleaving
 determinism per kernel and emitting replay-verified divergence
 witnesses for the baseline as ``repro.mc/v1`` certificates;
 ``experiment`` regenerates one paper
-table/figure by name; ``campaign run`` executes a declarative yaml
-campaign and appends every job to the persistent run database;
+table/figure by name and, like ``campaign run`` (a declarative yaml
+campaign), appends every job to the persistent run database;
 ``report`` renders the database into a static HTML dashboard;
 ``doctor`` scans artifact stores (caches, journals, run databases) for
 corruption, quarantines what it finds, and prints a machine-readable
@@ -64,7 +64,7 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Callable, Dict, Optional
+from typing import Optional
 
 from repro.check.differential import diff_one, run_differential
 from repro.check.mc import (
@@ -75,12 +75,12 @@ from repro.check.mc import (
 )
 from repro.check.presets import CERT_WORKLOADS, DIFF_WORKLOADS, MC_WORKLOADS
 from repro.check.racecert import certify_drf
-from repro.config import GPUConfig
+from repro.config import GPU_PRESETS
 from repro.core.dab import BufferLevel, DABConfig
 from repro.faults import FaultConfig, FaultPlan, InvariantViolation
 from repro.gpudet.gpudet import GPUDetConfig
-from repro.harness import experiments as experiments_mod
 from repro.harness import sweep
+from repro.harness.experiments import FIGURES, run_figure
 from repro.harness.runner import ArchSpec, run_workload
 from repro.harness.sweep import (
     JobSpec,
@@ -95,45 +95,9 @@ from repro.obs.views import (
     render_flush_waterfall,
     render_trace_summary,
 )
-from repro.workloads.bc import build_bc
-from repro.workloads.convolution import (
-    CONV_LAYER_NAMES,
-    GATING_LAYERS,
-    build_conv,
-)
+from repro.workloads.convolution import CONV_LAYER_NAMES, GATING_LAYERS
 from repro.workloads.graphs import TABLE2_GRAPHS
-from repro.workloads.locks import LOCK_ALGORITHMS, build_lock_sum
-from repro.workloads.microbench import build_atomic_sum, build_order_sensitive
-from repro.workloads.pagerank import build_pagerank
-from repro.workloads.sssp import build_sssp
-
-EXPERIMENTS: Dict[str, Callable] = {
-    "fig01": experiments_mod.fig01_rounding,
-    "fig02": experiments_mod.fig02_locks,
-    "fig03": experiments_mod.fig03_gpudet_modes,
-    "fig09": experiments_mod.fig09_correlation,
-    "fig10": experiments_mod.fig10_overall,
-    "fig11": experiments_mod.fig11_schedulers,
-    "fig12": experiments_mod.fig12_capacity,
-    "fig13": experiments_mod.fig13_fusion,
-    "fig14": experiments_mod.fig14_gating,
-    "fig15": experiments_mod.fig15_overheads,
-    "fig16": experiments_mod.fig16_offset,
-    "fig17": experiments_mod.fig17_coalescing,
-    "fig18": experiments_mod.fig18_relaxed,
-    "table1": experiments_mod.table1_config,
-    "table2": experiments_mod.table2_graphs,
-    "table3": experiments_mod.table3_layers,
-    "determinism": experiments_mod.determinism_validation,
-    "ablation-buffer-level": experiments_mod.ablation_buffer_level,
-}
-
-PRESETS = {
-    "titan_v": GPUConfig.titan_v,
-    "small": GPUConfig.small,
-    "narrow": GPUConfig.narrow,
-    "tiny": GPUConfig.tiny,
-}
+from repro.workloads.locks import LOCK_ALGORITHMS
 
 # Exit-code contract (documented in the module docstring; asserted by
 # tests/integration/test_cli_errors.py).  argparse owns 2.
@@ -142,32 +106,12 @@ EXIT_WORKER = 4
 EXIT_DEGRADED = 5
 
 
-def parse_workload(spec: str) -> Callable:
-    """``family[:variant]`` -> workload factory."""
-    family, _, variant = spec.partition(":")
-    if family == "bc":
-        return lambda: build_bc(variant or "FA", 0)
-    if family == "pagerank":
-        return lambda: build_pagerank(variant or "coA", 0)
-    if family == "sssp":
-        return lambda: build_sssp(variant or "FA", 0)
-    if family == "conv":
-        return lambda: build_conv(variant or "cnv2_1")
-    if family == "microbench":
-        n = int(variant) if variant else 1024
-        return lambda: build_atomic_sum(n)
-    if family == "order-sensitive":
-        n = int(variant) if variant else 512
-        return lambda: build_order_sensitive(n)
-    if family == "lock":
-        return lambda: build_lock_sum(variant or "tts", 64)
-    raise SystemExit(
-        f"unknown workload {spec!r}; see `python -m repro list`"
-    )
-
-
 def parse_workload_ref(spec: str) -> WorkloadRef:
-    """``family[:variant]`` -> picklable WorkloadRef (sweep-engine jobs)."""
+    """``family[:variant]`` -> picklable WorkloadRef.
+
+    A ref is itself a zero-argument workload factory, so ``run`` and
+    ``trace`` call it directly and sweep jobs pickle it.
+    """
     family, _, variant = spec.partition(":")
     if family == "bc":
         return WorkloadRef("bc", (variant or "FA", 0))
@@ -254,9 +198,9 @@ def _write_trace(tracer, dest: str) -> None:
 
 
 def cmd_run(args) -> int:
-    factory = parse_workload(args.workload)
+    factory = parse_workload_ref(args.workload)
     arch = parse_arch(args)
-    config = PRESETS[args.preset]()
+    config = GPU_PRESETS[args.preset]()
     obs = parse_obs(args)
     res = run_workload(factory, arch, gpu_config=config, seed=args.seed,
                        obs=obs)
@@ -278,9 +222,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    factory = parse_workload(args.workload)
+    factory = parse_workload_ref(args.workload)
     arch = parse_arch(args)
-    config = PRESETS[args.preset]()
+    config = GPU_PRESETS[args.preset]()
     obs = ObsConfig(trace=True, trace_capacity=args.trace_capacity)
     res = run_workload(factory, arch, gpu_config=config, seed=args.seed,
                        obs=obs)
@@ -305,7 +249,7 @@ def cmd_trace(args) -> int:
 
 def cmd_audit(args) -> int:
     ref = parse_workload_ref(args.workload)
-    config = PRESETS[args.preset]()
+    config = GPU_PRESETS[args.preset]()
     seeds = [int(s) for s in args.seeds.split(",")]
     jobs = getattr(args, "jobs", 1)
     obs = ObsConfig(trace=True, trace_capacity=0) if args.trace_digest else None
@@ -370,7 +314,7 @@ def cmd_chaos(args) -> int:
     each raise a structured :class:`InvariantViolation`.
     """
     ref = parse_workload_ref(args.workload)
-    config = PRESETS[args.preset]()
+    config = GPU_PRESETS[args.preset]()
     if args.seeds < 1:
         raise SystemExit("--seeds must be >= 1")
     plans = [FaultPlan.sample(s) for s in range(1, args.seeds + 1)]
@@ -651,19 +595,15 @@ def cmd_check_mc(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    try:
-        fn = EXPERIMENTS[args.name]
-    except KeyError:
+    """Regenerate one table/figure; its jobs are appended to the run db."""
+    if args.name not in FIGURES:
         raise SystemExit(
-            f"unknown experiment {args.name!r}; one of {sorted(EXPERIMENTS)}"
+            f"unknown experiment {args.name!r}; one of {sorted(FIGURES)}"
         )
-    kwargs = {}
-    if args.quick and "quick" in fn.__code__.co_varnames:
-        kwargs["quick"] = True
     jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
     with sweep.configured(jobs=jobs, cache=not args.no_cache,
                           cache_dir=args.cache_dir):
-        print(fn(**kwargs))
+        print(run_figure(args.name, quick=args.quick))
     return 0
 
 
@@ -753,8 +693,8 @@ def cmd_list(_args) -> int:
     print("  order-sensitive:<n> Section V validation benchmark")
     print(f"  lock:<alg>          algorithms: {', '.join(LOCK_ALGORITHMS)}")
     print("architectures: baseline, dab, gpudet")
-    print(f"machine presets: {', '.join(PRESETS)}")
-    print(f"experiments: {', '.join(sorted(EXPERIMENTS))}")
+    print(f"machine presets: {', '.join(GPU_PRESETS)}")
+    print(f"experiments: {', '.join(sorted(FIGURES))}")
     return 0
 
 
@@ -769,7 +709,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--workload", required=True)
         sp.add_argument("--arch", default="dab",
                         choices=["baseline", "dab", "gpudet"])
-        sp.add_argument("--preset", default="small", choices=list(PRESETS))
+        sp.add_argument("--preset", default="small", choices=list(GPU_PRESETS))
         sp.add_argument("--seed", type=int, default=1)
         sp.add_argument("--scheduler", default="gwat",
                         choices=["srr", "gtrr", "gtar", "gwat"])
@@ -808,7 +748,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     audit_p = sub.add_parser("audit", help="determinism audit across seeds")
     audit_p.add_argument("--workload", default="order-sensitive")
-    audit_p.add_argument("--preset", default="small", choices=list(PRESETS))
+    audit_p.add_argument("--preset", default="small", choices=list(GPU_PRESETS))
     audit_p.add_argument("--seeds", default="1,2,3")
     audit_p.add_argument("--trace-digest", action="store_true",
                          help="also audit trace-file repeatability "
@@ -825,7 +765,7 @@ def build_parser() -> argparse.ArgumentParser:
         "chaos", help="fuzz seeded fault plans; assert DAB/GPUDet "
                       "determinism survives and corruption is detected")
     chaos_p.add_argument("--workload", default="order-sensitive:256")
-    chaos_p.add_argument("--preset", default="tiny", choices=list(PRESETS))
+    chaos_p.add_argument("--preset", default="tiny", choices=list(GPU_PRESETS))
     chaos_p.add_argument("--seeds", type=int, default=10, metavar="N",
                          help="number of sampled fault plans (seeds 1..N)")
     chaos_p.add_argument("--seed", type=int, default=1,

@@ -197,3 +197,12 @@ class GPUConfig:
             ("Interconnect Input Buffer Size", self.icnt_input_buffer_size),
             ("Cluster Ejection Buffer Size", self.cluster_ejection_buffer_size),
         ]
+
+
+#: Machine presets by name (the CLI's ``--preset``, a campaign's ``preset``).
+GPU_PRESETS = {
+    "titan_v": GPUConfig.titan_v,
+    "small": GPUConfig.small,
+    "narrow": GPUConfig.narrow,
+    "tiny": GPUConfig.tiny,
+}

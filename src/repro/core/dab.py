@@ -53,11 +53,6 @@ class DABConfig:
     def __post_init__(self) -> None:
         if self.buffer_entries < 1:
             raise ValueError("buffer_entries must be >= 1")
-        if self.buffer_level is BufferLevel.WARP and self.scheduler != "gto":
-            # Warp-level buffers need no determinism-aware scheduling:
-            # contents are per-warp program order (paper IV-B).  The
-            # paper's "WarpGTO" runs plain GTO.
-            pass
         if self.relax_overlap_flush and not self.relax_no_reorder:
             raise ValueError("overlapping flushes require no-reorder (DAB-NR-OF)")
         if self.relax_cluster_flush and not (
@@ -106,7 +101,12 @@ class DABConfig:
 
     @classmethod
     def warp_level(cls, entries: int = 32) -> "DABConfig":
-        """Per-warp buffers with baseline GTO ("WarpGTO", Fig 11)."""
+        """Per-warp buffers with baseline GTO ("WarpGTO", Fig 11).
+
+        Warp-level buffers need no determinism-aware scheduling: their
+        contents are per-warp program order (paper IV-B), so the paper's
+        "WarpGTO" runs plain GTO.
+        """
         return cls(buffer_level=BufferLevel.WARP, buffer_entries=entries,
                    scheduler="gto")
 

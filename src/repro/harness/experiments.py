@@ -1,15 +1,17 @@
-"""One entry point per paper table/figure (index in DESIGN.md §4).
+"""One entry per paper table/figure (index in DESIGN.md §4).
 
-Every function returns a :class:`repro.harness.report.Table` (or a dict
-of tables) ready to print, plus raw data in ``table.data`` for tests.
-``quick=True`` shrinks workload sets so the full suite stays test-sized.
+:data:`FIGURES` maps each ``repro experiment`` name to a figure.  A
+simulated figure is a list of ``repro.campaign/v1`` figure documents
+(its *matrices*; ``quick=True`` picks test-sized workload sets) plus a
+*reducer* from the result grid to a :class:`repro.harness.report.Table`,
+with raw data in ``table.data`` for tests.  Fig 1 and Table I simulate
+nothing and are plain functions.
 
-Execution goes through the sweep engine (DESIGN.md §9): each experiment
-first *enumerates* its simulations as picklable :class:`JobSpec`s, then
-hands the whole list to :func:`repro.harness.sweep.run_jobs`, which
-parallelizes and caches them.  Results come back in submission order,
-so the assembled tables are byte-identical no matter how many worker
-processes ran the sweep.
+:func:`run_figure` runs the matrices as one campaign
+(:func:`~repro.campaign.runner.run_campaign`): the sweep engine runs and
+caches the jobs (DESIGN.md §9) and the run database records them
+(DESIGN.md §13).  Reducers look results up by name, so the tables are
+byte-identical at any number of worker processes.
 
 Scaling discipline: all workloads run at the recorded reduced scales of
 ``repro.workloads`` on the ``GPUConfig.small()`` machine (8 SMs / 4
@@ -20,22 +22,25 @@ cycle counts (see EXPERIMENTS.md).
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Union
 
+from repro.campaign.rundb import RunDB
+from repro.campaign.runner import CampaignSummary, run_campaign
+from repro.campaign.spec import Campaign, parse_campaign
 from repro.config import GPUConfig
-from repro.core.dab import BufferLevel, DABConfig
+from repro.core.dab import DABConfig
 from repro.fp.decimal_toy import figure1_example
 from repro.harness.hwmodel import analytic_hw_ipc, correlation_and_error
 from repro.harness.report import Table, geomean
-from repro.harness.runner import ArchSpec
-from repro.harness.sweep import JobSpec, WorkloadRef, run_jobs
+from repro.sim.results import SimResult
 from repro.workloads.convolution import CONV_LAYER_NAMES, RESNET_LAYERS
 from repro.workloads.graphs import TABLE2_GRAPHS, generate
 from repro.workloads.locks import LOCK_ALGORITHMS
 
 # ----------------------------------------------------------------------
-# Standard workload sets (name, WorkloadRef).  Scales are chosen so one
-# run completes in roughly a second on the small machine.
+# Standard workload sets (campaign workload entries).  Scales are chosen
+# so one run completes in roughly a second on the small machine.
 # ----------------------------------------------------------------------
 
 GRAPH_SCALES: Dict[str, int] = {
@@ -44,25 +49,107 @@ GRAPH_SCALES: Dict[str, int] = {
 }
 
 
-def graph_workloads(quick: bool = False) -> List[Tuple[str, WorkloadRef]]:
+def graph_workloads(quick: bool = False) -> List[dict]:
     names = ["1k", "FA"] if quick else ["1k", "2k", "FA", "fol", "ama", "CNR"]
-    out: List[Tuple[str, WorkloadRef]] = [
-        (f"BC {n}", WorkloadRef("bc", (n, GRAPH_SCALES[n]))) for n in names
-    ]
-    out.append(
-        ("PRK coA", WorkloadRef("pagerank", ("coA", GRAPH_SCALES["coA"]),
-                                {"iterations": 1 if quick else 2}))
-    )
+    out = [{"name": f"BC {n}", "factory": "bc", "args": [n, GRAPH_SCALES[n]]}
+           for n in names]
+    out.append({"name": "PRK coA", "factory": "pagerank",
+                "args": ["coA", GRAPH_SCALES["coA"]],
+                "kwargs": {"iterations": 1 if quick else 2}})
     return out
 
 
-def conv_workloads(quick: bool = False) -> List[Tuple[str, WorkloadRef]]:
+def conv_workloads(quick: bool = False) -> List[dict]:
     names = ["cnv2_1", "cnv2_2"] if quick else list(CONV_LAYER_NAMES)
-    return [(n, WorkloadRef("conv", (n,))) for n in names]
+    return [_conv(n) for n in names]
 
 
-def all_workloads(quick: bool = False) -> List[Tuple[str, WorkloadRef]]:
+def all_workloads(quick: bool = False) -> List[dict]:
     return graph_workloads(quick) + conv_workloads(quick)
+
+
+def _conv(layer: str) -> dict:
+    return {"name": layer, "factory": "conv", "args": [layer]}
+
+
+# ----------------------------------------------------------------------
+# Architectures (campaign arch entries) and figure documents.  A DAB
+# arch's name is its column header and its label.
+# ----------------------------------------------------------------------
+
+BASELINE = {"name": "baseline", "kind": "baseline"}
+GPUDET = {"name": "GPUDet", "kind": "gpudet"}
+#: GWAT-64-AF, the base of the fusion and flush studies.
+GWAT_64_AF = {"scheduler": "gwat", "buffer_entries": 64, "fusion": True}
+#: GWAT-64-AF-Coalescing, the Fig 10 headline configuration.
+PAPER_DAB = {**GWAT_64_AF, "coalescing": True}
+
+
+def _dab(name: str, **dab) -> dict:
+    return {"name": name, "kind": "dab", "dab": dab}
+
+
+def _matrix(name: str, workloads: List[dict], archs: List[dict],
+            **knobs) -> dict:
+    """One figure document, normalized to the baseline when it runs one
+    beside other archs (the dashboard's slowdown column)."""
+    normalize = "baseline" if BASELINE in archs and len(archs) > 1 else ""
+    return {"name": name, "normalize": normalize, "workloads": workloads,
+            "archs": archs, **knobs}
+
+
+class Grid:
+    """A figure run's results by matrix, workload, arch and seed name."""
+
+    def __init__(self, campaign: Campaign, summary: CampaignSummary) -> None:
+        #: (matrix, workload, arch, seed) -> SimResult
+        self.results: Dict[tuple, SimResult] = {}
+        #: matrix -> workload / arch names, in document order
+        self.workloads: Dict[str, List[str]] = {}
+        self.archs: Dict[str, List[str]] = {}
+        #: arch name -> its DAB config (None for baseline and GPUDet)
+        self.dab_configs: Dict[str, Optional[DABConfig]] = {}
+        for figure, done in zip(campaign.figures, summary.figures):
+            for job, result in zip(figure.jobs, done.results):
+                self.results[figure.name, job.workload, job.arch,
+                             job.seed] = result
+                self.dab_configs[job.arch] = job.spec.arch.dab
+            self.workloads[figure.name] = list(
+                dict.fromkeys(job.workload for job in figure.jobs))
+            self.archs[figure.name] = list(
+                dict.fromkeys(job.arch for job in figure.jobs))
+
+    def __getitem__(self, key: tuple) -> SimResult:
+        """``grid[matrix, workload, arch]``: the seed-1 result."""
+        return self.results[(*key, 1)]
+
+
+def _slowdowns(grid: Grid, matrix: str, title: str, first: str,
+               columns: Optional[List[str]] = None,
+               extra: Optional[Callable[[str], dict]] = None) -> Table:
+    """One row per workload of ``matrix``: each arch's cycles over the
+    baseline's.
+
+    ``columns`` follow the ``first`` (row label) column; by default they
+    are the matrix's archs other than the baseline.  A column is an arch
+    name or a key of ``extra(workload)``, which adds entries to the row.
+    ``table.data`` maps each workload to its row, without the baseline's
+    own 1.0.
+    """
+    archs = grid.archs[matrix]
+    if columns is None:
+        columns = [a for a in archs if a != "baseline"]
+    t = Table(title, [first] + columns)
+    data = {}
+    for wl in grid.workloads[matrix]:
+        base = grid[matrix, wl, "baseline"].cycles
+        row = {a: grid[matrix, wl, a].cycles / base for a in archs}
+        row.update(extra(wl) if extra else {})
+        t.add_row(wl, *(row[c] for c in columns))
+        del row["baseline"]
+        data[wl] = row
+    t.data = data  # type: ignore[attr-defined]
+    return t
 
 
 # ----------------------------------------------------------------------
@@ -85,34 +172,36 @@ def fig01_rounding() -> Table:
 # Figure 2 — atomicAdd on DAB vs locking algorithms on baseline GPU.
 # ----------------------------------------------------------------------
 
-def fig02_locks(sizes: Sequence[int] = (32, 64, 128), quick: bool = False) -> Table:
-    if quick:
-        sizes = (32, 64)
+def _fig02_matrices(quick: bool) -> List[dict]:
+    sizes = (32, 64) if quick else (32, 64, 128)
+    return [
+        _matrix("fig02",
+                [{"name": str(n), "factory": "atomic_sum", "args": [n]}
+                 for n in sizes],
+                [BASELINE, _dab("DAB atomicAdd", **PAPER_DAB)]),
+        _matrix("fig02_locks",
+                [{"name": f"{alg} {n}", "factory": "lock_sum",
+                  "args": [alg, n]}
+                 for n in sizes for alg in LOCK_ALGORITHMS],
+                [BASELINE]),
+    ]
+
+
+def fig02_locks(grid: Grid) -> Table:
     t = Table(
         "Fig 2: atomicAdd (DAB) vs locking algorithms (baseline GPU), "
         "normalized to baseline atomicAdd",
         ["array size", "atomicAdd", "DAB atomicAdd"] + list(LOCK_ALGORITHMS),
     )
-    specs = []
-    for n in sizes:
-        wl = WorkloadRef("atomic_sum", (n,))
-        specs.append(JobSpec(wl, ArchSpec.baseline()))
-        specs.append(JobSpec(wl, ArchSpec.make_dab()))
-        specs.extend(
-            JobSpec(WorkloadRef("lock_sum", (alg, n)), ArchSpec.baseline())
-            for alg in LOCK_ALGORITHMS
-        )
-    results = run_jobs(specs)
-    per_row = 2 + len(LOCK_ALGORITHMS)
     data: Dict[int, Dict[str, float]] = {}
-    for i, n in enumerate(sizes):
-        base, dab, *locks = results[i * per_row:(i + 1) * per_row]
-        row: Dict[str, float] = {"atomicAdd": 1.0,
-                                 "DAB atomicAdd": dab.cycles / base.cycles}
-        for alg, res in zip(LOCK_ALGORITHMS, locks):
-            row[alg] = res.cycles / base.cycles
-        data[n] = row
-        t.add_row(n, 1.0, row["DAB atomicAdd"], *(row[a] for a in LOCK_ALGORITHMS))
+    for n in grid.workloads["fig02"]:
+        base = grid["fig02", n, "baseline"].cycles
+        row = {"atomicAdd": 1.0,
+               "DAB atomicAdd": grid["fig02", n, "DAB atomicAdd"].cycles / base}
+        for alg in LOCK_ALGORITHMS:
+            row[alg] = grid["fig02_locks", f"{alg} {n}", "baseline"].cycles / base
+        data[int(n)] = row
+        t.add_row(n, *row.values())
     t.data = data  # type: ignore[attr-defined]
     return t
 
@@ -121,21 +210,21 @@ def fig02_locks(sizes: Sequence[int] = (32, 64, 128), quick: bool = False) -> Ta
 # Figure 3 — GPUDet execution-mode breakdown.
 # ----------------------------------------------------------------------
 
-def fig03_gpudet_modes(quick: bool = False) -> Table:
-    workloads = graph_workloads(quick)[:3] + conv_workloads(quick)[:3]
+def _fig03_matrices(quick: bool) -> List[dict]:
+    return [_matrix("fig03",
+                    graph_workloads(quick)[:3] + conv_workloads(quick)[:3],
+                    [BASELINE, GPUDET])]
+
+
+def fig03_gpudet_modes(grid: Grid) -> Table:
     t = Table(
         "Fig 3: GPUDet execution mode breakdown (fractions of GPUDet time) "
         "and slowdown vs baseline",
         ["workload", "parallel", "commit", "serial", "slowdown"],
     )
-    specs = []
-    for _name, wl in workloads:
-        specs.append(JobSpec(wl, ArchSpec.baseline()))
-        specs.append(JobSpec(wl, ArchSpec.make_gpudet()))
-    results = run_jobs(specs)
     data = {}
-    for i, (name, _wl) in enumerate(workloads):
-        base, det = results[2 * i], results[2 * i + 1]
+    for name in grid.workloads["fig03"]:
+        base, det = grid["fig03", name, "baseline"], grid["fig03", name, "GPUDet"]
         total = max(1, sum(det.gpudet_mode_cycles.values()))
         fr = {m: det.gpudet_mode_cycles.get(m, 0) / total
               for m in ("parallel", "commit", "serial")}
@@ -162,28 +251,28 @@ def table1_config() -> Table:
     return t
 
 
-def table2_graphs(quick: bool = False) -> Table:
+def _table2_matrices(quick: bool) -> List[dict]:
+    names = ["1k", "FA"] if quick else list(TABLE2_GRAPHS)
+    return [_matrix("table2", [
+        {"name": n, "factory": "pagerank", "args": [n, GRAPH_SCALES[n]],
+         "kwargs": {"iterations": 2}} if n == "coA"
+        else {"name": n, "factory": "bc", "args": [n, GRAPH_SCALES[n]]}
+        for n in names
+    ], [BASELINE])]
+
+
+def table2_graphs(grid: Grid) -> Table:
     t = Table(
         "Table II: graph datasets (paper scale vs simulated scale) "
         "with measured atomics PKI",
         ["graph", "paper nodes", "paper edges", "paper PKI",
          "sim nodes", "sim edges", "sim PKI"],
     )
-    names = ["1k", "FA"] if quick else list(TABLE2_GRAPHS)
-    specs = []
-    for name in names:
-        scale = GRAPH_SCALES[name]
-        if name == "coA":
-            wl = WorkloadRef("pagerank", (name, scale), {"iterations": 2})
-        else:
-            wl = WorkloadRef("bc", (name, scale))
-        specs.append(JobSpec(wl, ArchSpec.baseline()))
-    results = run_jobs(specs)
     data = {}
-    for name, res in zip(names, results):
+    for name in grid.workloads["table2"]:
         spec = TABLE2_GRAPHS[name]
         g = generate(name, GRAPH_SCALES[name])
-        pki = res.atomics_per_kilo_instr
+        pki = grid["table2", name, "baseline"].atomics_per_kilo_instr
         data[name] = {"sim_nodes": g.num_nodes, "sim_edges": g.num_edges,
                       "sim_pki": pki, "paper_pki": spec.paper_atomics_pki}
         t.add_row(name, spec.paper_nodes, spec.paper_edges,
@@ -192,22 +281,21 @@ def table2_graphs(quick: bool = False) -> Table:
     return t
 
 
-def table3_layers(quick: bool = False) -> Table:
+def _table3_matrices(quick: bool) -> List[dict]:
+    return [_matrix("table3", conv_workloads(quick), [BASELINE])]
+
+
+def table3_layers(grid: Grid) -> Table:
     t = Table(
         "Table III: ResNet backward-filter layers (paper dims vs simulated) "
         "with measured atomics PKI",
         ["layer", "paper filter", "paper PKI", "sim filter elems",
          "regions", "CTAs", "sim PKI"],
     )
-    names = ["cnv2_1", "cnv2_2"] if quick else list(CONV_LAYER_NAMES)
-    results = run_jobs(
-        JobSpec(WorkloadRef("conv", (name,)), ArchSpec.baseline())
-        for name in names
-    )
     data = {}
-    for name, res in zip(names, results):
+    for name in grid.workloads["table3"]:
         cfg = RESNET_LAYERS[name]
-        pki = res.atomics_per_kilo_instr
+        pki = grid["table3", name, "baseline"].atomics_per_kilo_instr
         data[name] = {"sim_pki": pki, "paper_pki": cfg.paper_atomics_pki}
         t.add_row(name, cfg.paper_filter, cfg.paper_atomics_pki,
                   cfg.filter_elems, cfg.regions, cfg.grid_dim, pki)
@@ -219,7 +307,11 @@ def table3_layers(quick: bool = False) -> Table:
 # Figure 9 — IPC correlation against the hardware stand-in.
 # ----------------------------------------------------------------------
 
-def fig09_correlation(quick: bool = False) -> Table:
+def _fig09_matrices(quick: bool) -> List[dict]:
+    return [_matrix("fig09", all_workloads(quick), [BASELINE])]
+
+
+def fig09_correlation(grid: Grid) -> Table:
     cfg = GPUConfig.small()
     sims: List[float] = []
     hws: List[float] = []
@@ -227,9 +319,8 @@ def fig09_correlation(quick: bool = False) -> Table:
         "Fig 9: simulator IPC vs hardware-model IPC (stand-in; see DESIGN.md)",
         ["workload", "sim IPC", "hw-model IPC"],
     )
-    workloads = all_workloads(quick)
-    results = run_jobs(JobSpec(wl, ArchSpec.baseline()) for _n, wl in workloads)
-    for (name, _wl), res in zip(workloads, results):
+    for name in grid.workloads["fig09"]:
+        res = grid["fig09", name, "baseline"]
         hw = analytic_hw_ipc(res, cfg)
         sims.append(res.ipc)
         hws.append(hw)
@@ -246,29 +337,21 @@ def fig09_correlation(quick: bool = False) -> Table:
 # Figure 10 — overall performance.
 # ----------------------------------------------------------------------
 
-def fig10_overall(quick: bool = False) -> Table:
-    t = Table(
+def _fig10_matrices(quick: bool) -> List[dict]:
+    return [_matrix("fig10", all_workloads(quick),
+                    [BASELINE, _dab("DAB", **PAPER_DAB), GPUDET])]
+
+
+def fig10_overall(grid: Grid) -> Table:
+    t = _slowdowns(
+        grid, "fig10",
         "Fig 10: DAB (GWAT-64-AF-Coalescing) and GPUDet, "
         "normalized to the non-deterministic baseline (lower is better)",
-        ["workload", "baseline", "DAB", "GPUDet"],
+        "workload", ["baseline", "DAB", "GPUDet"],
     )
-    workloads = all_workloads(quick)
-    archs = (ArchSpec.baseline(), ArchSpec.make_dab(), ArchSpec.make_gpudet())
-    results = run_jobs(
-        JobSpec(wl, arch) for _n, wl in workloads for arch in archs
-    )
-    data = {}
-    for i, (name, _wl) in enumerate(workloads):
-        base, dab, det = results[3 * i:3 * i + 3]
-        row = {"DAB": dab.cycles / base.cycles,
-               "GPUDet": det.cycles / base.cycles}
-        data[name] = row
-        t.add_row(name, 1.0, row["DAB"], row["GPUDet"])
-    gm_dab = geomean([r["DAB"] for r in data.values()])
-    gm_det = geomean([r["GPUDet"] for r in data.values()])
-    t.add_row("geomean", 1.0, gm_dab, gm_det)
-    data["geomean"] = {"DAB": gm_dab, "GPUDet": gm_det}
-    t.data = data  # type: ignore[attr-defined]
+    gm = {a: geomean([r[a] for r in t.data.values()]) for a in ("DAB", "GPUDet")}
+    t.add_row("geomean", 1.0, gm["DAB"], gm["GPUDet"])
+    t.data["geomean"] = gm
     return t
 
 
@@ -276,159 +359,108 @@ def fig10_overall(quick: bool = False) -> Table:
 # Figure 11 — scheduling policies.
 # ----------------------------------------------------------------------
 
-def _dab_variants_fig11(entries: int = 256) -> List[Tuple[str, DABConfig]]:
-    variants = [("WarpGTO", DABConfig(buffer_level=BufferLevel.WARP,
-                                      buffer_entries=32, scheduler="gto"))]
-    for sched in ("srr", "gtrr", "gtar", "gwat"):
-        variants.append(
-            (sched.upper(), DABConfig(buffer_entries=entries, scheduler=sched))
-        )
-    return variants
-
-
-def fig11_schedulers(quick: bool = False, entries: int = 256) -> Table:
-    # The policy study runs on the "narrow" machine (2 SMs, 8 slots per
-    # scheduler) so schedulers actually face multiple warps — the
-    # saturated-SM regime where the paper's Fig 11 differences appear.
-    cfg_gpu = GPUConfig.narrow()
-    variants = _dab_variants_fig11(entries)
-    t = Table(
-        f"Fig 11: scheduling policies (scheduler-level {entries}-entry "
-        "buffers, narrow machine), normalized to baseline",
-        ["workload"] + [v[0] for v in variants],
-    )
+def _fig11_matrices(quick: bool) -> List[dict]:
     # The narrow machine is slow to simulate (everything serializes onto
     # two SMs); use one representative per workload class.
     if quick:
-        selected = all_workloads(True)
+        workloads = all_workloads(True)
     else:
         picks = {"BC 1k", "BC FA", "PRK coA", "cnv2_1", "cnv2_2", "cnv3_3"}
-        selected = [(n, wl) for n, wl in all_workloads(False) if n in picks]
-    specs = []
-    for _name, wl in selected:
-        specs.append(JobSpec(wl, ArchSpec.baseline(), gpu=cfg_gpu))
-        specs.extend(
-            JobSpec(wl, ArchSpec.make_dab(cfg, label=label), gpu=cfg_gpu)
-            for label, cfg in variants
-        )
-    results = run_jobs(specs)
-    per_row = 1 + len(variants)
-    data = {}
-    for i, (name, _wl) in enumerate(selected):
-        base, *rest = results[i * per_row:(i + 1) * per_row]
-        row = {label: res.cycles / base.cycles
-               for (label, _cfg), res in zip(variants, rest)}
-        data[name] = row
-        t.add_row(name, *(row[v[0]] for v in variants))
-    t.data = data  # type: ignore[attr-defined]
-    return t
+        workloads = [w for w in all_workloads(False) if w["name"] in picks]
+    archs = [BASELINE, _dab("WarpGTO", buffer_level="warp",
+                            buffer_entries=32, scheduler="gto")]
+    archs += [_dab(s.upper(), buffer_entries=256, scheduler=s)
+              for s in ("srr", "gtrr", "gtar", "gwat")]
+    # The policy study runs on the "narrow" machine (2 SMs, 8 slots per
+    # scheduler) so schedulers actually face multiple warps — the
+    # saturated-SM regime where the paper's Fig 11 differences appear.
+    return [_matrix("fig11", workloads, archs, preset="narrow")]
+
+
+def fig11_schedulers(grid: Grid) -> Table:
+    return _slowdowns(
+        grid, "fig11",
+        "Fig 11: scheduling policies (scheduler-level 256-entry "
+        "buffers, narrow machine), normalized to baseline", "workload")
 
 
 # ----------------------------------------------------------------------
 # Figure 12 — buffer capacity.
 # ----------------------------------------------------------------------
 
-def fig12_capacity(quick: bool = False,
-                   capacities: Sequence[int] = (32, 64, 128, 256)) -> Table:
-    t = Table(
+def _fig12_matrices(quick: bool) -> List[dict]:
+    return [_matrix("fig12", all_workloads(quick), [BASELINE] + [
+        _dab(f"GWAT-{c}", buffer_entries=c, scheduler="gwat")
+        for c in (32, 64, 128, 256)
+    ])]
+
+
+def fig12_capacity(grid: Grid) -> Table:
+    return _slowdowns(
+        grid, "fig12",
         "Fig 12: GWAT buffer capacity sweep, normalized to baseline",
-        ["workload"] + [f"GWAT-{c}" for c in capacities],
-    )
-    workloads = all_workloads(quick)
-    specs = []
-    for _name, wl in workloads:
-        specs.append(JobSpec(wl, ArchSpec.baseline()))
-        specs.extend(
-            JobSpec(wl, ArchSpec.make_dab(
-                DABConfig(buffer_entries=cap, scheduler="gwat")))
-            for cap in capacities
-        )
-    results = run_jobs(specs)
-    per_row = 1 + len(capacities)
-    data = {}
-    for i, (name, _wl) in enumerate(workloads):
-        base, *rest = results[i * per_row:(i + 1) * per_row]
-        row = {cap: res.cycles / base.cycles
-               for cap, res in zip(capacities, rest)}
-        data[name] = row
-        t.add_row(name, *(row[c] for c in capacities))
-    t.data = data  # type: ignore[attr-defined]
-    return t
+        "workload")
 
 
 # ----------------------------------------------------------------------
 # Figure 13 — atomic fusion.
 # ----------------------------------------------------------------------
 
-def fig13_fusion(quick: bool = False,
-                 capacities: Sequence[int] = (32, 64)) -> Table:
-    cols = []
-    for c in capacities:
-        cols += [f"GWAT-{c}", f"GWAT-{c}-AF"]
-    t = Table("Fig 13: atomic fusion on scheduler-level buffering, "
-              "normalized to baseline", ["workload"] + cols)
-    workloads = all_workloads(quick)
-    combos = [(cap, fusion) for cap in capacities for fusion in (False, True)]
-    specs = []
-    for _name, wl in workloads:
-        specs.append(JobSpec(wl, ArchSpec.baseline()))
-        specs.extend(
-            JobSpec(wl, ArchSpec.make_dab(
-                DABConfig(buffer_entries=cap, scheduler="gwat", fusion=fusion)))
-            for cap, fusion in combos
-        )
-    results = run_jobs(specs)
-    per_row = 1 + len(combos)
-    data = {}
-    for i, (name, _wl) in enumerate(workloads):
-        base, *rest = results[i * per_row:(i + 1) * per_row]
-        row = {}
-        cells = []
-        for (cap, fusion), res in zip(combos, rest):
-            key = f"GWAT-{cap}{'-AF' if fusion else ''}"
-            row[key] = res.cycles / base.cycles
-            row[key + "_fused"] = res.fused_atomics
-            cells.append(row[key])
-        data[name] = row
-        t.add_row(name, *cells)
-    t.data = data  # type: ignore[attr-defined]
-    return t
+def _fig13_matrices(quick: bool) -> List[dict]:
+    return [_matrix("fig13", all_workloads(quick), [BASELINE] + [
+        _dab(f"GWAT-{c}{'-AF' if fusion else ''}", buffer_entries=c,
+             scheduler="gwat", fusion=fusion)
+        for c in (32, 64) for fusion in (False, True)
+    ])]
+
+
+def fig13_fusion(grid: Grid) -> Table:
+    return _slowdowns(
+        grid, "fig13",
+        "Fig 13: atomic fusion on scheduler-level buffering, "
+        "normalized to baseline", "workload",
+        extra=lambda wl: {f"{a}_fused": grid["fig13", wl, a].fused_atomics
+                          for a in grid.archs["fig13"][1:]})
 
 
 # ----------------------------------------------------------------------
 # Figure 14 — "gating" SMs for fusion alignment.
 # ----------------------------------------------------------------------
 
-def fig14_gating(quick: bool = False) -> Table:
-    layers = ["cnv2_2g"] if quick else ["cnv2_2g", "cnv3_2g", "cnv4_2g"]
+def _fig14_matrices(quick: bool) -> List[dict]:
+    layers = [_conv(n) for n in
+              (["cnv2_2g"] if quick else ["cnv2_2g", "cnv3_2g", "cnv4_2g"])]
     full = GPUConfig.small()                       # 8 SMs: 18 % 8 != 0
     gated = full.replace(num_clusters=3)           # 6 SMs: 18 % 6 == 0
-    cfg = DABConfig(buffer_entries=64, scheduler="gwat", fusion=True)
+    return [
+        _matrix("fig14", layers,
+                [BASELINE, _dab(f"{full.num_sms} SMs", **GWAT_64_AF)]),
+        _matrix("fig14_gated", layers,
+                [_dab(f"{gated.num_sms} SMs (gated)", **GWAT_64_AF)],
+                gpu={"num_clusters": 3}),
+    ]
+
+
+def fig14_gating(grid: Grid) -> Table:
+    full, gated = grid.archs["fig14"][1], grid.archs["fig14_gated"][0]
     t = Table(
         "Fig 14: gating SMs so same-region CTAs share a scheduler "
         "(GWAT-64-AF), normalized to the full-machine baseline",
-        ["layer", f"{full.num_sms} SMs", f"{gated.num_sms} SMs (gated)",
-         "fused (full)", "fused (gated)"],
+        ["layer", full, gated, "fused (full)", "fused (gated)"],
     )
-    specs = []
-    for layer in layers:
-        wl = WorkloadRef("conv", (layer,))
-        specs.append(JobSpec(wl, ArchSpec.baseline(), gpu=full))
-        specs.append(JobSpec(wl, ArchSpec.make_dab(cfg), gpu=full))
-        specs.append(JobSpec(wl, ArchSpec.make_dab(cfg), gpu=gated))
-    results = run_jobs(specs)
     data = {}
-    for i, layer in enumerate(layers):
-        base, res_full, res_gated = results[3 * i:3 * i + 3]
+    for layer in grid.workloads["fig14"]:
+        base = grid["fig14", layer, "baseline"].cycles
+        res_full = grid["fig14", layer, full]
+        res_gated = grid["fig14_gated", layer, gated]
         row = {
-            "full": res_full.cycles / base.cycles,
-            "gated": res_gated.cycles / base.cycles,
+            "full": res_full.cycles / base,
+            "gated": res_gated.cycles / base,
             "fused_full": res_full.fused_atomics,
             "fused_gated": res_gated.fused_atomics,
         }
         data[layer] = row
-        t.add_row(layer, row["full"], row["gated"],
-                  row["fused_full"], row["fused_gated"])
+        t.add_row(layer, *row.values())
     t.data = data  # type: ignore[attr-defined]
     return t
 
@@ -437,7 +469,11 @@ def fig14_gating(quick: bool = False) -> Table:
 # Figure 15 — DAB overhead breakdown.
 # ----------------------------------------------------------------------
 
-def fig15_overheads(quick: bool = False) -> Table:
+def _fig15_matrices(quick: bool) -> List[dict]:
+    return [_matrix("fig15", all_workloads(quick), [_dab("DAB", **PAPER_DAB)])]
+
+
+def fig15_overheads(grid: Grid) -> Table:
     buckets = ("issued", "mem", "barrier", "inorder", "token", "round",
                "buffer_full", "flush", "batch")
     t = Table(
@@ -445,12 +481,9 @@ def fig15_overheads(quick: bool = False) -> Table:
         "(fraction of slots)",
         ["workload"] + list(buckets),
     )
-    workloads = all_workloads(quick)
-    results = run_jobs(
-        JobSpec(wl, ArchSpec.make_dab()) for _n, wl in workloads
-    )
     data = {}
-    for (name, _wl), res in zip(workloads, results):
+    for name in grid.workloads["fig15"]:
+        res = grid["fig15", name, "DAB"]
         d = res.stalls.as_dict()
         total = max(1, res.stalls.total)
         fr = {k: d[k] / total for k in buckets}
@@ -464,67 +497,46 @@ def fig15_overheads(quick: bool = False) -> Table:
 # Figure 16 — offset flushing.
 # ----------------------------------------------------------------------
 
-def fig16_offset(quick: bool = False) -> Table:
+def _fig16_matrices(quick: bool) -> List[dict]:
     layers = ["cnv2_3"] if quick else ["cnv2_3", "cnv3_3"]
-    t = Table(
+    return [_matrix("fig16", [_conv(n) for n in layers], [
+        BASELINE,
+        _dab("GWAT-64-AF", **GWAT_64_AF),
+        _dab("GWAT-64-AF + offset", **GWAT_64_AF, offset_flush=True),
+    ])]
+
+
+def fig16_offset(grid: Grid) -> Table:
+    return _slowdowns(
+        grid, "fig16",
         "Fig 16: offset flushing on GWAT-64-AF, normalized to baseline",
-        ["layer", "GWAT-64-AF", "GWAT-64-AF + offset"],
-    )
-    plain = DABConfig(buffer_entries=64, scheduler="gwat", fusion=True)
-    offset = DABConfig(buffer_entries=64, scheduler="gwat", fusion=True,
-                       offset_flush=True)
-    specs = []
-    for layer in layers:
-        wl = WorkloadRef("conv", (layer,))
-        specs.append(JobSpec(wl, ArchSpec.baseline()))
-        specs.append(JobSpec(wl, ArchSpec.make_dab(plain)))
-        specs.append(JobSpec(wl, ArchSpec.make_dab(offset)))
-    results = run_jobs(specs)
-    data = {}
-    for i, layer in enumerate(layers):
-        base, r0, r1 = results[3 * i:3 * i + 3]
-        row = {"plain": r0.cycles / base.cycles,
-               "offset": r1.cycles / base.cycles}
-        data[layer] = row
-        t.add_row(layer, row["plain"], row["offset"])
-    t.data = data  # type: ignore[attr-defined]
-    return t
+        "layer")
 
 
 # ----------------------------------------------------------------------
 # Figure 17 — flush coalescing.
 # ----------------------------------------------------------------------
 
-def fig17_coalescing(quick: bool = False) -> Table:
-    t = Table(
+def _fig17_matrices(quick: bool) -> List[dict]:
+    return [_matrix("fig17", conv_workloads(quick), [
+        BASELINE,
+        _dab("GWAT-64-AF", **GWAT_64_AF),
+        _dab("GWAT-64-AF-Coal", **GWAT_64_AF, coalescing=True),
+    ])]
+
+
+def fig17_coalescing(grid: Grid) -> Table:
+    archs = ["GWAT-64-AF", "GWAT-64-AF-Coal"]
+    packets = ["icnt packets", "packets w/ coal"]
+    t = _slowdowns(
+        grid, "fig17",
         "Fig 17: coalescing buffer flushes on convolutions (GWAT-64-AF), "
-        "normalized to baseline",
-        ["layer", "GWAT-64-AF", "GWAT-64-AF-Coal", "icnt packets", "packets w/ coal"],
-    )
-    plain = DABConfig(buffer_entries=64, scheduler="gwat", fusion=True)
-    coal = DABConfig(buffer_entries=64, scheduler="gwat", fusion=True,
-                     coalescing=True)
-    workloads = conv_workloads(quick)
-    specs = []
-    for _name, wl in workloads:
-        specs.append(JobSpec(wl, ArchSpec.baseline()))
-        specs.append(JobSpec(wl, ArchSpec.make_dab(plain)))
-        specs.append(JobSpec(wl, ArchSpec.make_dab(coal)))
-    results = run_jobs(specs)
-    data = {}
-    for i, (name, _wl) in enumerate(workloads):
-        base, r0, r1 = results[3 * i:3 * i + 3]
-        row = {"plain": r0.cycles / base.cycles,
-               "coal": r1.cycles / base.cycles,
-               "pkts_plain": r0.icnt_packets, "pkts_coal": r1.icnt_packets}
-        data[name] = row
-        t.add_row(name, row["plain"], row["coal"],
-                  row["pkts_plain"], row["pkts_coal"])
-    gm = {"plain": geomean([r["plain"] for r in data.values()]),
-          "coal": geomean([r["coal"] for r in data.values()])}
-    t.add_row("geomean", gm["plain"], gm["coal"], "", "")
-    data["geomean"] = gm
-    t.data = data  # type: ignore[attr-defined]
+        "normalized to baseline", "layer", archs + packets,
+        extra=lambda wl: {p: grid["fig17", wl, a].icnt_packets
+                          for p, a in zip(packets, archs)})
+    gm = {a: geomean([r[a] for r in t.data.values()]) for a in archs}
+    t.add_row("geomean", *gm.values(), "", "")
+    t.data["geomean"] = gm
     return t
 
 
@@ -532,86 +544,55 @@ def fig17_coalescing(quick: bool = False) -> Table:
 # Figure 18 — limitation study (relaxed constraints).
 # ----------------------------------------------------------------------
 
-def fig18_relaxed(quick: bool = False) -> Table:
-    variants = [
-        ("DAB", DABConfig(buffer_entries=64, scheduler="gwat", fusion=True)),
-        ("DAB-NR", DABConfig(buffer_entries=64, scheduler="gwat", fusion=True,
-                             relax_no_reorder=True)),
-        ("DAB-NR-OF", DABConfig(buffer_entries=64, scheduler="gwat",
-                                fusion=True, relax_no_reorder=True,
-                                relax_overlap_flush=True)),
-        ("DAB-NR-CIF", DABConfig(buffer_entries=64, scheduler="gwat",
-                                 fusion=True, relax_no_reorder=True,
-                                 relax_overlap_flush=True,
-                                 relax_cluster_flush=True)),
-    ]
-    names = (graph_workloads(quick)[:3] + conv_workloads(quick)[:3]) if not quick \
-        else all_workloads(True)
-    t = Table(
+def _fig18_matrices(quick: bool) -> List[dict]:
+    workloads = all_workloads(True) if quick \
+        else graph_workloads(False)[:3] + conv_workloads(False)[:3]
+    nr = {**GWAT_64_AF, "relax_no_reorder": True}
+    of = {**nr, "relax_overlap_flush": True}
+    return [_matrix("fig18", workloads, [
+        BASELINE,
+        _dab("DAB", **GWAT_64_AF),
+        _dab("DAB-NR", **nr),
+        _dab("DAB-NR-OF", **of),
+        _dab("DAB-NR-CIF", **of, relax_cluster_flush=True),
+    ])]
+
+
+def fig18_relaxed(grid: Grid) -> Table:
+    return _slowdowns(
+        grid, "fig18",
         "Fig 18: DAB with constraints relaxed (non-deterministic), "
-        "normalized to baseline",
-        ["workload"] + [v[0] for v in variants],
-    )
-    specs = []
-    for _name, wl in names:
-        specs.append(JobSpec(wl, ArchSpec.baseline()))
-        specs.extend(
-            JobSpec(wl, ArchSpec.make_dab(cfg, label=label))
-            for label, cfg in variants
-        )
-    results = run_jobs(specs)
-    per_row = 1 + len(variants)
-    data = {}
-    for i, (name, _wl) in enumerate(names):
-        base, *rest = results[i * per_row:(i + 1) * per_row]
-        row = {label: res.cycles / base.cycles
-               for (label, _cfg), res in zip(variants, rest)}
-        data[name] = row
-        t.add_row(name, *(row[v[0]] for v in variants))
-    t.data = data  # type: ignore[attr-defined]
-    return t
+        "normalized to baseline", "workload")
 
 
 # ----------------------------------------------------------------------
 # Ablation: warp-level vs scheduler-level buffering (Section VI-A).
 # ----------------------------------------------------------------------
 
-def ablation_buffer_level(quick: bool = False) -> Table:
+def _ablation_matrices(quick: bool) -> List[dict]:
+    return [_matrix("ablation-buffer-level", all_workloads(quick), [
+        BASELINE,
+        _dab("warp-level", buffer_level="warp", buffer_entries=32,
+             scheduler="gto"),
+        _dab("scheduler-level", buffer_entries=32, scheduler="gwat"),
+    ])]
+
+
+def ablation_buffer_level(grid: Grid) -> Table:
     """Paper VI-A: "Scheduler-level buffering performs similarly to
     warp-level buffering but could reduce area overhead up to 16x"."""
-    warp = DABConfig(buffer_level=BufferLevel.WARP, buffer_entries=32,
-                     scheduler="gto")
-    sched = DABConfig(buffer_entries=32, scheduler="gwat")
-    t = Table(
+    t = _slowdowns(
+        grid, "ablation-buffer-level",
         "Ablation: warp-level (32-entry, GTO) vs scheduler-level "
         "(32-entry, GWAT) buffering — slowdown vs baseline and per-SM area",
-        ["workload", "warp-level", "scheduler-level"],
-    )
+        "workload")
     # Area reported at paper scale (64 warps / 4 schedulers per SM,
     # Table I): that's where the 16x reduction comes from.
     paper_cfg = GPUConfig.titan_v()
-    data = {
-        "area_bytes_per_sm": {
-            "warp-level": warp.area_bytes_per_sm(paper_cfg),
-            "scheduler-level": sched.area_bytes_per_sm(paper_cfg),
-        }
-    }
-    workloads = all_workloads(quick)
-    specs = []
-    for _name, wl in workloads:
-        specs.append(JobSpec(wl, ArchSpec.baseline()))
-        specs.append(JobSpec(wl, ArchSpec.make_dab(warp)))
-        specs.append(JobSpec(wl, ArchSpec.make_dab(sched)))
-    results = run_jobs(specs)
-    for i, (name, _wl) in enumerate(workloads):
-        base, rw, rs = results[3 * i:3 * i + 3]
-        row = {"warp-level": rw.cycles / base.cycles,
-               "scheduler-level": rs.cycles / base.cycles}
-        data[name] = row
-        t.add_row(name, row["warp-level"], row["scheduler-level"])
-    area = data["area_bytes_per_sm"]
-    t.add_row("area bytes/SM", area["warp-level"], area["scheduler-level"])
-    t.data = data  # type: ignore[attr-defined]
+    area = {a: grid.dab_configs[a].area_bytes_per_sm(paper_cfg)
+            for a in ("warp-level", "scheduler-level")}
+    t.add_row("area bytes/SM", *area.values())
+    t.data["area_bytes_per_sm"] = area
     return t
 
 
@@ -619,28 +600,85 @@ def ablation_buffer_level(quick: bool = False) -> Table:
 # Section V determinism validation.
 # ----------------------------------------------------------------------
 
-def determinism_validation(seeds: Sequence[int] = (1, 2, 3, 4, 5)) -> Table:
+def _determinism_matrices(quick: bool) -> List[dict]:
     # Heavy jitter + a large order-sensitive reduction: enough timing
     # perturbation that the baseline visibly scrambles its f32 result.
-    # The whole (arch x seed) matrix goes through the sweep engine as
-    # one job list, so the five-seed audit parallelizes too.
-    wl = WorkloadRef("order_sensitive", (2048,))
+    # Row labels are the arch names.
+    return [_matrix(
+        "determinism",
+        [{"name": "order_sensitive", "factory": "order_sensitive",
+          "args": [2048]}],
+        [BASELINE, _dab("DAB-GWAT-64-AF-Coal", **PAPER_DAB), GPUDET],
+        normalize="", seeds=[1, 2, 3, 4, 5], jitter_dram=48, jitter_icnt=24,
+    )]
+
+
+def determinism_validation(grid: Grid) -> Table:
     t = Table(
         "Section V validation: bitwise output digests across jitter seeds",
         ["architecture", "distinct digests", "deterministic"],
     )
-    archs = (ArchSpec.baseline(), ArchSpec.make_dab(), ArchSpec.make_gpudet())
-    results = run_jobs(
-        JobSpec(wl, arch, seed=s, jitter_dram=48, jitter_icnt=24)
-        for arch in archs for s in seeds
-    )
     data = {}
-    n = len(list(seeds))
-    for i, arch in enumerate(archs):
+    for arch in grid.archs["determinism"]:
         digests = {r.extra["output_digest"]
-                   for r in results[i * n:(i + 1) * n]}
+                   for (_m, _w, a, _s), r in grid.results.items() if a == arch}
         det = len(digests) == 1
-        data[arch.label] = {"distinct": len(digests), "deterministic": det}
-        t.add_row(arch.label, len(digests), det)
+        data[arch] = {"distinct": len(digests), "deterministic": det}
+        t.add_row(arch, len(digests), det)
     t.data = data  # type: ignore[attr-defined]
     return t
+
+
+# ----------------------------------------------------------------------
+# The registry and its runner.
+# ----------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class SimFigure:
+    """A simulated figure: its matrices and the reducer to its table."""
+
+    #: quick -> the figure's ``repro.campaign/v1`` figure documents
+    matrices: Callable[[bool], List[dict]]
+    #: result grid -> the figure's table, raw data in ``table.data``
+    reduce: Callable[[Grid], Table]
+
+
+#: ``repro experiment`` name -> figure (plain functions simulate nothing).
+FIGURES: Dict[str, Union[SimFigure, Callable[[], Table]]] = {
+    "fig01": fig01_rounding,
+    "fig02": SimFigure(_fig02_matrices, fig02_locks),
+    "fig03": SimFigure(_fig03_matrices, fig03_gpudet_modes),
+    "fig09": SimFigure(_fig09_matrices, fig09_correlation),
+    "fig10": SimFigure(_fig10_matrices, fig10_overall),
+    "fig11": SimFigure(_fig11_matrices, fig11_schedulers),
+    "fig12": SimFigure(_fig12_matrices, fig12_capacity),
+    "fig13": SimFigure(_fig13_matrices, fig13_fusion),
+    "fig14": SimFigure(_fig14_matrices, fig14_gating),
+    "fig15": SimFigure(_fig15_matrices, fig15_overheads),
+    "fig16": SimFigure(_fig16_matrices, fig16_offset),
+    "fig17": SimFigure(_fig17_matrices, fig17_coalescing),
+    "fig18": SimFigure(_fig18_matrices, fig18_relaxed),
+    "table1": table1_config,
+    "table2": SimFigure(_table2_matrices, table2_graphs),
+    "table3": SimFigure(_table3_matrices, table3_layers),
+    "determinism": SimFigure(_determinism_matrices, determinism_validation),
+    "ablation-buffer-level": SimFigure(_ablation_matrices,
+                                       ablation_buffer_level),
+}
+
+
+def run_figure(name: str, quick: bool = False,
+               db: Optional[RunDB] = None) -> Table:
+    """Regenerate the table or figure ``name`` (a :data:`FIGURES` key).
+
+    A simulated figure runs as the campaign ``name`` (``name_quick``
+    for the quick sets) with the sweep engine's session settings
+    (:func:`repro.harness.sweep.configured`) and appends one row per
+    job to ``db`` (default: :func:`~repro.campaign.rundb.default_db_path`).
+    """
+    entry = FIGURES[name]
+    if not isinstance(entry, SimFigure):
+        return entry()
+    campaign = parse_campaign({"campaign": f"{name}_quick" if quick else name,
+                               "figures": entry.matrices(quick)})
+    return entry.reduce(Grid(campaign, run_campaign(campaign, db=db)))

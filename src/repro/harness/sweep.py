@@ -680,8 +680,13 @@ def _shutdown_pool(pool: ProcessPoolExecutor) -> None:
     SIGKILL, not SIGTERM: a SIGSTOP'd worker never delivers SIGTERM
     (the signal stays queued while the process is stopped), so a
     terminate()-based teardown would leak stopped processes forever.
+    The executor's manager thread is joined (bounded) after the kills:
+    left running, it can still be closing its wakeup pipe when the
+    interpreter's exit hook writes to it, which prints an ``OSError``
+    traceback at exit.
     """
     procs = list(getattr(pool, "_processes", {}).values())
+    manager = getattr(pool, "_executor_manager_thread", None)
     pool.shutdown(wait=False, cancel_futures=True)
     for proc in procs:
         try:
@@ -689,6 +694,8 @@ def _shutdown_pool(pool: ProcessPoolExecutor) -> None:
                 proc.kill()
         except Exception:
             pass
+    if manager is not None:
+        manager.join(timeout=5.0)
 
 
 def _format_exc(exc: BaseException) -> str:

@@ -60,3 +60,25 @@ def tiny_config():
 @pytest.fixture(scope="session")
 def small_config():
     return GPUConfig.small()
+
+
+@pytest.fixture(scope="session")
+def quick_figure(tmp_path_factory):
+    """``quick_figure(name)``: the quick ``run_figure(name)`` table.
+
+    Runs in-process into a scratch run database; the session's figure
+    runs share one result cache, so a job another figure already ran
+    replays from it.
+    """
+    from repro.campaign import RunDB
+    from repro.harness import sweep
+    from repro.harness.experiments import run_figure
+
+    root = tmp_path_factory.mktemp("figures")
+    with RunDB(root / "runs.db") as db:
+        def run(name):
+            with sweep.configured(jobs=1, cache=True,
+                                  cache_dir=str(root / "cache")):
+                return run_figure(name, quick=True, db=db)
+
+        yield run

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.cli import EXPERIMENTS, build_parser, main, parse_workload
+from repro.cli import build_parser, main, parse_workload_ref
+from repro.harness.experiments import FIGURES
 
 
 class TestParsing:
@@ -14,17 +15,17 @@ class TestParsing:
     def test_workload_specs(self):
         for spec in ("bc:FA", "pagerank:coA", "conv:cnv2_1",
                      "microbench:64", "order-sensitive:64", "lock:tts"):
-            assert callable(parse_workload(spec))
+            assert callable(parse_workload_ref(spec))
 
     def test_unknown_workload(self):
         with pytest.raises(SystemExit):
-            parse_workload("fortran")
+            parse_workload_ref("fortran")
 
     def test_experiment_names_cover_every_figure(self):
         for fig in ("fig01", "fig02", "fig03", "fig09", "fig10", "fig11",
                     "fig12", "fig13", "fig14", "fig15", "fig16", "fig17",
                     "fig18", "table1", "table2", "table3", "determinism"):
-            assert fig in EXPERIMENTS
+            assert fig in FIGURES
 
 
 class TestCommands:

@@ -1,12 +1,15 @@
 """Executor semantics: ordering, caching, timeouts, worker death, obs."""
 
 import os
+import threading
 import time
+from concurrent.futures.process import _ExecutorManagerThread
 
 import pytest
 
+from repro.campaign import RunDB
 from repro.config import GPUConfig
-from repro.harness import experiments
+from repro.harness.experiments import run_figure
 from repro.harness.runner import ArchSpec
 from repro.harness import sweep
 from repro.harness.sweep import (
@@ -63,19 +66,32 @@ class TestOrdering:
         parallel = run_jobs(specs, jobs=3, cache=False)
         assert _digests(parallel) == _digests(serial)
 
-    def test_experiment_table_byte_identical(self):
-        with sweep.configured(jobs=1, cache=False):
-            serial = experiments.fig02_locks(sizes=(32,)).render()
-        with sweep.configured(jobs=2, cache=False):
-            parallel = experiments.fig02_locks(sizes=(32,)).render()
+    def test_experiment_table_byte_identical(self, tmp_path):
+        with RunDB(tmp_path / "runs.db") as db:
+            with sweep.configured(jobs=1, cache=False):
+                serial = run_figure("fig02", quick=True, db=db).render()
+            with sweep.configured(jobs=2, cache=False):
+                parallel = run_figure("fig02", quick=True, db=db).render()
         assert parallel == serial
 
-    def test_determinism_validation_through_engine(self):
-        with sweep.configured(jobs=2, cache=False):
-            t = experiments.determinism_validation(seeds=(1, 2))
+    def test_determinism_validation_through_engine(self, tmp_path):
+        with RunDB(tmp_path / "runs.db") as db, \
+                sweep.configured(jobs=2, cache=False):
+            t = run_figure("determinism", quick=True, db=db)
         assert t.data["baseline"]["deterministic"] is False
         assert t.data["DAB-GWAT-64-AF-Coal"]["deterministic"] is True
         assert t.data["GPUDet"]["deterministic"] is True
+
+    def test_parallel_sweep_leaves_no_manager_thread(self):
+        # A live manager thread at interpreter exit can print an OSError
+        # traceback from the executor's exit hook.
+        def managers():
+            return {t for t in threading.enumerate()
+                    if isinstance(t, _ExecutorManagerThread) and t.is_alive()}
+
+        before = managers()
+        run_jobs(_specs(sizes=(16, 24)), jobs=2, cache=False)
+        assert managers() <= before
 
 
 class TestCaching:
