@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.arch.isa import Program
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.arch.warp import Warp
 
 
 @dataclass
@@ -48,15 +51,16 @@ class CTA:
     batch: int = 0
     warps_total: int = 0
     warps_exited: int = 0
-    #: Barrier bookkeeping for ``bar.sync``: warps currently waiting.
-    barrier_waiting: List[object] = field(default_factory=list)
+    #: live warps in placement order: set when the CTA is placed; an
+    #: exiting warp leaves.
+    warps: List["Warp"] = field(default_factory=list)
+    #: cycle every live warp had arrived at the current ``bar.sync``;
+    #: None until then, and cleared again when the barrier releases.
+    barrier_complete_at: Optional[int] = None
 
     @property
     def done(self) -> bool:
         return self.warps_total > 0 and self.warps_exited >= self.warps_total
-
-    def live_warps(self) -> int:
-        return self.warps_total - self.warps_exited
 
 
 @dataclass

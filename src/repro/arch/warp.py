@@ -285,12 +285,6 @@ class Warp:
     def pc(self) -> int:
         return self.stack.pc
 
-    def peek(self) -> Optional[Instr]:
-        """Next instruction to issue (None once the warp has finished)."""
-        if self.done:
-            return None
-        return self.program.instrs[self.stack.pc]
-
     def next_is_atomic(self) -> bool:
         """Whether the next instruction is an atomic (GPUDet ends a
         warp's quantum there)."""

@@ -26,9 +26,9 @@ Three pieces:
   code fingerprint — rendering twice, or rendering databases produced
   at different ``--jobs`` levels, yields identical files.
 
-:mod:`repro.campaign.ingest` folds the historical ``BENCH_*.json``
-trajectory files into the database so the sweep-speed history
-appears in the dashboard instead of living as orphaned JSON.
+:mod:`repro.campaign.ingest` folds ``BENCH_*.json`` trajectory files
+into the database so their history appears in the dashboard instead of
+living as orphaned JSON.
 """
 
 from repro.campaign.rundb import (  # noqa: F401

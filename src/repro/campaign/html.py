@@ -497,17 +497,7 @@ def _bench_section(db: RunDB) -> str:
     for source in sorted(sources):
         entries = sources[source]
         out.append(f"<h3>{_esc(source)} ({len(entries)} run(s))</h3>")
-        if source == "sweep":
-            series = []
-            for k, label in (("parallel_speedup", "parallel vs serial"),
-                             ("warm_speedup", "warm cache vs serial")):
-                pts = [(f"run {i + 1}", float(e[k]))
-                       for i, e in enumerate(entries) if k in e]
-                if pts:
-                    series.append((label, pts))
-            out.append(svg_line_chart(series, "sweep speedup (×)",
-                                      ref_line=1.0))
-        # The table view of the same numbers (scalar fields only).
+        # Scalar fields only.
         keys: List[str] = []
         for e in entries:
             for k in sorted(e):

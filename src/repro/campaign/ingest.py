@@ -1,7 +1,7 @@
 """Fold ``BENCH_*.json`` trajectory files into the run database.
 
-Benchmarks such as the sweep-speed benchmark append their wall-clock
-trajectories to loose JSON files.  ``repro report`` calls
+Benchmarks may append their wall-clock trajectories to loose
+``BENCH_<name>.json`` files.  ``repro report`` calls
 :func:`ingest_bench_dir` before rendering, so that history shows up in
 the dashboard instead of living as orphaned artifacts.  Ingest is
 idempotent — entries are keyed by ``(source, run_index, entry_hash)``
@@ -17,20 +17,15 @@ from typing import Dict
 
 from repro.campaign.rundb import RunDB
 
-#: Known trajectory files: filename -> (source name, schema tag).
-BENCH_SOURCES = {
-    "BENCH_sweep.json": ("sweep", "repro.bench_sweep/v1"),
-}
-
 
 def ingest_bench_dir(db: RunDB, directory) -> Dict[str, int]:
     """Ingest every ``BENCH_*.json`` under ``directory``.
 
-    Returns ``{source: newly_inserted_count}``.  Unknown ``BENCH_*``
-    files are ingested under their lower-cased stem (minus the
-    ``BENCH_`` prefix) when they follow the common trajectory shape
-    (``{"schema": ..., "runs": [...]}``); malformed files are skipped —
-    ingest must never block a report.
+    Returns ``{source: newly_inserted_count}``.  Each file is ingested
+    under its lower-cased stem (minus the ``BENCH_`` prefix) when it
+    follows the common trajectory shape (``{"schema": ..., "runs":
+    [...]}``); malformed files are skipped — ingest must never block a
+    report.
     """
     directory = Path(directory)
     inserted: Dict[str, int] = {}
@@ -41,13 +36,7 @@ def ingest_bench_dir(db: RunDB, directory) -> Dict[str, int]:
             continue  # unreadable/torn: not this subsystem's problem
         if not isinstance(doc, dict) or not isinstance(doc.get("runs"), list):
             continue
-        known = BENCH_SOURCES.get(path.name)
-        if known is not None:
-            source, schema = known
-            if doc.get("schema") != schema:
-                continue  # a future layout: refuse to misread it
-        else:
-            source = path.stem[len("BENCH_"):].lower() or path.stem.lower()
+        source = path.stem[len("BENCH_"):].lower() or path.stem.lower()
         count = 0
         for run_index, entry in enumerate(doc["runs"]):
             if not isinstance(entry, dict):

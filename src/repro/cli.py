@@ -52,9 +52,11 @@ integrity report; ``chaos host`` is the host-fault twin of ``chaos`` —
 it kills/SIGSTOPs workers, flips bits in every store, and simulates a
 full disk, asserting recovery is byte-identical or failure is loud.
 
-Exit codes: 0 success, 1 failure, 2 usage error, 3 sweep timeout,
-4 unrecoverable worker failure, 5 campaign completed degraded
-(quarantined jobs — see ``campaign run --resilient``).
+Exit codes: 0 success, 1 failure (a simulation error, such as DAB
+rejecting returning atomics, prints one ``repro:`` line), 2 usage
+error, 3 sweep timeout, 4 unrecoverable worker failure, 5 campaign
+completed degraded (quarantined jobs — see ``campaign run
+--resilient``).
 """
 
 from __future__ import annotations
@@ -95,6 +97,7 @@ from repro.obs.views import (
     render_flush_waterfall,
     render_trace_summary,
 )
+from repro.sim.gpu import SimulationError
 from repro.workloads.convolution import CONV_LAYER_NAMES, GATING_LAYERS
 from repro.workloads.graphs import TABLE2_GRAPHS
 from repro.workloads.locks import LOCK_ALGORITHMS
@@ -692,6 +695,8 @@ def cmd_list(_args) -> int:
     print("  microbench:<n>      atomicAdd array sum")
     print("  order-sensitive:<n> Section V validation benchmark")
     print(f"  lock:<alg>          algorithms: {', '.join(LOCK_ALGORITHMS)}")
+    print("                      (returning atomics: needs --arch baseline "
+          "or gpudet)")
     print("architectures: baseline, dab, gpudet")
     print(f"machine presets: {', '.join(GPU_PRESETS)}")
     print(f"experiments: {', '.join(sorted(FIGURES))}")
@@ -948,6 +953,9 @@ def main(argv=None) -> int:
     except SweepWorkerError as e:
         print(f"repro: unrecoverable worker failure: {e}", file=sys.stderr)
         return EXIT_WORKER
+    except SimulationError as e:
+        print(f"repro: {e}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

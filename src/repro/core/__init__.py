@@ -24,7 +24,7 @@ from repro.core.schedulers import (
     make_scheduler,
     POLICY_NAMES,
 )
-from repro.core.flush import FlushController, FlushPhase
+from repro.core.flush import FlushController
 
 __all__ = [
     "AtomicBuffer",
@@ -42,5 +42,4 @@ __all__ = [
     "make_scheduler",
     "POLICY_NAMES",
     "FlushController",
-    "FlushPhase",
 ]

@@ -117,8 +117,3 @@ class DABConfig:
         else:
             buffers = gpu.num_schedulers_per_sm
         return buffer_area_bytes(buffers, self.buffer_entries)
-
-    def buffers_per_sm(self, gpu: GPUConfig) -> int:
-        if self.buffer_level is BufferLevel.WARP:
-            return gpu.max_warps_per_sm
-        return gpu.num_schedulers_per_sm

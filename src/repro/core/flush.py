@@ -35,9 +35,8 @@ instructions keep executing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from enum import Enum
-from typing import Dict, List, Optional, TYPE_CHECKING
+from dataclasses import dataclass
+from typing import Dict, List, TYPE_CHECKING
 
 from repro.core.atomic_buffer import FlushTransaction
 from repro.core.dab import DABConfig
@@ -46,11 +45,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.gpu import GPU
 
 PRE_FLUSH_BYTES = 8
-
-
-class FlushPhase(Enum):
-    IDLE = "idle"
-    ACTIVE = "active"
 
 
 @dataclass
@@ -75,7 +69,6 @@ class FlushController:
         self.config = config
         self.obs = getattr(gpu, "obs", None)
         self.stats = FlushStats()
-        self.phase = FlushPhase.IDLE
         self._fence_requested = False
         self._drain_requested = False
         #: live flush rounds per cluster id (CIF) or -1 (global).
@@ -168,10 +161,9 @@ class FlushController:
         else:
             self.stats.trigger_quiesce += 1
             reason = "quiesce"
-        fence = self._fence_requested
         self._fence_requested = False
         self._drain_requested = False
-        self._start_flush(now, [sm.sm_id for sm in sms], fence_release=fence,
+        self._start_flush(now, [sm.sm_id for sm in sms],
                           key=-1 if not self.config.relax_overlap_flush
                           else self.stats.flushes, reason=reason)
         return True
@@ -194,8 +186,8 @@ class FlushController:
                 continue
             self.stats.cluster_flushes += 1
             reason = "full" if any_full else ("fence" if fence else "drain")
-            self._start_flush(now, [sm.sm_id for sm in sms],
-                              fence_release=fence, key=cid, reason=reason)
+            self._start_flush(now, [sm.sm_id for sm in sms], key=cid,
+                              reason=reason)
             started = True
         if started:
             # Fence/drain requests are satisfied once every cluster with
@@ -209,13 +201,12 @@ class FlushController:
         return started
 
     # ------------------------------------------------------------------
-    def _start_flush(self, now: int, sm_ids: List[int], fence_release: bool,
-                     key: int, reason: str = "full") -> None:
+    def _start_flush(self, now: int, sm_ids: List[int], key: int,
+                     reason: str = "full") -> None:
         gpu = self.gpu
         cfg = self.config
         self.stats.flushes += 1
         seq = self.stats.flushes
-        self.phase = FlushPhase.ACTIVE
         # Warp-level buffer drains can free hardware slots mid-kernel.
         gpu._dispatch_dirty = True
 
@@ -270,8 +261,6 @@ class FlushController:
             "started": now,
             "remaining_ops": total_ops,
             "last_done": now,
-            "fence_release": fence_release,
-            "sm_ids": list(sm_ids),
             "seq": seq,
             "entries": total_ops,
         }
@@ -302,7 +291,7 @@ class FlushController:
         # permits overlapping rounds for OF/CIF.
         if use_reorder:
             for p in range(num_parts):
-                gpu.partitions[p].begin_flush_round(expected[p], reorder=True)
+                gpu.partitions[p].begin_flush_round(expected[p])
 
         for sm_id in sorted(streams):
             sm = gpu.sms[sm_id]
@@ -382,9 +371,11 @@ class FlushController:
             self.obs.emit_at(now, "flush", "complete", seq=state["seq"],
                              key=key, started=state["started"],
                              cycle_done=now, entries=state["entries"])
-        if not self._active:
-            self.phase = FlushPhase.IDLE
         # A completed flush can unblock the next trigger (pending fence
         # or drain request, sticky full bits set while we were active).
         self.gpu._flush_dirty = True
-        self.gpu.on_flush_complete(now, state["fence_release"], state["started"])
+        # Release the barrier and fence waits complete before the flush
+        # started: this flush drained their buffered atomics.  Later
+        # arrivals wait for the next flush (their request is still set).
+        for sm in self.gpu.sms:
+            sm.release_waits(now, since=state["started"])

@@ -274,34 +274,17 @@ class GPUDetController:
         self._mode_started = now
         self.gpu._gpudet_dirty = True  # new quantum may end immediately
         # New quantum: reset budgets and reasons; release arrived barriers
-        # (their stores are now committed and visible).
+        # and fences (their stores are now committed and visible).  Only
+        # SMs with live warps can hold a wait.
         for st in self._live.values():
             st.used = 0
             st.reason = None
-        self._release_barriers(now)
+        sms = self.gpu.sms
+        for sm_id in sorted({st.warp.sm_id for st in self._live.values()}):
+            sms[sm_id].release_waits(now)
         for st in self._live.values():
             w = st.warp
             w.ready_cycle = max(w.ready_cycle, now)
-
-    def _release_barriers(self, now: int) -> None:
-        # Only SMs with live warps can hold barrier CTAs or fence warps.
-        sms = self.gpu.sms
-        for sm_id in sorted({st.warp.sm_id for st in self._live.values()}):
-            sm = sms[sm_id]
-            done = []
-            for cta in sm._barrier_ctas:  # noqa: SLF001
-                warps = [w for w in sm.all_warps() if w.cta is cta and not w.done]
-                if warps and all(w.at_barrier for w in warps):
-                    for w in warps:
-                        w.at_barrier = False
-                        w.ready_cycle = max(w.ready_cycle, now + 1)
-                    done.append(cta)
-            for cta in done:
-                sm._barrier_ctas.remove(cta)  # noqa: SLF001
-            for w in sm._fence_warps:  # noqa: SLF001
-                w.at_barrier = False
-                w.ready_cycle = max(w.ready_cycle, now + 1)
-            sm._fence_warps = []  # noqa: SLF001
 
     # ------------------------------------------------------------------
     def _buffers_empty(self) -> bool:

@@ -12,8 +12,9 @@ interconnect in a non-deterministic order.  The paper's protocol
    arrivals wait in the *flush buffer* and are drained whenever the head
    of the order shows up.
 
-This class implements steps 2–3.  It is also used (with reordering
-disabled) to model the DAB-NR relaxation of the limitation study.
+This class implements steps 2–3.  The DAB-NR relaxation of the
+limitation study bypasses it: its entries go straight to the ROP in
+arrival order.
 """
 
 from __future__ import annotations
@@ -34,8 +35,7 @@ class FlushBufferStats:
 class FlushReorderBuffer:
     """Reorders one flush round's entries into round-robin-across-SM order."""
 
-    def __init__(self, reorder: bool = True, inv=None, partition_id: int = -1):
-        self.reorder = reorder
+    def __init__(self, inv=None, partition_id: int = -1):
         #: runtime invariant checker (None = checking off); it shadows
         #: the round independently, so buffer and checker must *agree*.
         self.inv = inv
@@ -72,25 +72,13 @@ class FlushReorderBuffer:
         self._maybe_close()
 
     @property
-    def round_open(self) -> bool:
-        return self._open
-
-    @property
-    def total_expected(self) -> int:
-        return sum(self._expected.values())
-
-    @property
     def occupancy(self) -> int:
         return len(self._pending)
 
     # ------------------------------------------------------------------
     def receive(self, sm_id: int, op: AtomicOp) -> List[AtomicOp]:
-        """Accept one arriving flush entry; return ops now ready for the ROP.
-
-        With reordering enabled the returned list respects the
-        deterministic commit order; with ``reorder=False`` (DAB-NR) the
-        entry is released immediately in arrival order.
-        """
+        """Accept one arriving flush entry; return the entries now ready
+        for the ROP, in the deterministic commit order."""
         if self.inv is not None:
             # Raises a structured InvariantViolation (naming cycle, unit
             # and fault) ahead of the bare errors below.
@@ -104,11 +92,6 @@ class FlushReorderBuffer:
             raise ValueError(f"SM {sm_id} sent more entries than announced")
         self._received[sm_id] = seq + 1
         self.stats.entries_received += 1
-
-        if not self.reorder:
-            self._order_pos += 1
-            self._maybe_close()
-            return [op]
 
         self._pending[(sm_id, seq)] = op
         if len(self._pending) > 1:

@@ -65,7 +65,7 @@ class MemoryPartition:
             config.dram_bandwidth_per_cycle,
             jitter=dram_jitter,
         )
-        self.flush_reorder = FlushReorderBuffer(reorder=True)
+        self.flush_reorder = FlushReorderBuffer()
         self.stats = PartitionStats()
         #: If True, every out-of-order buffered flush entry evicts one L2
         #: line, mimicking the virtual-write-queue feasibility study
@@ -114,11 +114,11 @@ class MemoryPartition:
         return self.rop.execute(start, op)
 
     # -- DAB deterministic flush path ----------------------------------------
-    def begin_flush_round(self, expected_counts: Dict[int, int], reorder: bool = True) -> None:
+    def begin_flush_round(self, expected_counts: Dict[int, int]) -> None:
         if self.inv is not None:
             self.inv.begin_flush_round(self.partition_id, expected_counts)
         self.flush_reorder = FlushReorderBuffer(
-            reorder=reorder, inv=self.inv, partition_id=self.partition_id
+            inv=self.inv, partition_id=self.partition_id
         )
         self.flush_reorder.begin_round(expected_counts)
 
@@ -168,7 +168,3 @@ class MemoryPartition:
     @property
     def flush_round_complete(self) -> bool:
         return self.flush_reorder.complete
-
-    def flush_writeback_done_at(self) -> int:
-        """Cycle by which all applied flush entries have written back."""
-        return self.rop.free_at

@@ -39,7 +39,3 @@ class ROPUnit:
         self.stats.ops += 1
         self.stats.busy_until = done
         return old, done
-
-    @property
-    def free_at(self) -> int:
-        return self._free

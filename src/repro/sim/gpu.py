@@ -21,6 +21,7 @@ import heapq
 import time
 from typing import Callable, Dict, List, Optional
 
+from repro.arch.isa import OpClass
 from repro.arch.kernel import CTA, Kernel
 from repro.arch.warp import MemRequestSpec, Warp
 from repro.config import GPUConfig
@@ -55,7 +56,6 @@ class GPU:
         dab: Optional[DABConfig] = None,
         gpudet=None,
         jitter: Optional[JitterSource] = None,
-        deterministic_dispatch: Optional[bool] = None,
         model_virtual_write_queue: bool = False,
         obs: Optional[ObsConfig] = None,
         max_cycles: Optional[int] = None,
@@ -183,10 +183,8 @@ class GPU:
         if dab is not None:
             self.flush = FlushController(self, dab)
 
-        if deterministic_dispatch is None:
-            deterministic_dispatch = dab is not None or self.gpudet is not None
-        self.dispatcher = CTADispatcher(self.sms, deterministic_dispatch,
-                                        obs=self.obs)
+        self.dispatcher = CTADispatcher(
+            self.sms, dab is not None or self.gpudet is not None, obs=self.obs)
 
         #: cycle budget for :meth:`run` (a ``run(max_cycles=...)``
         #: argument overrides it for that call only).
@@ -225,10 +223,6 @@ class GPU:
         self._dispatch_dirty = True
         self._flush_dirty = True
         self._gpudet_dirty = True
-        #: baseline barrier/fence releases are polled inside
-        #: issue_cycle_fast only when neither DAB nor GPUDet owns
-        #: release timing.
-        self._poll_releases = dab is None and self.gpudet is None
 
     # ------------------------------------------------------------------
     # Plumbing used by SMs and controllers.
@@ -269,8 +263,6 @@ class GPU:
         warp.outstanding_loads -= 1
         if warp.outstanding_loads == 0:
             warp.ready_cycle = max(warp.ready_cycle, now + 1)
-        if self._poll_releases:
-            self.sms[warp.sm_id]._release_dirty = True
         self._gpudet_dirty = True
 
     # -- stores ---------------------------------------------------------------
@@ -290,9 +282,9 @@ class GPU:
     def _store_ack(self, now: int, warp: Warp) -> None:
         warp.outstanding_stores -= 1
         self.pending_store_acks -= 1
-        if self._poll_releases:
-            # Baseline fences/barriers wait on outstanding stores.
-            self.sms[warp.sm_id]._release_dirty = True
+        # Baseline barriers and fences wait on outstanding stores, which
+        # is a plain field, not a row cell: put the SM on the agenda.
+        self.soa.visit_dirty.add(warp.sm_id)
 
     # -- baseline (non-deterministic) atomics ----------------------------------
     def issue_baseline_red(self, now: int, sm: SM, warp: Warp, spec: MemRequestSpec) -> None:
@@ -361,25 +353,11 @@ class GPU:
         warp.outstanding_atoms -= 1
         if warp.outstanding_atoms == 0:
             warp.ready_cycle = max(warp.ready_cycle, now + 1)
-        if self._poll_releases:
-            self.sms[warp.sm_id]._release_dirty = True
         self._gpudet_dirty = True
 
     # -- notifications ------------------------------------------------------------
     def on_cta_done(self, now: int, cta: CTA) -> None:
         self._ctas_done += 1
-
-    def on_flush_complete(self, now: int, fence_release: bool, started: int) -> None:
-        """Release barrier/fence waiters covered by the completed flush.
-
-        Only waiters that arrived *before* the flush started are covered:
-        their buffered atomics were drained by this flush, so the fence
-        semantics of ``bar.sync``/``membar`` are satisfied.  Later
-        arrivals wait for the next flush (their request flag is still
-        set, so one will trigger).
-        """
-        for sm in self.sms:
-            sm.on_flush_complete(now, started)
 
     # ------------------------------------------------------------------
     # Kernel sequencing.
@@ -389,6 +367,14 @@ class GPU:
 
     def _start_next_kernel(self) -> None:
         self._current = self._queue.pop(0)
+        if self.dab is not None and any(
+                ins.op_class is OpClass.MEM_ATOM
+                for ins in self._current.program.instrs):
+            raise SimulationError(
+                "returning atomics (atom.*) are not supported under DAB; "
+                "the paper's DAB workloads compile to red instructions "
+                "(Section IV-A)"
+            )
         self._ctas_done = 0
         self._dispatch_dirty = True
         self._flush_dirty = True

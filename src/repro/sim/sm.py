@@ -18,7 +18,7 @@ feeds the Fig 15 overhead breakdown.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, TYPE_CHECKING
+from typing import List, Optional, TYPE_CHECKING
 
 from repro.arch.isa import OpClass
 from repro.arch.kernel import CTA, Kernel
@@ -110,7 +110,8 @@ class SM:
         self.current_batch = 0
         self._ctas_per_wave = 1
         self._warps_per_cta = 1
-        #: CTAs with warps waiting at a bar.sync, and fence-blocked warps.
+        #: the waits release_waits ends: CTAs with a warp at a bar.sync
+        #: (in first-arrival order) and warps at a membar.
         self._barrier_ctas: List[CTA] = []
         self._fence_warps: List[Warp] = []
 
@@ -131,11 +132,6 @@ class SM:
         #: and the first epoch the window covers.
         self._acct_reason: List[Optional[str]] = [None] * ns
         self._acct_epoch = [0] * ns
-        #: baseline-only: a barrier/fence/outstanding transition since
-        #: the last _check_baseline_releases poll (property over the
-        #: per-SM soa.sm_release_dirty list so GPU call sites are
-        #: unchanged).
-        self._release_dirty = True
 
     # ------------------------------------------------------------------
     # Kernel / CTA management.
@@ -194,7 +190,7 @@ class SM:
             return False
         cta.batch = per_sm_index // self._ctas_per_wave
         cta.warps_total = self._warps_per_cta
-        placed = []
+        placed = cta.warps = []
         for w, g in enumerate(slots):
             sched = g % self.num_schedulers
             local = g // self.num_schedulers
@@ -237,16 +233,6 @@ class SM:
                 if w is not None:
                     out.append(w)
         return out
-
-    @property
-    def _release_dirty(self) -> bool:
-        return self.soa.sm_release_dirty[self.sm_id]
-
-    @_release_dirty.setter
-    def _release_dirty(self, v: bool) -> None:
-        self.soa.sm_release_dirty[self.sm_id] = v
-        if v:
-            self.soa.visit_dirty.add(self.sm_id)
 
     # ------------------------------------------------------------------
     # DAB buffer plumbing.
@@ -336,15 +322,17 @@ class SM:
         state and the consults' side effects advance every epoch.
         """
         soa = self.soa
-        if soa.sm_release_dirty[self.sm_id]:
-            soa.sm_release_dirty[self.sm_id] = False
-            self._check_baseline_releases(now)
+        gpudet = self.gpu.gpudet
+        dab = self.dab
+        if (dab is None and gpudet is None
+                and (self._barrier_ctas or self._fence_warps)):
+            # Baseline: every change that can end a wait (a response,
+            # store ack, exit or arrival) put this SM on the agenda.
+            self.release_waits(now, drained=True)
         issued = 0
         left_dirty = False
         base = self.row0
         dirty = soa.sched_dirty
-        gpudet = self.gpu.gpudet
-        dab = self.dab
         # The dirty flags are read LIVE: an earlier scheduler of this
         # pass can dirty a later one (e.g. an immediate barrier
         # release), which must be examined within the same cycle.
@@ -433,15 +421,6 @@ class SM:
 
     def _atomic_gate(self, warp: Warp) -> str:
         """Why an external gate blocks ``warp``'s next atomic, or ""."""
-        ins = warp.peek()
-        if ins is not None and ins.op_class is OpClass.MEM_ATOM:
-            from repro.sim.gpu import SimulationError
-
-            raise SimulationError(
-                "returning atomics (atom.*) are not supported under DAB; "
-                "the paper's DAB workloads compile to red instructions "
-                "(Section IV-A)"
-            )
         if self.gpu.flush is not None and self.gpu.flush.flush_gate_blocked(self.cluster_id):
             return STALL_GATE_FLUSH
         if warp.batch > self.current_batch:
@@ -535,10 +514,9 @@ class SM:
         # barrier (all remaining warps arrived).
         self.gpu._dispatch_dirty = True
         self.gpu._flush_dirty = True
-        if self.gpu._poll_releases:
-            self._release_dirty = True
         cta = warp.cta
         cta.warps_exited += 1
+        cta.warps.remove(warp)
         row = self.rows[warp.scheduler_id]
         row.remove(warp.hw_slot)
         self.schedulers[warp.scheduler_id].notify_exit(row, warp.hw_slot)
@@ -565,11 +543,8 @@ class SM:
     def _handle_barrier(self, now: int, warp: Warp) -> None:
         warp.at_barrier = True
         warp.ready_cycle = now + 1
-        # Barrier entry can flip a buffer to flush-ready and (baseline)
-        # complete the CTA's barrier at the next release poll.
+        # Barrier entry can flip a buffer to flush-ready.
         self.gpu._flush_dirty = True
-        if self.gpu._poll_releases:
-            self._release_dirty = True
         cta = warp.cta
         if cta not in self._barrier_ctas:
             self._barrier_ctas.append(cta)
@@ -589,10 +564,13 @@ class SM:
     def _maybe_complete_barrier(self, now: int, cta: CTA) -> None:
         if cta not in self._barrier_ctas:
             return
-        warps = [w for w in self.all_warps() if w.cta is cta and not w.done]
-        if not warps or not all(w.at_barrier for w in warps):
+        warps = cta.warps
+        # A warp waiting at a membar also has its at_barrier cell set,
+        # but has not reached the bar.sync.
+        fenced = self._fence_warps
+        if not all(w.at_barrier and w not in fenced for w in warps):
             return
-        cta.barrier_complete_at = now  # type: ignore[attr-defined]
+        cta.barrier_complete_at = now
         if self.gpu.flush is not None:
             # DAB: bar.sync carries a CTA-level fence -> needs a flush,
             # but only if this CTA's warps actually buffered atomics
@@ -601,85 +579,60 @@ class SM:
             # (The buffered-red count is a program-order quantity, so
             # the release decision is deterministic.)
             if all(w.buffered_reds == 0 for w in warps):
-                for w in warps:
-                    w.at_barrier = False
-                    w.ready_cycle = max(w.ready_cycle, now + 1)
                 self._barrier_ctas.remove(cta)
-                self._notify_releases(warps)
+                self._release(now, cta, warps)
             else:
                 self.gpu.flush.request_fence_flush()
-        # Baseline/GPUDet release handled in _check_baseline_releases.
 
     def _handle_fence(self, now: int, warp: Warp) -> None:
         warp.at_barrier = True
-        warp.fence_arrived_at = now  # type: ignore[attr-defined]
+        warp.fence_arrived_at = now
         warp.ready_cycle = now + 1
         self.gpu._flush_dirty = True
-        if self.gpu._poll_releases:
-            self._release_dirty = True
         self._fence_warps.append(warp)
         self.schedulers[warp.scheduler_id].notify_barrier(
             self.rows[warp.scheduler_id], warp.hw_slot)
         if self.gpu.flush is not None:
             self.gpu.flush.request_fence_flush()
 
-    def _check_baseline_releases(self, now: int) -> None:
-        """Release barriers/fences whose conditions are met (non-DAB path)."""
-        if self.gpu.flush is not None:
-            return  # DAB releases happen in on_flush_complete
-        if self.gpu.gpudet is not None:
-            return  # GPUDet releases barriers at the next quantum start
-        done_ctas = []
-        for cta in self._barrier_ctas:
-            warps = [w for w in self.all_warps() if w.cta is cta and not w.done]
-            if warps and all(w.at_barrier for w in warps):
-                if all(
-                    w.outstanding_loads == 0 and w.outstanding_stores == 0
-                    and w.outstanding_atoms == 0
-                    for w in warps
-                ):
-                    for w in warps:
-                        w.at_barrier = False
-                        w.ready_cycle = max(w.ready_cycle, now + 1)
-                    done_ctas.append(cta)
-        for cta in done_ctas:
-            self._barrier_ctas.remove(cta)
-        still = []
-        for w in self._fence_warps:
-            if w.outstanding_loads == 0 and w.outstanding_stores == 0 and w.outstanding_atoms == 0:
-                w.at_barrier = False
-                w.ready_cycle = max(w.ready_cycle, now + 1)
-            else:
-                still.append(w)
-        self._fence_warps = still
+    def release_waits(self, now: int, since: Optional[int] = None,
+                      drained: bool = False) -> None:
+        """End every barrier and fence wait whose condition holds.
 
-    def on_flush_complete(self, now: int, flush_started: int) -> None:
-        """DAB: release barrier CTAs / fence warps covered by this flush."""
-        done_ctas = []
+        A CTA's ``bar.sync`` can end once all its live warps arrived,
+        a ``membar`` once its warp arrived.  ``since`` keeps only the
+        waits complete by that cycle (DAB: the start of the flush that
+        just completed drained their atomics); ``drained`` also needs
+        the waiting warps' loads, stores and atomics settled (baseline).
+        GPUDet passes neither at the start of each parallel mode.
+        """
+        waiting = []
         for cta in self._barrier_ctas:
-            arrived = getattr(cta, "barrier_complete_at", None)
-            if arrived is None or arrived > flush_started:
-                continue
-            warps = [w for w in self.all_warps() if w.cta is cta and not w.done]
-            for w in warps:
-                w.at_barrier = False
-                w.ready_cycle = max(w.ready_cycle, now + 1)
-            self._notify_releases(warps)
-            done_ctas.append(cta)
-        for cta in done_ctas:
-            self._barrier_ctas.remove(cta)
-        still = []
-        for w in self._fence_warps:
-            if getattr(w, "fence_arrived_at", now) <= flush_started:
-                w.at_barrier = False
-                w.ready_cycle = max(w.ready_cycle, now + 1)
-                self._notify_releases([w])
+            at = cta.barrier_complete_at
+            if (at is None or (since is not None and at > since)
+                    or (drained and not all(map(_settled, cta.warps)))):
+                waiting.append(cta)
             else:
-                still.append(w)
-        self._fence_warps = still
+                self._release(now, cta, cta.warps)
+        self._barrier_ctas = waiting
+        fenced = []
+        for w in self._fence_warps:
+            if ((since is not None and w.fence_arrived_at > since)
+                    or (drained and not _settled(w))):
+                fenced.append(w)
+            else:
+                self._release(now, None, [w])
+        self._fence_warps = fenced
 
-    def _notify_releases(self, warps) -> None:
+    def _release(self, now: int, cta: Optional[CTA],
+                 warps: List[Warp]) -> None:
+        """Release ``warps``: all of ``cta`` at its bar.sync, or one
+        warp at a membar (``cta`` None)."""
+        if cta is not None:
+            cta.barrier_complete_at = None
         for w in warps:
+            w.at_barrier = False
+            w.ready_cycle = max(w.ready_cycle, now + 1)
             self.schedulers[w.scheduler_id].notify_barrier_release(
                 self.rows[w.scheduler_id], w.hw_slot)
 
@@ -734,3 +687,9 @@ class SM:
                 self.l1.invalidate(sec)
             warp.outstanding_stores += 1
             self.gpu.send_store(now, self, warp, sec)
+
+
+def _settled(w: Warp) -> bool:
+    """No load, store or atomic of ``w`` is in flight."""
+    return (w.outstanding_loads == 0 and w.outstanding_stores == 0
+            and w.outstanding_atoms == 0)

@@ -58,9 +58,6 @@ class WarpSlabs:
         #: and by pop_due; the issue phase skips a clean scheduler.
         self.sched_dirty: List[bool] = [True] * rows
 
-        # -- per-SM state ----------------------------------------------
-        self.sm_release_dirty: List[bool] = [True] * num_sms
-
         #: DAB buffer summaries maintained by AtomicBuffer on its
         #: insert/drain/mark-full transitions: the flush trigger and
         #: kernel-drain checks read these instead of walking every
@@ -69,8 +66,8 @@ class WarpSlabs:
         self.buf_full_count = 0
 
         # -- incremental visit agenda ----------------------------------
-        #: SM ids with a dirty scheduler or pending release poll; fed by
-        #: the warp setters, pop_due and SM._release_dirty, and drained
+        #: SM ids with a dirty scheduler or a baseline wait to re-check;
+        #: fed by the warp setters, pop_due and store acks, and drained
         #: by the issue phase.
         self.visit_dirty = set(range(num_sms))
         #: lazy min-heap of (ready_cycle, row, col) per-warp wake

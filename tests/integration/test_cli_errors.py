@@ -81,6 +81,15 @@ class TestUsageErrors:
         assert proc.returncode != 0
         assert "unknown trace categories" in proc.stderr
 
+    def test_lock_workload_under_default_dab_arch(self):
+        # The lock kernels use returning atom.* atomics, which DAB
+        # rejects when the kernel starts; the default --arch is dab.
+        proc = run_cli("run", "--workload", "lock:tts", "--preset", "tiny")
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("repro: ")
+        assert "returning atomics" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
 class TestConformanceExitCodes:
     """Pass/fail semantics of the conformance commands themselves."""

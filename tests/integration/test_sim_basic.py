@@ -8,12 +8,15 @@ import pytest
 
 from repro.arch.isa import assemble
 from repro.arch.kernel import Kernel
+from repro.check.oracle import run_oracle
 from repro.config import GPUConfig
 from repro.core.dab import DABConfig
+from repro.gpudet.gpudet import GPUDetConfig
 from repro.harness.runner import ArchSpec, run_workload
 from repro.memory.globalmem import GlobalMemory
 from repro.sim.gpu import GPU, SimulationError
 from repro.sim.nondet import JitterSource
+from repro.workloads import Workload
 from repro.workloads.microbench import build_atomic_sum
 
 from tests.integration.conftest import run_sum
@@ -230,6 +233,100 @@ class TestDABBasics:
         ):
             res, value, _ = run_sum(n=256, dab=cfg)
             assert value != 0.0
+
+
+_TWO_BARRIER_PROG = """
+    mov.s32 r_t, %tid
+    mov.s32 r_w, %warpid
+    shl.s32 r_o, r_t, 2
+    mov.f32 r_v, 1.0
+    red.global.add.f32 [c_acc], r_v
+    bar.sync
+    setp.ne.s32 p_w, r_w, 1
+@p_w bra BAR
+    add.s32 r_a, c_buf, r_o
+    red.global.add.f32 [r_a], r_v
+    add.s32 r_a, r_a, 256
+    red.global.add.f32 [r_a], r_v
+    add.s32 r_a, r_a, 256
+    red.global.add.f32 [r_a], r_v
+    mov.s32 r_one, 1
+    st.global.s32 [c_flag], r_one
+BAR:
+    bar.sync
+    ld.global.s32 r_f, [c_flag]
+    add.s32 r_s, c_seen, r_o
+    st.global.s32 [r_s], r_f
+    exit
+"""
+
+_FENCE_THEN_BARRIER_PROG = """
+    mov.s32 r_t, %tid
+    mov.s32 r_w, %warpid
+    shl.s32 r_o, r_t, 2
+    setp.ne.s32 p_w, r_w, 1
+@p_w bra SPIN
+    mov.s32 r_one, 1
+    st.global.s32 [c_buf], r_one
+    membar.gl
+    st.global.s32 [c_flag], r_one
+    bra BAR
+SPIN:
+    nop 60
+BAR:
+    bar.sync
+    ld.global.s32 r_f, [c_flag]
+    add.s32 r_s, c_seen, r_o
+    st.global.s32 [r_s], r_f
+    exit
+"""
+
+
+def _flag_workload(source: str) -> Workload:
+    """One 64-thread CTA that ends in ``bar.sync`` and then has every
+    lane read ``flag``, which only warp 1 sets before the barrier."""
+    mem = GlobalMemory()
+    params = {
+        "c_acc": mem.alloc("acc", 1, "f32"),
+        "c_buf": mem.alloc("buf", 3 * 64, "f32"),
+        "c_flag": mem.alloc("flag", 1, "s32"),
+        "c_seen": mem.alloc("seen", 64, "s32"),
+    }
+    kernel = Kernel("flag", assemble(source), grid_dim=1, cta_dim=64,
+                    params=params)
+    return Workload(name="flag", mem=mem, kernels=[kernel], outputs=["seen"])
+
+
+class TestBarrierRelease:
+    """A CTA's bar.sync releases only once every live warp reached it.
+    Only warp 1 runs before the last barrier, and it sets ``flag``:
+
+    * second-barrier: between two barriers, 96 reds to distinct words
+      (enough to fill a 64-entry buffer and force a flush), then the
+      flag store.  A flush completing meanwhile must not release warp
+      0, already waiting at the second barrier.
+    * fence-then-barrier: warp 0 reaches the barrier while warp 1 waits
+      at a membar, which is not an arrival.
+    """
+
+    @pytest.mark.parametrize("source", [_TWO_BARRIER_PROG,
+                                        _FENCE_THEN_BARRIER_PROG],
+                             ids=["second-barrier", "fence-then-barrier"])
+    @pytest.mark.parametrize("dab,gpudet", [
+        (None, None),
+        (DABConfig.paper_default(), None),
+        (DABConfig.warp_level(), None),
+        (None, GPUDetConfig()),
+    ], ids=["baseline", "dab", "dab-warp", "gpudet"])
+    def test_final_memory_matches_oracle(self, source, dab, gpudet):
+        want = run_oracle(lambda: _flag_workload(source)).memory
+        wl = _flag_workload(source)
+        gpu = GPU(GPUConfig.tiny(), wl.mem, dab=dab, gpudet=gpudet,
+                  jitter=JitterSource(1))
+        wl.drive(gpu)
+        assert (want["seen"] == 1).all()
+        for name, image in want.items():
+            assert (wl.mem.buffer(name) == image).all(), name
 
 
 class TestRelease:

@@ -25,13 +25,17 @@ import pathlib
 from dataclasses import dataclass
 from typing import Dict, Optional
 
+from repro.arch.isa import assemble
+from repro.arch.kernel import Kernel
 from repro.config import GPUConfig
 from repro.core.dab import DABConfig
 from repro.faults import FaultConfig, FaultPlan
 from repro.gpudet.gpudet import GPUDetConfig
 from repro.harness.runner import ArchSpec, run_workload
+from repro.memory.globalmem import GlobalMemory
 from repro.obs import ObsConfig
 from repro.sim.results import SimResult
+from repro.workloads import Workload
 from repro.workloads.bc import build_bc
 from repro.workloads.convolution import build_conv
 from repro.workloads.locks import build_lock_sum
@@ -74,6 +78,29 @@ ARCHES = {
 GRID_ARCHES = ("baseline", "dab-gwat", "dab-gtrr", "dab-gtar", "dab-srr",
                "dab-warp", "gpudet")
 
+_FENCE_PROG = assemble("""
+    mov.f32 r_v, 1.0
+    red.global.add.f32 [c_x], r_v
+    membar.gl
+    red.global.add.f32 [c_x], r_v
+    exit
+""")
+
+
+def build_fence() -> Workload:
+    """Two CTAs of 64 threads: ``red; membar.gl; red``.
+
+    No shipped workload executes ``membar``; this kernel pins each
+    architecture's fence release (baseline: memory settled; DAB: a
+    flush drained the reds before it; GPUDet: next parallel mode).
+    """
+    mem = GlobalMemory()
+    x = mem.alloc("x", 1, "f32")
+    kernel = Kernel("fence", _FENCE_PROG, grid_dim=2, cta_dim=64,
+                    params={"c_x": x})
+    return Workload(name="fence", mem=mem, kernels=[kernel], outputs=["x"])
+
+
 WORKLOADS = {
     "histogram": lambda: build_histogram(4096, bins=32),
     "atomic_sum": lambda: build_atomic_sum(2048),
@@ -88,10 +115,12 @@ WORKLOADS = {
     "tiny_histogram": lambda: build_histogram(n=1024, bins=8, cta_dim=128),
     "mc_barrier": lambda: build_mc_barrier(n=128),
     "order_sensitive": lambda: build_order_sensitive(n=512, cta_dim=128),
+    # The only cells that execute membar.
+    "fence": build_fence,
 }
 SMALL_WORKLOADS = ("histogram", "atomic_sum", "bc_1k", "cnv2_1")
 TINY_WORKLOADS = ("tiny_atomic_sum", "tiny_histogram", "mc_barrier",
-                  "order_sensitive")
+                  "order_sensitive", "fence")
 
 PLANS = {
     "hand": FaultPlan(11, FaultConfig(

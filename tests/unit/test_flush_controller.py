@@ -11,7 +11,7 @@ import pytest
 from repro.config import GPUConfig
 from repro.core.atomic_buffer import AtomicBuffer, FlushTransaction
 from repro.core.dab import DABConfig
-from repro.core.flush import FlushController, FlushPhase
+from repro.core.flush import FlushController
 from repro.interconnect.network import Network
 from repro.memory.address import AddressMap
 from repro.memory.globalmem import AtomicOp, GlobalMemory
@@ -47,8 +47,8 @@ class FakeSM:
         self._full = False
         return txns
 
-    def on_flush_complete(self, now, started):
-        self.flush_events.append((now, started))
+    def release_waits(self, now, since=None, drained=False):
+        self.flush_events.append((now, since))
 
 
 class FakeCluster:
@@ -85,16 +85,10 @@ class FakeGPU:
         self._heap = []
         self._seq = 0
         self.now = 0
-        self.completions = []
 
     def schedule(self, when, fn, args=None):
         self._seq += 1
         heapq.heappush(self._heap, (max(when, self.now), self._seq, fn, args))
-
-    def on_flush_complete(self, now, fence_release, started):
-        self.completions.append((now, fence_release, started))
-        for sm in self.sms:
-            sm.on_flush_complete(now, started)
 
     def drain_events(self):
         while self._heap:
@@ -117,7 +111,7 @@ class TestTriggers:
     def test_no_trigger_when_nothing_full_or_requested(self):
         gpu, fc = make()
         assert not fc.maybe_trigger(0)
-        assert fc.phase is FlushPhase.IDLE
+        assert not fc.any_active
 
     def test_full_buffer_triggers(self):
         gpu, fc = make()
@@ -165,7 +159,7 @@ class TestCompletion:
         gpu.sms[0]._full = True
         assert fc.maybe_trigger(0)
         gpu.drain_events()
-        assert fc.phase is FlushPhase.IDLE
+        assert not fc.any_active
         assert gpu.mem.buffer("data")[:4].sum() == 4.0
         assert fc.stats.entries == 4
 
@@ -174,17 +168,16 @@ class TestCompletion:
         fc.request_fence_flush()
         fc.maybe_trigger(7)
         gpu.drain_events()
-        assert gpu.completions
-        now, fence, started = gpu.completions[0]
-        assert fence and started == 7 and now >= started
-        assert all(sm.flush_events for sm in gpu.sms)
+        for sm in gpu.sms:
+            (now, since), = sm.flush_events
+            assert since == 7 and now >= since
 
     def test_empty_fence_flush_completes_immediately(self):
         gpu, fc = make(sm_entries={})
         fc.request_fence_flush()
         assert fc.maybe_trigger(3)
-        assert fc.phase is FlushPhase.IDLE
-        assert gpu.completions[0][2] == 3
+        assert not fc.any_active
+        assert all(sm.flush_events == [(3, 3)] for sm in gpu.sms)
 
     def test_gate_blocked_during_flight(self):
         gpu, fc = make()

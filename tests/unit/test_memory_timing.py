@@ -217,13 +217,6 @@ class TestFlushReorderBuffer:
         assert b.receive(1, "b2") == ["b2"]
         assert b.complete
 
-    def test_no_reorder_mode_releases_immediately(self):
-        b = FlushReorderBuffer(reorder=False)
-        b.begin_round({0: 1, 1: 1})
-        assert b.receive(1, "b") == ["b"]
-        assert b.receive(0, "a") == ["a"]
-        assert b.complete
-
     def test_empty_round_completes_immediately(self):
         b = FlushReorderBuffer()
         b.begin_round({})

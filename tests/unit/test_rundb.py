@@ -179,8 +179,6 @@ class TestBenchIngest:
         bench = tmp_path / "bench"
         bench.mkdir()
         (bench / "BENCH_hotloop.json").write_text("{not json")
-        self._write(bench / "BENCH_sweep.json", [{"x": 1}],
-                    schema="repro.bench_sweep/v999")
         with RunDB(tmp_path / "runs.db") as db:
             assert ingest_bench_dir(db, bench) == {}
 

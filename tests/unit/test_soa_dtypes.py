@@ -81,7 +81,6 @@ def test_calendars_are_plain_python():
     """
     s = _make_slabs()
     assert isinstance(s.sched_dirty, list)
-    assert isinstance(s.sm_release_dirty, list)
     assert all(type(d) is bool for d in s.sched_dirty)
     assert type(s.buf_nonempty_count) is int
     assert type(s.buf_full_count) is int
