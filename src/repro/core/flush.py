@@ -15,7 +15,9 @@ in a deterministic order:
 2. **Pre-flush messages.**  Each participating cluster announces to
    every memory sub-partition how many transactions to expect from each
    SM (Fig 8a).  A sub-partition holds all arriving entries until every
-   pre-flush message has arrived.
+   pre-flush message has arrived.  The whole grid (40 clusters x 24
+   sub-partitions = 960 packets per flush at TITAN V scale) is sent in
+   one pass (``Network.send_grid``).
 3. **Entry streaming.**  Each SM pushes its buffer contents through the
    interconnect in deterministic stream order — buffers in scheduler-id
    order, entries in buffer-index order, optionally rotated by the
@@ -30,13 +32,14 @@ in a deterministic order:
 
 While a flush is in flight, atomic issue is gated GPU-wide (the
 "implicit barrier across SMs" whose cost Fig 18 isolates); non-atomic
-instructions keep executing.
+instructions keep executing.  A scheduler asleep on an atomic-issue gate
+(DESIGN §12) is woken when a flush starts and when one completes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, TYPE_CHECKING
+from typing import Dict, List, Optional, TYPE_CHECKING
 
 from repro.core.atomic_buffer import FlushTransaction
 from repro.core.dab import DABConfig
@@ -68,9 +71,15 @@ class FlushController:
         self.gpu = gpu
         self.config = config
         self.obs = getattr(gpu, "obs", None)
+        #: the GPU's warp rows and buffer counters (repro.sim.soa); None
+        #: for test doubles without them.
+        self.soa = getattr(gpu, "soa", None)
         self.stats = FlushStats()
         self._fence_requested = False
         self._drain_requested = False
+        #: the cycle of the oldest pending fence or drain request.
+        self._fence_requested_at: Optional[int] = None
+        self._drain_requested_at: Optional[int] = None
         #: live flush rounds per cluster id (CIF) or -1 (global).
         self._active: Dict[int, dict] = {}
         if self.obs is not None and self.obs.metrics is not None:
@@ -98,15 +107,53 @@ class FlushController:
             return cluster_id in self._active
         return True
 
-    def request_fence_flush(self) -> None:
+    def request_fence_flush(self, now: int) -> None:
         """A warp executed ``membar``/``bar.sync``: flush before release."""
-        self._fence_requested = True
+        if not self._fence_requested:
+            self._fence_requested = True
+            self._fence_requested_at = now
         self.gpu._flush_dirty = True
 
-    def request_drain_flush(self) -> None:
+    def request_drain_flush(self, now: int) -> None:
         """Kernel drained with non-empty buffers."""
-        self._drain_requested = True
+        if not self._drain_requested:
+            self._drain_requested = True
+            self._drain_requested_at = now
         self.gpu._flush_dirty = True
+
+    def starved(self) -> str:
+        """Why a wanted flush cannot start, or "".
+
+        A flush is wanted while a fence or drain request is pending or a
+        buffer is full.  It cannot start while some buffer is not at a
+        deterministic point.  The message names the request, the cycle
+        it was made, and each such buffer with its live feeders not at
+        a barrier (warp uid, CTA, pc).  The run loop appends it to its
+        cycle-limit error, so a starved flush fails loudly.
+        """
+        wants = []
+        if self._fence_requested:
+            wants.append(f"fence flush requested at cycle "
+                         f"{self._fence_requested_at}")
+        if self._drain_requested:
+            wants.append(f"drain flush requested at cycle "
+                         f"{self._drain_requested_at}")
+        if any(sm.any_buffer_full() for sm in self.gpu.sms):
+            wants.append("a buffer is full")
+        if not wants:
+            return ""
+        stuck = [
+            f"{buf.name} ({buf.occupancy} entries) fed by "
+            + ", ".join(f"warp {w.uid} (CTA {w.cta.cta_id}, pc {w.pc})"
+                        for w in feeders)
+            for sm in self.gpu.sms
+            for buf, feeders in sm.unready_buffers()
+        ]
+        if not stuck:
+            return ""
+        return (f"starved flush ({', '.join(wants)}): buffers not at a "
+                f"deterministic point, with live feeders not at a "
+                f"barrier: {'; '.join(stuck)}")
 
     # ------------------------------------------------------------------
     def maybe_trigger(self, now: int, quiesced: bool = False) -> bool:
@@ -122,7 +169,7 @@ class FlushController:
         if self._active and not self.config.relax_overlap_flush:
             return False
         sms = self.gpu.sms
-        soa = getattr(self.gpu, "soa", None)
+        soa = self.soa
         if soa is not None:
             # O(1) counters kept by the buffers (repro.sim.soa); the
             # armed `wake` invariant checks them against the buffers.
@@ -140,6 +187,7 @@ class FlushController:
         if not want:
             if self._drain_requested and not nonempty:
                 self._drain_requested = False
+                self._drain_requested_at = None
             return False
         # The feeder scan is the expensive query, evaluated only once a
         # trigger condition is actually met.
@@ -161,8 +209,7 @@ class FlushController:
         else:
             self.stats.trigger_quiesce += 1
             reason = "quiesce"
-        self._fence_requested = False
-        self._drain_requested = False
+        self._clear_requests()
         self._start_flush(now, [sm.sm_id for sm in sms],
                           key=-1 if not self.config.relax_overlap_flush
                           else self.stats.flushes, reason=reason)
@@ -192,13 +239,22 @@ class FlushController:
         if started:
             # Fence/drain requests are satisfied once every cluster with
             # content has flushed; cleared lazily when all complete.
-            soa = getattr(self.gpu, "soa", None)
+            soa = self.soa
             if (soa.buf_nonempty_count == 0 if soa is not None
                     else not any(sm.any_buffer_nonempty()
                                  for sm in self.gpu.sms)):
-                self._fence_requested = False
-                self._drain_requested = False
+                self._clear_requests()
         return started
+
+    def _clear_requests(self) -> None:
+        self._fence_requested = self._drain_requested = False
+        self._fence_requested_at = self._drain_requested_at = None
+
+    def _wake_gate_sleepers(self) -> None:
+        """The flush gate closed or opened: wake every scheduler asleep
+        on a gate."""
+        if self.soa is not None:
+            self.soa.wake_gate_sleepers()
 
     # ------------------------------------------------------------------
     def _start_flush(self, now: int, sm_ids: List[int], key: int,
@@ -265,6 +321,7 @@ class FlushController:
             "entries": total_ops,
         }
         self._active[key] = state
+        self._wake_gate_sleepers()
 
         if total_ops == 0:
             # Nothing buffered (pure fence release): complete immediately.
@@ -274,17 +331,22 @@ class FlushController:
         use_reorder = not cfg.relax_no_reorder
         use_preflush = not cfg.relax_cluster_flush
 
-        # 3. Pre-flush messages: one per (cluster, partition).
+        # 3. Pre-flush messages: one per (cluster, partition), sent as
+        # one grid whose arrivals come back cluster-major.
         fi = getattr(gpu, "faults", None)
         pre_barrier = [now] * num_parts
         if use_preflush:
             clusters = sorted({gpu.sms[s].cluster_id for s in sm_ids})
-            for cid in clusters:
-                for p in range(num_parts):
-                    arr = gpu.net_fwd.send(now, cid, p, PRE_FLUSH_BYTES)
-                    if fi is not None:
-                        arr += fi.preflush_delay(cid, p)
-                    pre_barrier[p] = max(pre_barrier[p], arr)
+            arrivals = gpu.net_fwd.send_grid(now, clusters, range(num_parts),
+                                             PRE_FLUSH_BYTES)
+            if fi is not None:
+                arrivals = [
+                    arr + fi.preflush_delay(clusters[k // num_parts],
+                                            k % num_parts)
+                    for k, arr in enumerate(arrivals)
+                ]
+            pre_barrier = [max(now, *arrivals[p::num_parts])
+                           for p in range(num_parts)]
 
         # 4. Begin rounds and stream the entries.  Under NR the reorder
         # buffer is bypassed entirely (arrival order commits), which also
@@ -363,6 +425,7 @@ class FlushController:
 
     def _finish(self, now: int, key: int) -> None:
         state = self._active.pop(key)
+        self._wake_gate_sleepers()
         self.stats.total_flush_cycles += now - state["started"]
         self.stats.last_completion = now
         if self._m_cycles is not None:

@@ -59,6 +59,9 @@ STALL_ROUND = "round"            # GTAR/GTRR: waiting for atomic round/switch
 STALL_GATE_BUFFER = "buffer_full"  # atomic blocked: buffer full
 STALL_GATE_FLUSH = "flush"       # atomic blocked: flush in progress
 STALL_GATE_BATCH = "batch"       # atomic blocked: CTA batch ordering
+#: the external atomic-issue gates' reasons (DAB).
+GATE_STALLS = frozenset((STALL_GATE_BUFFER, STALL_GATE_FLUSH,
+                         STALL_GATE_BATCH))
 
 
 class SchedRow:

@@ -25,14 +25,17 @@ paper's Section IV-D flush state machine):
     from the expected counts.
 ``wake``
     The run engine's incremental issue state matches a full rescan of
-    the warps: every timing-ready warp's scheduler is dirty and
-    its SM on the visit agenda, every dirty scheduler's SM is on the
-    agenda, the ``active``/``pc`` cells match the warps, each
-    scheduler's live-slot lists hold the active slots (in slot order,
-    and in ascending warp uid), the buffer counters match the buffers,
-    and no fast-forward passes (and no deadlock ignores) an eligible
-    warp's wake time.  Not a protocol guarantee: a failure is always a
-    simulator bug, so no config flag turns it off.
+    the warps: every timing-ready warp's scheduler is dirty and its SM
+    on the visit agenda (unless the scheduler sleeps on an atomic-issue
+    gate and the warp waits at an atomic whose gate, recomputed, is
+    still closed with the reason the sleep books), every dirty
+    scheduler's SM is on the agenda, the ``active``/``pc`` cells match
+    the warps, each scheduler's live-slot lists hold the active slots
+    (in slot order, and in ascending warp uid), the buffer counters
+    match the buffers, and no fast-forward passes (and no deadlock
+    ignores) an eligible warp's wake time.  Not a protocol guarantee:
+    a failure is always a simulator bug, so no config flag turns it
+    off.
 
 Violations raise :class:`InvariantViolation` naming the invariant, the
 cycle, the unit (buffer / partition / SM), and — when a fault injector
@@ -44,6 +47,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
+
+from repro.core.schedulers import GATE_STALLS
 
 
 class InvariantViolation(RuntimeError):
@@ -293,6 +298,9 @@ class InvariantChecker:
                                "scheduler is dirty but its SM is off the "
                                "visit agenda")
                 examined = dirty[r] and on_agenda
+                # A scheduler asleep on a gate: the reason its window books.
+                asleep = (sm._acct_reason[s] if not examined
+                          and sm._acct_reason[s] in GATE_STALLS else None)
                 act, pc = soa.active[r], soa.pc[r]
                 for i, w in enumerate(table):
                     if w is None:
@@ -309,10 +317,19 @@ class InvariantChecker:
                                    f"pc {w.pc}")
                     if (not examined and _eligible(w)
                             and w.ready_cycle <= now):
-                        self._fail("wake", f"sm.{sm.sm_id}.sched.{s}",
-                                   f"warp {w.uid} ready since cycle "
-                                   f"{w.ready_cycle} but its scheduler "
-                                   f"will not be examined")
+                        if asleep is None:
+                            self._fail("wake", f"sm.{sm.sm_id}.sched.{s}",
+                                       f"warp {w.uid} ready since cycle "
+                                       f"{w.ready_cycle} but its scheduler "
+                                       f"will not be examined")
+                        gate = (sm.gate_reason(w) if w.next_is_atomic()
+                                else "no atomic")
+                        if gate != asleep:
+                            self._fail("wake", f"sm.{sm.sm_id}.sched.{s}",
+                                       f"warp {w.uid} ready since cycle "
+                                       f"{w.ready_cycle} but its scheduler "
+                                       f"sleeps on {asleep!r} while the "
+                                       f"warp's gate is {gate or 'open'!r}")
                 row = sm.rows[s]
                 live = [i for i, a in enumerate(act) if a]
                 if row.live != live:

@@ -19,8 +19,8 @@ queueing behaviour.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Callable, List, Optional, Sequence
 
 
 @dataclass
@@ -70,28 +70,62 @@ class Network:
 
     def send(self, now: int, src: int, dst: int, payload_bytes: int = 8) -> int:
         """Inject a packet; return its arrival cycle at ``dst``."""
+        return self.send_grid(now, (src,), (dst,), payload_bytes)[0]
+
+    def send_grid(self, now: int, srcs: Sequence[int], dsts: Sequence[int],
+                  payload_bytes: int = 8) -> List[int]:
+        """Inject one packet from each of ``srcs`` to each of ``dsts``.
+
+        The packets go out source-major, as nested ``send`` calls would
+        send them, with one jitter draw each in that order; the arrival
+        cycles come back in the same (row-major) order.  A flush's
+        pre-flush grid (every cluster to every memory sub-partition)
+        is sent in this one pass.
+        """
         flits = self.flits_for(payload_bytes)
-        inject = max(now, self._src_free[src])
+        src_cost = max(1, flits // self.src_bandwidth)
+        dst_cost = max(1, flits // self.dst_bandwidth)
         # Backpressure: a full destination input buffer delays injection
         # itself, which cascades into this source's later packets (head-
         # of-line blocking at the ejection buffer).
         backlog_limit = self.input_buffer_flits // self.dst_bandwidth
-        earliest_accept = self._dst_free[dst] - backlog_limit
-        if earliest_accept > inject:
-            inject = earliest_accept
-        self._src_free[src] = inject + max(1, flits // self.src_bandwidth)
-        jitter = self.jitter() if self.jitter is not None else 0
-        reach = inject + self.latency + jitter
-        arrive = max(reach, self._dst_free[dst]) + max(1, flits // self.dst_bandwidth)
-        self._dst_free[dst] = arrive
-        self.stats.packets += 1
-        self.stats.flits += flits
-        delay = arrive - (now + self.latency)
-        if delay > 0:
-            self.stats.total_queue_delay += delay
-        backlog = self._dst_free[dst] - now
-        self.stats.max_port_backlog = max(self.stats.max_port_backlog, backlog)
-        return arrive
+        latency = self.latency
+        jitter = self.jitter
+        src_free = self._src_free
+        dst_free = self._dst_free
+        stats = self.stats
+        unqueued = now + latency
+        delays = 0
+        backlog = stats.max_port_backlog
+        arrivals: List[int] = []
+        for src in srcs:
+            for dst in dsts:
+                inject = src_free[src]
+                if inject < now:
+                    inject = now
+                earliest_accept = dst_free[dst] - backlog_limit
+                if earliest_accept > inject:
+                    inject = earliest_accept
+                src_free[src] = inject + src_cost
+                reach = inject + latency
+                if jitter is not None:
+                    reach += jitter()
+                arrive = dst_free[dst]
+                if reach > arrive:
+                    arrive = reach
+                arrive += dst_cost
+                dst_free[dst] = arrive
+                if arrive > unqueued:
+                    delays += arrive - unqueued
+                if arrive - now > backlog:
+                    backlog = arrive - now
+                arrivals.append(arrive)
+        n = len(arrivals)
+        stats.packets += n
+        stats.flits += flits * n
+        stats.total_queue_delay += delays
+        stats.max_port_backlog = backlog
+        return arrivals
 
     def earliest_free(self, dst: int) -> int:
         return self._dst_free[dst]

@@ -391,7 +391,7 @@ class GPU:
         k = self._current
         if k is None:
             return False
-        if not self.dispatcher.all_dispatched or self._ctas_done < k.grid_dim:
+        if self._ctas_done < k.grid_dim or not self.dispatcher.all_dispatched:
             return False
         if self.pending_atomic_packets or self.pending_store_acks:
             return False
@@ -401,7 +401,7 @@ class GPU:
             if self.flush.any_active:
                 return False
             if self.soa.buf_nonempty_count:
-                self.flush.request_drain_flush()
+                self.flush.request_drain_flush(self.cycle)
                 return False
         if self.gpudet is not None and not self.gpudet.drained():
             return False
@@ -484,7 +484,9 @@ class GPU:
         soa = self.soa
         while True:
             if self.cycle > limit:
-                raise SimulationError(f"exceeded {limit} cycles")
+                starved = self.flush.starved() if self.flush is not None else ""
+                raise SimulationError(f"exceeded {limit} cycles"
+                                      + (f": {starved}" if starved else ""))
             progressed = False
             if obs is not None:
                 obs.cycle = self.cycle

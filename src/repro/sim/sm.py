@@ -18,7 +18,7 @@ feeds the Fig 15 overhead breakdown.
 
 from __future__ import annotations
 
-from typing import List, Optional, TYPE_CHECKING
+from typing import List, Optional, Tuple, TYPE_CHECKING
 
 from repro.arch.isa import OpClass
 from repro.arch.kernel import CTA, Kernel
@@ -26,6 +26,7 @@ from repro.arch.warp import Warp
 from repro.core.atomic_buffer import AtomicBuffer, FlushTransaction
 from repro.core.dab import BufferLevel, DABConfig
 from repro.core.schedulers import (
+    GATE_STALLS,
     STALL_GATE_BATCH,
     STALL_GATE_BUFFER,
     STALL_GATE_FLUSH,
@@ -260,17 +261,41 @@ class SM:
     def any_buffer_full(self) -> bool:
         return any(b.full for b in self.buffers)
 
+    def _unready_feeders(self, idx: int) -> List[Warp]:
+        """Buffer ``idx``'s live feeders not at a barrier; [] when the
+        buffer is at a deterministic point (see core.flush)."""
+        if self.buffers[idx].full:
+            return []
+        return [w for w in self._buffer_feeders(idx)
+                if not w.done and not w.at_barrier]
+
     def buffers_flush_ready(self) -> bool:
         """Every buffer is at a deterministic point (see core.flush)."""
+        return not any(map(self._unready_feeders, range(len(self.buffers))))
+
+    def unready_buffers(self) -> List[Tuple[AtomicBuffer, List[Warp]]]:
+        """Each buffer not at a deterministic point, with its live
+        feeders not at a barrier."""
+        out = []
         for idx, buf in enumerate(self.buffers):
-            if not buf.full and any(not w.done and not w.at_barrier
-                                    for w in self._buffer_feeders(idx)):
-                return False
-        return True
+            feeders = self._unready_feeders(idx)
+            if feeders:
+                out.append((buf, feeders))
+        return out
 
     def drain_dab_buffers(self, coalesce: bool, offset: int) -> List[FlushTransaction]:
+        buffers = self.buffers
+        if not any(buf.non_empty for buf in buffers):
+            # Nothing to send, and no warp here holds a buffered red: a
+            # red leaves its buffer non-empty until this SM's next
+            # flush.  (An empty buffer is never full: a buffer holds at
+            # least a warp's worth of entries.)  Each buffer still
+            # counts the flush.
+            for buf in buffers:
+                buf.stats.flushes += 1
+            return []
         stream: List[FlushTransaction] = []
-        for buf in self.buffers:
+        for buf in buffers:
             stream.extend(buf.drain(coalesce=coalesce))
         for w in self.all_warps():
             w.buffered_reds = 0
@@ -319,7 +344,13 @@ class SM:
         its next examination.  One with a timing-ready warp runs the
         consults (GPUDet's quantum check or DAB's atomic gates) over its
         live slots, then ``select()``, and stays dirty, so its policy
-        state and the consults' side effects advance every epoch.
+        state and the consults' side effects advance every epoch.  The
+        exception is a gate stall (``buffer_full``, ``flush``,
+        ``batch``) in which every timing-ready warp waits at a closed
+        gate: a gated ``select`` is idempotent and the consults' side
+        effects are sticky, so the scheduler sleeps in a window of that
+        reason until a cell write on its row, a flush start or end, or
+        a batch advance on this SM wakes it (DESIGN §12).
         """
         soa = self.soa
         gpudet = self.gpu.gpudet
@@ -347,6 +378,8 @@ class SM:
                 owed = epoch - self._acct_epoch[s]
                 if owed > 0:
                     self.stalls.record_bulk(reason, owed)
+                if reason in GATE_STALLS:
+                    soa.gate_sleepers.discard(r0)
                 self._acct_reason[s] = None
             dirty[r0] = False
 
@@ -374,12 +407,7 @@ class SM:
                 self._acct_epoch[s] = epoch
                 continue
 
-            # A warp is timing-ready: consult, select and stay dirty —
-            # select calls mutate policy state and the consults have
-            # side effects (GPUDet quantum ends, sticky full bits), so
-            # they must happen at every such epoch.
-            dirty[r0] = True
-            left_dirty = True
+            # A warp is timing-ready: consult and select.
             warps = row.warps
             if gpudet is not None:
                 held = row.held
@@ -413,21 +441,55 @@ class SM:
             if warp is not None:
                 self._issue(now, warp)
                 issued += 1
+            elif reason in GATE_STALLS and self._gate_sleeps(row, now, reason):
+                # Asleep: this select would repeat every epoch until a
+                # wake-up, so its window opens from the next epoch.
+                self._acct_reason[s] = reason
+                self._acct_epoch[s] = epoch + 1
+                soa.gate_sleepers.add(r0)
+                continue
+            # Stay dirty: select calls mutate policy state and the
+            # consults have side effects (GPUDet quantum ends, sticky
+            # full bits), so they must happen at every such epoch.
+            dirty[r0] = True
+            left_dirty = True
         if left_dirty:
-            # A scheduler stayed dirty (select side effects must rerun
-            # next epoch): keep this SM on the agenda.
+            # Keep this SM on the agenda for its dirty schedulers.
             soa.visit_dirty.add(self.sm_id)
         return issued
 
-    def _atomic_gate(self, warp: Warp) -> str:
-        """Why an external gate blocks ``warp``'s next atomic, or ""."""
-        if self.gpu.flush is not None and self.gpu.flush.flush_gate_blocked(self.cluster_id):
+    def _gate_sleeps(self, row: SchedRow, now: int, reason: str) -> bool:
+        """Every timing-ready warp of ``row`` not at a barrier is at an
+        atomic whose gate is closed with ``reason``."""
+        bar, rc, ol, oa = row.bar, row.rc, row.ol, row.oa
+        pc, atomic, warps = row.pc, row.atomic, row.warps
+        for i in row.live:
+            if (not bar[i] and ol[i] == 0 and oa[i] == 0 and rc[i] <= now
+                    and not (atomic[pc[i]]
+                             and self.gate_reason(warps[i]) == reason)):
+                return False
+        return True
+
+    def gate_reason(self, warp: Warp) -> str:
+        """Why an external gate blocks ``warp``'s next atomic, or "".
+
+        Free of side effects: the SM's consult (:meth:`_atomic_gate`)
+        and the armed ``wake`` check share this one definition.
+        """
+        flush = self.gpu.flush
+        if flush is not None and flush.flush_gate_blocked(self.cluster_id):
             return STALL_GATE_FLUSH
         if warp.batch > self.current_batch:
             return STALL_GATE_BATCH
-        buf = self.buffer_for(warp)
-        ops = warp.peek_red_ops()
-        if not buf.can_accept(ops):
+        if not self.buffer_for(warp).can_accept(warp.peek_red_ops()):
+            return STALL_GATE_BUFFER
+        return ""
+
+    def _atomic_gate(self, warp: Warp) -> str:
+        """:meth:`gate_reason`, tripping a warp-level buffer's sticky
+        full bit when the gate is capacity."""
+        gate = self.gate_reason(warp)
+        if gate == STALL_GATE_BUFFER and self._warp_level:
             # The sticky full bit may only be tripped by the warp that is
             # actually next in the deterministic atomic order; for
             # warp-level buffers that is trivially this warp (sole
@@ -436,11 +498,11 @@ class SM:
             # the SM marks the buffer after select() — a speculative
             # status check for a warp further down the order must not
             # freeze the buffer under an already-approved insert.
-            if self._warp_level and not buf.full:
+            buf = self.buffer_for(warp)
+            if not buf.full:
                 buf.mark_full()
                 self.gpu._flush_dirty = True
-            return STALL_GATE_BUFFER
-        return ""
+        return gate
 
     def _issue(self, now: int, warp: Warp) -> None:
         cfg = self.config
@@ -537,6 +599,8 @@ class SM:
                 break  # batch not fully placed yet
             if all(c.done for c in batch_ctas):
                 self.current_batch += 1
+                # The batch gate may have opened.
+                self.soa.wake_gate_sleepers(self.sm_id)
             else:
                 break
 
@@ -582,7 +646,7 @@ class SM:
                 self._barrier_ctas.remove(cta)
                 self._release(now, cta, warps)
             else:
-                self.gpu.flush.request_fence_flush()
+                self.gpu.flush.request_fence_flush(now)
 
     def _handle_fence(self, now: int, warp: Warp) -> None:
         warp.at_barrier = True
@@ -593,7 +657,7 @@ class SM:
         self.schedulers[warp.scheduler_id].notify_barrier(
             self.rows[warp.scheduler_id], warp.hw_slot)
         if self.gpu.flush is not None:
-            self.gpu.flush.request_fence_flush()
+            self.gpu.flush.request_fence_flush(now)
 
     def release_waits(self, now: int, since: Optional[int] = None,
                       drained: bool = False) -> None:

@@ -32,7 +32,7 @@ below, and the run loop drains them.  An armed ``wake`` invariant
 from __future__ import annotations
 
 import heapq
-from typing import List
+from typing import List, Optional, Set
 
 
 class WarpSlabs:
@@ -75,6 +75,11 @@ class WarpSlabs:
         #: eligible (live, not at a barrier, nothing outstanding) and
         #: validated against the rows when popped.
         self.warp_wake: List = []
+        #: rows of schedulers asleep on an atomic-issue gate (DESIGN
+        #: §12): clean, with their stall window open under the gate's
+        #: reason.  A flush start or end wakes them all, a batch
+        #: advance those of its SM.
+        self.gate_sleepers: Set[int] = set()
 
     # ------------------------------------------------------------------
     def pop_due(self, now: int) -> None:
@@ -100,6 +105,23 @@ class WarpSlabs:
                     and ol[r][c] == 0 and oa[r][c] == 0):
                 dirty[r] = True
                 vd.add(r // s)
+
+    def wake_gate_sleepers(self, sm_id: Optional[int] = None) -> None:
+        """Dirty the gate-sleeping schedulers (of SM ``sm_id`` only, if
+        given) and put their SMs on the visit agenda."""
+        sleepers = self.gate_sleepers
+        if not sleepers:
+            return
+        s = self.schedulers_per_sm
+        if sm_id is None:
+            woken = list(sleepers)
+        else:
+            woken = [r for r in range(sm_id * s, sm_id * s + s)
+                     if r in sleepers]
+        for r in woken:
+            sleepers.discard(r)
+            self.sched_dirty[r] = True
+            self.visit_dirty.add(r // s)
 
     def next_wake(self, now: int):
         """Min future ``ready_cycle`` among eligible warps, or None.

@@ -329,6 +329,75 @@ class TestBarrierRelease:
             assert (wl.mem.buffer(name) == image).all(), name
 
 
+_HANDSHAKE_PROG = """
+    mov.s32 r_c, %ctaid
+    setp.ne.s32 p_c, r_c, 0
+@p_c bra READER
+    mov.f32 r_v, 1.0
+    red.global.add.f32 [c_x], r_v
+    membar.gl
+    mov.s32 r_one, 1
+    st.global.s32 [c_flag], r_one
+    exit
+READER:
+    ld.global.s32 r_f, [c_flag]
+    setp.eq.s32 p_f, r_f, 0
+@p_f bra READER
+    ld.global.f32 r_x, [c_x]
+    st.global.f32 [c_seen], r_x
+    exit
+"""
+
+
+def _handshake_workload() -> Workload:
+    """Two single-thread CTAs: CTA 0 runs ``red x; membar.gl; st flag,
+    1``, CTA 1 spins on ``ld flag`` and then stores ``x`` to ``seen``."""
+    mem = GlobalMemory()
+    params = {
+        "c_x": mem.alloc("x", 1, "f32"),
+        "c_flag": mem.alloc("flag", 1, "s32"),
+        "c_seen": mem.alloc("seen", 1, "f32"),
+    }
+    kernel = Kernel("handshake", assemble(_HANDSHAKE_PROG), grid_dim=2,
+                    cta_dim=1, params=params)
+    return Workload(name="handshake", mem=mem, kernels=[kernel],
+                    outputs=["seen"])
+
+
+class TestStarvedFence:
+    """Under DAB the spinning reader is a live feeder of its (empty)
+    buffer, so the fence flush never starts.  Counting an empty buffer
+    as ready would make the flush's contents depend on when the reader
+    reaches its next red, so until that livelock is settled the run
+    must fail loudly: the cycle-limit error names the pending fence,
+    when it was requested, and the buffer's live feeder."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_dab_names_the_fence_and_the_live_feeder(self, seed):
+        wl = _handshake_workload()
+        gpu = GPU(GPUConfig.tiny(), wl.mem, dab=DABConfig.paper_default(),
+                  jitter=JitterSource(seed), max_cycles=20000)
+        with pytest.raises(SimulationError) as ei:
+            wl.drive(gpu)
+        msg = str(ei.value)
+        assert msg.startswith("exceeded 20000 cycles: starved flush")
+        assert "fence flush requested at cycle " in msg
+        reader = next(w for sm in gpu.sms for w in sm.all_warps()
+                      if w.cta.cta_id == 1)
+        assert f"warp {reader.uid} (CTA 1, pc " in msg
+        assert f"sm.{reader.sm_id}.sched.{reader.scheduler_id} (0 entries)" in msg
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("gpudet", [None, GPUDetConfig()],
+                             ids=["baseline", "gpudet"])
+    def test_other_architectures_see_the_red(self, seed, gpudet):
+        wl = _handshake_workload()
+        gpu = GPU(GPUConfig.tiny(), wl.mem, gpudet=gpudet,
+                  jitter=JitterSource(seed), max_cycles=20000)
+        wl.drive(gpu)
+        assert wl.mem.buffer("seen")[0] == 1.0
+
+
 class TestRelease:
     @pytest.mark.parametrize("arch", [ArchSpec.baseline(),
                                       ArchSpec.make_dab(),

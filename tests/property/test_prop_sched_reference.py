@@ -6,11 +6,19 @@ side over a random sequence of slot states on one scheduler row.  The
 steps are what the SM does to a row: CTA placement into an empty or a
 retired slot, exit, barrier entry and release (with their notify
 hooks), readiness and next-instruction changes, the GPUDet quantum hold
-and the DAB ``buffer_full``, ``flush`` and ``batch`` gates, and drain
+and the DAB ``buffer_full``, ``flush`` and ``batch`` gates (per warp,
+or for every warp at once as a gate event sets them), and drain
 resets.  After every step both policies select; the warp, the stall
 reason, ``gate_blocked_warp``, the policy state (GTO's greedy warp,
 SRR's pointer, GTRR's mode, GTAR's round and pending warps, GWAT's
 token) and the emitted ``sched`` events must be equal.
+
+Whenever the row-based policy returns no warp with a gate reason
+(``buffer_full``, ``flush``, ``batch``), a second ``select`` on the
+unchanged row must return the same warp, reason and
+``gate_blocked_warp``, leave every policy field unchanged and emit no
+``sched`` event: a gated ``select`` is idempotent, which is what lets
+the SM put a gate-blocked scheduler to sleep (DESIGN §12).
 
 The reference reads records built the way the SM built them: ``None``
 for an empty slot, ``DONE_STATUS`` for a finished warp, else readiness
@@ -27,11 +35,13 @@ from repro.arch.isa import assemble
 from repro.arch.kernel import CTA, Kernel
 from repro.arch.warp import Warp
 from repro.core.schedulers import (
+    GATE_STALLS,
     POLICY_NAMES,
     STALL_GATE_BATCH,
     STALL_GATE_BUFFER,
     STALL_GATE_FLUSH,
     SchedRow,
+    SchedulerPolicy,
     make_scheduler,
 )
 from repro.sim.soa import WarpSlabs
@@ -135,6 +145,12 @@ class Row:
         self.gate[slot] = gate
         self.hold[slot] = hold
 
+    def gate_all(self, gate):
+        """A gate event: a flush start or end, or a batch advance,
+        changes the gate of every warp at once."""
+        for slot in self.row.live:
+            self.gate[slot] = gate
+
     def drain(self):
         if not self.row.live:
             self.new.reset_for_drain()
@@ -177,6 +193,8 @@ class Row:
         assert self.new.gate_blocked_warp is self.ref.gate_blocked_warp
         assert row_state(self.new) == ref_state(self.ref)
         assert self.new.obs.events == self.ref.obs.events
+        if got[0] is None and got[1] in GATE_STALLS:
+            self.check_gated_select_idempotent(got)
         w = got[0]
         if w is not None:
             # The issue: the atomic (if any) retires, the warp waits out
@@ -184,6 +202,29 @@ class Row:
             self.row.pc[w.hw_slot] = 0
             w.ready_cycle = self.now + self.latency
         self.now += 1
+
+
+    def check_gated_select_idempotent(self, first):
+        before = policy_fields(self.new)
+        blocked = self.new.gate_blocked_warp
+        events = len(self.new.obs.events)
+        again = self.new.select(self.now, self.row)
+        assert again[0] is None and again[1] == first[1], (again, first)
+        assert self.new.gate_blocked_warp is blocked
+        assert policy_fields(self.new) == before
+        assert len(self.new.obs.events) == events
+
+
+def policy_fields(p):
+    """Every field of a row-based policy but its hub and blocked warp,
+    sub-policies included (GTRR's SRR)."""
+    out = {}
+    for k, v in vars(p).items():
+        if k in ("obs", "gate_blocked_warp"):
+            continue
+        out[k] = (policy_fields(v) if isinstance(v, SchedulerPolicy)
+                  else list(v) if isinstance(v, list) else v)
+    return out
 
 
 def _state(p, greedy, pending):
@@ -224,6 +265,9 @@ def scenarios(draw):
         st.tuples(st.just("release"), slot),
         st.tuples(st.just("set"), slot, st.sampled_from(TIMINGS),
                   st.booleans(), st.sampled_from(GATES), st.booleans()),
+        st.tuples(st.just("set"), slot, st.just("ready"), st.just(True),
+                  st.sampled_from(GATES), st.just(False)),
+        st.tuples(st.just("gate_all"), st.sampled_from(GATES)),
         st.tuples(st.just("drain")),
         st.tuples(st.just("wait")),
     )

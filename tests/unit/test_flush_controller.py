@@ -121,16 +121,27 @@ class TestTriggers:
 
     def test_fence_request_triggers(self):
         gpu, fc = make()
-        fc.request_fence_flush()
+        fc.request_fence_flush(0)
         assert fc.maybe_trigger(0)
         assert fc.stats.trigger_fence == 1
 
+    def test_request_cycle_is_the_oldest_pending_one(self):
+        gpu, fc = make()
+        gpu.sms[1]._warps_blocked = False  # not ready: the request waits
+        fc.request_fence_flush(4)
+        fc.request_fence_flush(9)
+        assert not fc.maybe_trigger(9)
+        assert fc._fence_requested_at == 4
+        gpu.sms[1]._warps_blocked = True
+        assert fc.maybe_trigger(10)
+        assert fc._fence_requested_at is None
+
     def test_drain_request_triggers_only_with_content(self):
         gpu, fc = make(sm_entries={})
-        fc.request_drain_flush()
+        fc.request_drain_flush(0)
         assert not fc.maybe_trigger(0)
         gpu2, fc2 = make()
-        fc2.request_drain_flush()
+        fc2.request_drain_flush(0)
         assert fc2.maybe_trigger(0)
         assert fc2.stats.trigger_drain == 1
 
@@ -165,7 +176,7 @@ class TestCompletion:
 
     def test_completion_notifies_sms_with_start_time(self):
         gpu, fc = make()
-        fc.request_fence_flush()
+        fc.request_fence_flush(7)
         fc.maybe_trigger(7)
         gpu.drain_events()
         for sm in gpu.sms:
@@ -174,7 +185,7 @@ class TestCompletion:
 
     def test_empty_fence_flush_completes_immediately(self):
         gpu, fc = make(sm_entries={})
-        fc.request_fence_flush()
+        fc.request_fence_flush(3)
         assert fc.maybe_trigger(3)
         assert not fc.any_active
         assert all(sm.flush_events == [(3, 3)] for sm in gpu.sms)

@@ -4,9 +4,12 @@ InvariantViolation naming the invariant, cycle, and unit."""
 
 import pytest
 
+from repro.arch.isa import assemble
+from repro.arch.kernel import Kernel
 from repro.config import GPUConfig
 from repro.core.dab import DABConfig
 from repro.faults import InvariantChecker, InvariantConfig, InvariantViolation
+from repro.memory.globalmem import GlobalMemory
 from repro.sim.gpu import GPU
 from repro.workloads.microbench import build_atomic_sum
 
@@ -292,3 +295,59 @@ class TestWake:
         assert gpu.inv.checks == before + 2
         gpu.soa.sched_dirty[first_warp(gpu)[1]] = False
         raises_wake(gpu.inv.check_issue_agenda, gpu, 0)
+
+
+def gate_sleeper():
+    """An armed tiny DAB GPU whose placed warps all wait at a red (pc 0),
+    with SM 0's scheduler 0 put to sleep on the ``flush`` gate while a
+    flush is in flight: ``(gpu, row)``."""
+    mem = GlobalMemory()
+    x = mem.alloc("x", 1, "f32")
+    kernel = Kernel("red", assemble("""
+        red.global.add.f32 [c_x], 1.0
+        exit
+    """), grid_dim=4, cta_dim=64, params={"c_x": x})
+    gpu = GPU(GPUConfig.tiny(), mem, dab=DABConfig(), invariants=True)
+    gpu.launch(kernel)
+    gpu._start_next_kernel()
+    assert gpu.dispatcher.place(0)
+    gpu.flush._active[-1] = {}  # a flush in flight closes the gate
+    sm = gpu.sms[0]
+    sm._acct_reason[0] = "flush"
+    sm._acct_epoch[0] = 1
+    gpu.soa.sched_dirty[sm.row0] = False
+    gpu.soa.gate_sleepers.add(sm.row0)
+    return gpu, sm.row0
+
+
+class TestGateSleepWake:
+    """A scheduler asleep on an atomic-issue gate is exempt from the
+    ready-warp check only while each ready warp's gate, recomputed,
+    is still closed with the reason its window books."""
+
+    def test_sleeper_exempt_while_its_gate_holds(self):
+        gpu, _ = gate_sleeper()
+        gpu.inv.check_issue_agenda(gpu, 0)
+
+    def test_gate_opened_under_a_sleeper(self):
+        gpu, _ = gate_sleeper()
+        gpu.flush._active.clear()  # the flush ended; nobody woke it
+        v = raises_wake(gpu.inv.check_issue_agenda, gpu, 0)
+        assert v.unit == "sm.0.sched.0"
+        assert "sleeps on 'flush' while the warp's gate is 'open'" in v.detail
+
+    def test_sleeper_books_another_gate(self):
+        gpu, _ = gate_sleeper()
+        gpu.sms[0]._acct_reason[0] = "buffer_full"  # a lost flush-start wake
+        v = raises_wake(gpu.inv.check_issue_agenda, gpu, 0)
+        assert "sleeps on 'buffer_full' while the warp's gate is 'flush'" \
+            in v.detail
+
+    def test_sleeper_with_a_warp_past_its_atomic(self):
+        gpu, row = gate_sleeper()
+        w = next(w for w in gpu.sms[0].sched_slots[0] if w is not None)
+        w.step(gpu.mem)  # issued the red behind the scheduler's back
+        gpu.soa.sched_dirty[row] = False
+        v = raises_wake(gpu.inv.check_issue_agenda, gpu, 0)
+        assert f"warp {w.uid} ready" in v.detail
+        assert "gate is 'no atomic'" in v.detail
