@@ -165,6 +165,16 @@ class SchedulerPolicy:
     def notify_barrier_release(self, row: SchedRow, slot: int) -> None:
         pass
 
+    def inorder_slot(self, row: SchedRow,
+                     gated: Dict[int, str]) -> Optional[int]:
+        """The slot a strict in-order policy must issue next, given the
+        gate reasons ``gated``; None when the policy has no such warp.
+
+        Free of side effects: the SM's in-order sleep and the armed
+        ``wake`` check (with recomputed gates) share this one answer.
+        """
+        return None
+
     def reset_for_drain(self) -> None:
         """Called when the scheduler has no live warps (kernel boundary)."""
         self._last_slot = self._last_uid = None
@@ -256,37 +266,43 @@ class SRRScheduler(SchedulerPolicy):
         super().__init__(num_slots)
         self._ptr = 0
 
+    def inorder_slot(self, row, gated):
+        """The first live slot from the pointer on, wrapping around,
+        whose warp is neither at a barrier nor waiting at the batch
+        gate (both are skipped: a later-batch warp's turn in the
+        deterministic order only comes once its batch opens)."""
+        live = row.live
+        bar = row.bar
+        k = bisect_left(live, self._ptr)
+        for i in live[k:] + live[:k]:
+            if not bar[i] and gated.get(i) != STALL_GATE_BATCH:
+                return i
+        return None
+
     def select(self, now, row):
         self.gate_blocked_warp = None
         live = row.live
         if not live:
             return None, STALL_EMPTY
-        bar, gated = row.bar, row.gated
-        # Live slots from the pointer on, wrapping around.
-        k = bisect_left(live, self._ptr)
-        for i in live[k:] + live[:k]:
-            if bar[i]:
-                continue  # skippable
+        gated = row.gated
+        i = self.inorder_slot(row, gated)
+        if i is None:
+            return None, self._fallback_reason(row, now)
+        if row.ready(i, now):
             gate = gated.get(i)
-            if gate == STALL_GATE_BATCH:
-                # A later-batch warp waiting on the batch gate is
-                # skipped like a barrier-blocked warp: its turn in the
-                # deterministic order only comes once its batch opens.
-                continue
-            if row.ready(i, now):
-                if gate is None:
-                    self._ptr = (i + 1) % self.num_slots
-                    return row.warps[i], None
-                # In-order warp is gated: strict RR cannot pass it.
-                if gate == STALL_GATE_BUFFER:
-                    self.gate_blocked_warp = row.warps[i]
-                return None, gate
-            # In-order warp is stalled: strict RR cannot pass it.
-            others_ready = any(
-                t != i and not bar[t] and row.ready(t, now) for t in live
-            )
-            return None, STALL_INORDER if others_ready else STALL_MEM
-        return None, self._fallback_reason(row, now)
+            if gate is None:
+                self._ptr = (i + 1) % self.num_slots
+                return row.warps[i], None
+            # In-order warp is gated: strict RR cannot pass it.
+            if gate == STALL_GATE_BUFFER:
+                self.gate_blocked_warp = row.warps[i]
+            return None, gate
+        # In-order warp is stalled: strict RR cannot pass it.
+        bar = row.bar
+        others_ready = any(
+            t != i and not bar[t] and row.ready(t, now) for t in live
+        )
+        return None, STALL_INORDER if others_ready else STALL_MEM
 
     def reset_for_drain(self):
         super().reset_for_drain()
@@ -314,6 +330,11 @@ class GTRRScheduler(SchedulerPolicy):
     @property
     def mode(self) -> str:
         return self._mode
+
+    def inorder_slot(self, row, gated):
+        """SRR's in-order slot once in the SRR phase; None under GTO."""
+        return (self._srr.inorder_slot(row, gated) if self._mode == "srr"
+                else None)
 
     def select(self, now, row):
         self.gate_blocked_warp = None

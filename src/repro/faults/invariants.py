@@ -26,16 +26,18 @@ paper's Section IV-D flush state machine):
 ``wake``
     The run engine's incremental issue state matches a full rescan of
     the warps: every timing-ready warp's scheduler is dirty and its SM
-    on the visit agenda (unless the scheduler sleeps on an atomic-issue
-    gate and the warp waits at an atomic whose gate, recomputed, is
-    still closed with the reason the sleep books), every dirty
-    scheduler's SM is on the agenda, the ``active``/``pc`` cells match
-    the warps, each scheduler's live-slot lists hold the active slots
-    (in slot order, and in ascending warp uid), the buffer counters
-    match the buffers, and no fast-forward passes (and no deadlock
-    ignores) an eligible warp's wake time.  Not a protocol guarantee:
-    a failure is always a simulator bug, so no config flag turns it
-    off.
+    on the visit agenda, unless a recomputed, side-effect-free
+    predicate says an examination would repeat the scheduler's sleep
+    (a gate sleeper: the warp waits at an atomic whose gate is still
+    closed with the reason the sleep books, or the policy's in-order
+    warp does; a GPUDet-held sleeper: GPUDet still holds the warp);
+    every dirty scheduler's SM is on the agenda, the ``active``/``pc``
+    cells match the warps, each scheduler's live-slot lists hold the
+    active slots (in slot order, and in ascending warp uid), the buffer
+    counters match the buffers, and no fast-forward passes (and no
+    deadlock ignores) an eligible warp's wake time.  Not a protocol
+    guarantee: a failure is always a simulator bug, so no config flag
+    turns it off.
 
 Violations raise :class:`InvariantViolation` naming the invariant, the
 cycle, the unit (buffer / partition / SM), and — when a fault injector
@@ -48,7 +50,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.core.schedulers import GATE_STALLS
+from repro.core.schedulers import GATE_STALLS, STALL_MEM
 
 
 class InvariantViolation(RuntimeError):
@@ -105,6 +107,43 @@ def _eligible(w) -> bool:
     """Live, not at a barrier, nothing outstanding: wakes by time alone."""
     return not (w.done or w.at_barrier or w.outstanding_loads
                 or w.outstanding_atoms)
+
+
+def _inorder_gated(sm, s: int, reason: str, now: int) -> bool:
+    """Scheduler ``s``'s in-order warp, named by its policy from gates
+    recomputed with ``SM.gate_reason``, is timing-ready at an atomic
+    whose gate is closed with ``reason``."""
+    row = sm.rows[s]
+    warps = row.warps
+    gates = {}
+    for i in row.live:
+        w = warps[i]
+        if not w.at_barrier and w.next_is_atomic():
+            gate = sm.gate_reason(w)
+            if gate:
+                gates[i] = gate
+    i = sm.schedulers[s].inorder_slot(row, gates)
+    return (i is not None and _eligible(warps[i])
+            and warps[i].ready_cycle <= now and gates.get(i) == reason)
+
+
+def _sleep_breach(sm, s: int, w, window: Optional[str], now: int) -> str:
+    """Why scheduler ``s`` of ``sm``, clean with its stall window open
+    under ``window``, may not leave the timing-ready warp ``w``
+    unexamined; "" when an examination would repeat its sleep."""
+    if window in GATE_STALLS:
+        if _inorder_gated(sm, s, window, now):
+            return ""
+        gate = sm.gate_reason(w) if w.next_is_atomic() else "no atomic"
+        if gate == window:
+            return ""
+        return (f"sleeps on {window!r} while the warp's gate is "
+                f"{gate or 'open'!r}")
+    if window == STALL_MEM and sm._gto_held:
+        if sm.gpu.gpudet.holds(w):
+            return ""
+        return "sleeps on 'mem' while GPUDet holds the warp no longer"
+    return "will not be examined"
 
 
 def _earliest_warp_wake(gpu, now: int):
@@ -298,9 +337,8 @@ class InvariantChecker:
                                "scheduler is dirty but its SM is off the "
                                "visit agenda")
                 examined = dirty[r] and on_agenda
-                # A scheduler asleep on a gate: the reason its window books.
-                asleep = (sm._acct_reason[s] if not examined
-                          and sm._acct_reason[s] in GATE_STALLS else None)
+                # What the window of a clean scheduler books.
+                window = None if examined else sm._acct_reason[s]
                 act, pc = soa.active[r], soa.pc[r]
                 for i, w in enumerate(table):
                     if w is None:
@@ -317,19 +355,12 @@ class InvariantChecker:
                                    f"pc {w.pc}")
                     if (not examined and _eligible(w)
                             and w.ready_cycle <= now):
-                        if asleep is None:
+                        breach = _sleep_breach(sm, s, w, window, now)
+                        if breach:
                             self._fail("wake", f"sm.{sm.sm_id}.sched.{s}",
                                        f"warp {w.uid} ready since cycle "
                                        f"{w.ready_cycle} but its scheduler "
-                                       f"will not be examined")
-                        gate = (sm.gate_reason(w) if w.next_is_atomic()
-                                else "no atomic")
-                        if gate != asleep:
-                            self._fail("wake", f"sm.{sm.sm_id}.sched.{s}",
-                                       f"warp {w.uid} ready since cycle "
-                                       f"{w.ready_cycle} but its scheduler "
-                                       f"sleeps on {asleep!r} while the "
-                                       f"warp's gate is {gate or 'open'!r}")
+                                       f"{breach}")
                 row = sm.rows[s]
                 live = [i for i, a in enumerate(act) if a]
                 if row.live != live:

@@ -65,6 +65,8 @@ class StoreBufferView:
         self._sb = sb
 
     def load_many(self, addrs) -> np.ndarray:
+        if self._sb.empty:
+            return self._mem.load_many(addrs)
         addr_list = addrs.tolist() if isinstance(addrs, np.ndarray) else \
             [int(a) for a in addrs]
         out = np.empty(len(addr_list), dtype=np.float64)
@@ -136,20 +138,28 @@ class GPUDetController:
     # ------------------------------------------------------------------
     # Issue gating & accounting.
     # ------------------------------------------------------------------
+    def holds(self, warp: Warp) -> bool:
+        """GPUDet already holds ``warp``: no parallel mode, its quantum
+        over, or waiting at a barrier.
+
+        The side-effect-free half of :meth:`can_issue` (without its
+        quantum end at an atomic), shared with the armed ``wake`` check.
+        Each hold ends through a cell write: the ready bump at the next
+        parallel mode's start, or a barrier release.
+        """
+        # At a bar.sync/membar: an atomic right after it must not end
+        # the quantum, or the next serial mode would run it before the
+        # barrier releases.
+        return (self.mode != PARALLEL
+                or self._live[warp.uid].reason is not None
+                or warp.at_barrier)
+
     def can_issue(self, warp: Warp) -> bool:
-        if self.mode != PARALLEL:
-            return False
-        st = self._live[warp.uid]
-        if st.reason is not None:
-            return False
-        if warp.at_barrier:
-            # Waiting at bar.sync/membar: an atomic right after it must
-            # not end the quantum, or the next serial mode would run it
-            # before the barrier releases.
+        if self.holds(warp):
             return False
         if warp.next_is_atomic():
             # Atomics may not execute in parallel mode: end the quantum.
-            st.reason = "atomic"
+            self._live[warp.uid].reason = "atomic"
             self.gpu._gpudet_dirty = True  # tick() reads the reasons
             return False
         return True
@@ -231,7 +241,8 @@ class GPUDetController:
         self._mode_started = now
         self.gpu._gpudet_dirty = True
         # A serial step moves only the pc of a warp that stopped at an
-        # atomic while timing-ready, so its scheduler is already dirty.
+        # atomic, which GPUDet holds until the ready bump of the next
+        # parallel mode; that bump wakes its scheduler.
         t = now
 
         # Serial mode: warps stopped at an atomic run it one warp at a

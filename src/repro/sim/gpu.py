@@ -237,11 +237,6 @@ class GPU:
         self._seq += 1
         heapq.heappush(self._heap, (when, self._seq, fn, args))
 
-    def mem_view_for(self, warp: Warp):
-        if self.gpudet is not None:
-            return self.gpudet.mem_view(warp)
-        return self.mem
-
     # -- loads -------------------------------------------------------------
     def send_load_miss(self, now: int, sm: SM, warp: Warp, sector: int) -> None:
         p = self.addr_map.partition_of(sector)
@@ -388,10 +383,9 @@ class GPU:
                              grid=self._current.grid_dim)
 
     def _kernel_complete(self) -> bool:
-        k = self._current
-        if k is None:
-            return False
-        if self._ctas_done < k.grid_dim or not self.dispatcher.all_dispatched:
+        """The current kernel, all of whose CTAs are done (the run loop
+        tests that first), has drained."""
+        if not self.dispatcher.all_dispatched:
             return False
         if self.pending_atomic_packets or self.pending_store_acks:
             return False
@@ -535,7 +529,7 @@ class GPU:
                 # visited is merged into the remaining batch (visited
                 # this cycle); a lower id, or the visited SM itself,
                 # stays on the agenda for the next cycle.
-                batch = sorted(vd)
+                batch = sorted(vd) if len(vd) > 1 else list(vd)
                 vd.clear()
                 i = 0
                 while i < len(batch):
@@ -543,7 +537,7 @@ class GPU:
                     i += 1
                     if sms[smid].live_count:
                         issued += sms[smid].issue_cycle_fast(cycle, epoch)
-                        if vd:
+                        if vd and (len(vd) > 1 or smid not in vd):
                             extras = [x for x in vd if x > smid]
                             if extras:
                                 vd.difference_update(extras)
@@ -566,7 +560,8 @@ class GPU:
             if prof is not None:
                 prof.stop("flush", t0)
 
-            if self._kernel_complete():
+            if (self._ctas_done >= self._current.grid_dim
+                    and self._kernel_complete()):
                 self._finish_kernel()
                 continue
 
@@ -578,14 +573,16 @@ class GPU:
             # The wake heap's peek validates entries against the rows, so
             # it returns the earliest future ready_cycle of an eligible
             # warp (the armed `wake` check rescans the warps to confirm).
-            next_time = self._heap[0][0] if self._heap else None
+            target = self._heap[0][0] if self._heap else None
             wake = soa.next_wake(self.cycle)
-            candidates = [t for t in (next_time, wake) if t is not None]
-            if self._current is not None and self.cycle < self.last_atomic_done:
+            if wake is not None and (target is None or wake < target):
+                target = wake
+            if self.cycle < self.last_atomic_done and (
+                    target is None or self.last_atomic_done < target):
                 # Waiting for the ROP to drain fire-and-forget atomics.
-                candidates.append(self.last_atomic_done)
-            if candidates:
-                target = max(self.cycle + 1, min(candidates))
+                target = self.last_atomic_done
+            if target is not None:
+                target = max(self.cycle + 1, target)
                 if self.inv is not None:
                     self.inv.check_fast_forward(self, self.cycle, target)
                 self.cycle = target

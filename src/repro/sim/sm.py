@@ -68,6 +68,10 @@ class SM:
             sched.obs = self.obs
             sched.obs_sm = sm_id
             sched.obs_id = i
+        #: GPUDet runs GTO: a scheduler whose every timing-ready warp
+        #: GPUDet holds may sleep (see _held_sleeps).
+        self._gto_held = (gpu.gpudet is not None
+                          and self.schedulers[0].name == "gto")
         #: per-scheduler local slot tables.
         self.sched_slots: List[List[Optional[Warp]]] = [
             [None] * self.slots_per_scheduler for _ in range(self.num_schedulers)
@@ -343,14 +347,24 @@ class SM:
         or ``barrier``) and goes clean; the window is booked in bulk at
         its next examination.  One with a timing-ready warp runs the
         consults (GPUDet's quantum check or DAB's atomic gates) over its
-        live slots, then ``select()``, and stays dirty, so its policy
-        state and the consults' side effects advance every epoch.  The
-        exception is a gate stall (``buffer_full``, ``flush``,
-        ``batch``) in which every timing-ready warp waits at a closed
-        gate: a gated ``select`` is idempotent and the consults' side
-        effects are sticky, so the scheduler sleeps in a window of that
-        reason until a cell write on its row, a flush start or end, or
-        a batch advance on this SM wakes it (DESIGN §12).
+        live slots, then ``select()``.  It stays dirty only while its
+        answer can change without a cell write on its row; otherwise it
+        sleeps in a window from the next epoch (DESIGN §12 "Sleeping
+        schedulers"):
+
+        * after an issue that leaves one live warp on its row, not
+          timing-ready (``mem`` or ``barrier``, the window the next
+          examination would open);
+        * on a gate stall (``buffer_full``, ``flush``, ``batch``) when
+          the policy's in-order warp, or every timing-ready warp, waits
+          at a gate closed with that reason, until a flush start or end
+          or a batch advance on this SM;
+        * under GPUDet and GTO, when GPUDet holds every timing-ready
+          warp.
+
+        A cell write on its row or a due wake-heap entry wakes any
+        sleeper.  The visit leaves this SM on the agenda only while one
+        of its rows is dirty or a baseline wait is pending.
         """
         soa = self.soa
         gpudet = self.gpu.gpudet
@@ -438,25 +452,74 @@ class SM:
                         buf.mark_full()
                         self.gpu._flush_dirty = True
             self.stalls.record(None if warp is not None else reason)
+            # Asleep from here on (DESIGN §12 "Sleeping schedulers"):
+            # the next examinations would repeat this one's answer until
+            # a wake-up, so the window opens from the next epoch.
             if warp is not None:
                 self._issue(now, warp)
                 issued += 1
-            elif reason in GATE_STALLS and self._gate_sleeps(row, now, reason):
-                # Asleep: this select would repeat every epoch until a
-                # wake-up, so its window opens from the next epoch.
+                # The issue's own cell writes dirtied the row.
+                sleep = self._issue_sleep(row, now)
+                if sleep is not None:
+                    dirty[r0] = False
+                    if sleep:
+                        self._acct_reason[s] = sleep
+                        self._acct_epoch[s] = epoch + 1
+                    continue
+            elif reason in GATE_STALLS and (
+                    self._inorder_sleeps(sched, row, now, reason)
+                    or self._gate_sleeps(row, now, reason)):
                 self._acct_reason[s] = reason
                 self._acct_epoch[s] = epoch + 1
                 soa.gate_sleepers.add(r0)
+                continue
+            elif gpudet is not None and self._held_sleeps(row, now):
+                self._acct_reason[s] = reason
+                self._acct_epoch[s] = epoch + 1
                 continue
             # Stay dirty: select calls mutate policy state and the
             # consults have side effects (GPUDet quantum ends, sticky
             # full bits), so they must happen at every such epoch.
             dirty[r0] = True
             left_dirty = True
+        vd = soa.visit_dirty
+        sm_id = self.sm_id
         if left_dirty:
             # Keep this SM on the agenda for its dirty schedulers.
-            soa.visit_dirty.add(self.sm_id)
+            vd.add(sm_id)
+        elif (sm_id in vd and True not in dirty[base:base + len(self.rows)]
+              and not (dab is None and gpudet is None
+                       and (self._barrier_ctas or self._fence_warps))):
+            # Nothing here to examine: a cell write, a due wake entry or
+            # a gate event puts the SM back.  A baseline wait stays, as
+            # its release runs at the next visit.
+            vd.discard(sm_id)
         return issued
+
+    def _issue_sleep(self, row: SchedRow, now: int) -> Optional[str]:
+        """After an issue on ``row``, the window its next examination
+        would open if one warp is live on the row (the issued one, or
+        the one left after it exited) and not timing-ready: ``barrier``
+        while it waits at one, else ``mem``; "" once none is live (no
+        window).  None keeps the scheduler dirty.
+
+        Exact: the warp's next ready time has a wake-heap entry (pushed
+        by its ``ready_cycle`` write), and any other change reaches the
+        row through a cell write.  With more warps on the row it stays
+        dirty: telling whether one is timing-ready costs the scan the
+        next examination makes anyway.
+        """
+        live = row.live
+        if not live:
+            return ""
+        if len(live) > 1:
+            return None
+        i = live[0]
+        if row.bar[i]:
+            return "barrier"
+        if row.ol[i] == 0 and row.oa[i] == 0 and row.rc[i] <= now:
+            return None
+        return "mem"
 
     def _gate_sleeps(self, row: SchedRow, now: int, reason: str) -> bool:
         """Every timing-ready warp of ``row`` not at a barrier is at an
@@ -467,6 +530,28 @@ class SM:
             if (not bar[i] and ol[i] == 0 and oa[i] == 0 and rc[i] <= now
                     and not (atomic[pc[i]]
                              and self.gate_reason(warps[i]) == reason)):
+                return False
+        return True
+
+    def _inorder_sleeps(self, sched, row: SchedRow, now: int,
+                        reason: str) -> bool:
+        """The policy's in-order warp (SRR, GTRR in its SRR phase) is
+        timing-ready at an atomic whose gate is closed with ``reason``:
+        strict round robin cannot pass it, whatever else is ready."""
+        i = sched.inorder_slot(row, row.gated)
+        return (i is not None and row.ready(i, now)
+                and row.gated.get(i) == reason)
+
+    def _held_sleeps(self, row: SchedRow, now: int) -> bool:
+        """GPUDet holds every timing-ready warp of ``row`` and the
+        policy is GTO, whose ``select`` on such a row is idempotent;
+        each hold ends through a cell write (a parallel-mode start's
+        ready bump or a barrier release)."""
+        if not self._gto_held:
+            return False
+        held, rc, ol, oa = row.held, row.rc, row.ol, row.oa
+        for i in row.live:
+            if ol[i] == 0 and oa[i] == 0 and rc[i] <= now and i not in held:
                 return False
         return True
 
@@ -506,13 +591,17 @@ class SM:
 
     def _issue(self, now: int, warp: Warp) -> None:
         cfg = self.config
-        mem_view = self.gpu.mem_view_for(warp)
-        result = warp.step(mem_view)
+        gpudet = self.gpu.gpudet
+        if gpudet is None:
+            result = warp.step(self.gpu.mem)
+        else:
+            # GPUDet: the warp sees its own buffered stores.
+            result = warp.step(gpudet.mem_view(warp))
         self.instructions += 1
         oc = result.op_class
 
-        if self.gpu.gpudet is not None:
-            self.gpu.gpudet.after_step(now, warp, result)
+        if gpudet is not None:
+            gpudet.after_step(now, warp, result)
 
         if self.obs is not None and self.obs.wants("access"):
             self._emit_access(warp, result)

@@ -14,11 +14,18 @@ SRR's pointer, GTRR's mode, GTAR's round and pending warps, GWAT's
 token) and the emitted ``sched`` events must be equal.
 
 Whenever the row-based policy returns no warp with a gate reason
-(``buffer_full``, ``flush``, ``batch``), a second ``select`` on the
+(``buffer_full``, ``flush``, ``batch``), or GTO returns none under
+GPUDet with every timing-ready warp held, a second ``select`` on the
 unchanged row must return the same warp, reason and
 ``gate_blocked_warp``, leave every policy field unchanged and emit no
-``sched`` event: a gated ``select`` is idempotent, which is what lets
-the SM put a gate-blocked scheduler to sleep (DESIGN §12).
+``sched`` event: such a ``select`` is idempotent, which is what lets
+the SM put a gate-blocked or GPUDet-held scheduler to sleep (DESIGN
+§12 "Sleeping schedulers").  Two step kinds make those rows common:
+every warp held at once (a GPUDet mode change), and the policy's
+in-order warp (SRR, GTRR's SRR phase, named by ``inorder_slot``) made
+ready at a gated atomic while the other warps are ready at non-atomic
+instructions.  In that second state ``inorder_slot`` must name the
+same slot again and change nothing.
 
 The reference reads records built the way the SM built them: ``None``
 for an empty slot, ``DONE_STATUS`` for a finished warp, else readiness
@@ -151,6 +158,34 @@ class Row:
         for slot in self.row.live:
             self.gate[slot] = gate
 
+    def hold_all(self):
+        """A GPUDet mode change holds every warp at once."""
+        for slot in self.row.live:
+            self.hold[slot] = True
+
+    def gate_inorder(self, gate):
+        """The in-order warp becomes ready at an atomic ``gate``
+        closes; every other warp it does not skip, ready at a
+        non-atomic instruction."""
+        r = self.row
+        gates = self.gates()
+        i = self.new.inorder_slot(r, gates)
+        if i is None:
+            return
+        for t in r.live:
+            if t == i:
+                self.set(t, "ready", True, gate, False)
+            elif not r.bar[t] and gates.get(t) != STALL_GATE_BATCH:
+                self.set(t, "ready", False, "", False)
+
+    def gates(self):
+        """The gate reasons the SM's consult would put in ``gated``."""
+        r = self.row
+        if self.mode != "dab":
+            return {}
+        return {i: self.gate[i] for i in r.live
+                if r.atomic[r.pc[i]] and not r.bar[i] and self.gate[i]}
+
     def drain(self):
         if not self.row.live:
             self.new.reset_for_drain()
@@ -163,14 +198,12 @@ class Row:
         r, now = self.row, self.now
         r.held.clear()
         r.gated.clear()
+        r.gated.update(self.gates())
         for i in r.live:
             timing_ready = r.ol[i] == 0 and r.oa[i] == 0 and r.rc[i] <= now
             if (self.mode == "gpudet" and timing_ready
                     and (r.bar[i] or self.hold[i])):
                 r.held.add(i)
-            if (self.mode == "dab" and r.atomic[r.pc[i]] and not r.bar[i]
-                    and self.gate[i]):
-                r.gated[i] = self.gate[i]
         records = []
         for i, w in enumerate(self.table):
             if w is None:
@@ -193,8 +226,10 @@ class Row:
         assert self.new.gate_blocked_warp is self.ref.gate_blocked_warp
         assert row_state(self.new) == ref_state(self.ref)
         assert self.new.obs.events == self.ref.obs.events
+        if got[0] is None and (got[1] in GATE_STALLS or self.all_held()):
+            self.check_select_idempotent(got)
         if got[0] is None and got[1] in GATE_STALLS:
-            self.check_gated_select_idempotent(got)
+            self.check_inorder_slot(got[1])
         w = got[0]
         if w is not None:
             # The issue: the atomic (if any) retires, the warp waits out
@@ -204,7 +239,26 @@ class Row:
         self.now += 1
 
 
-    def check_gated_select_idempotent(self, first):
+    def all_held(self):
+        """GTO under GPUDet with every timing-ready warp held: the SM's
+        held sleep."""
+        r = self.row
+        return (self.mode == "gpudet" and self.new.name == "gto"
+                and all(i in r.held for i in r.live if r.ol[i] == 0
+                        and r.oa[i] == 0 and r.rc[i] <= self.now))
+
+    def check_inorder_slot(self, reason):
+        """Where the SM's in-order sleep applies, the query names the
+        same slot again and changes nothing."""
+        r = self.row
+        i = self.new.inorder_slot(r, r.gated)
+        if i is None or not r.ready(i, self.now) or r.gated.get(i) != reason:
+            return
+        before = policy_fields(self.new)
+        assert self.new.inorder_slot(r, r.gated) == i
+        assert policy_fields(self.new) == before
+
+    def check_select_idempotent(self, first):
         before = policy_fields(self.new)
         blocked = self.new.gate_blocked_warp
         events = len(self.new.obs.events)
@@ -268,6 +322,9 @@ def scenarios(draw):
         st.tuples(st.just("set"), slot, st.just("ready"), st.just(True),
                   st.sampled_from(GATES), st.just(False)),
         st.tuples(st.just("gate_all"), st.sampled_from(GATES)),
+        st.tuples(st.just("hold_all")),
+        st.tuples(st.just("gate_inorder"),
+                  st.sampled_from((STALL_GATE_BUFFER, STALL_GATE_FLUSH))),
         st.tuples(st.just("drain")),
         st.tuples(st.just("wait")),
     )
@@ -298,3 +355,23 @@ def test_row_policy_equals_reference(name, request):
             row.select_both()
 
     check()
+
+
+def test_gtar_select_on_an_all_held_row_can_reopen_its_round():
+    """Why the SM lets only GTO sleep on a row GPUDet holds entirely:
+    GTAR's first ``select`` there can drop a stale round head and close
+    the round, and the second then opens a new round (a policy change
+    and a ``sched`` event), so sleeping through it would move both."""
+    row = Row("gtar", 1, "gpudet", 1)
+    row.place(0, 0)
+    row.set(0, "ready", True, "", True)
+    row.select_both()  # opens a round whose head GPUDet holds
+    row.exit(0)
+    row.place(0, 0)  # the slot's new warp starts at a held atomic
+    row.set(0, "ready", True, "", True)
+    row.select_both()  # drops the stale head: the round closes
+    assert not row.new.round_open
+    events = len(row.new.obs.events)
+    row.consult()
+    assert row.new.select(row.now, row.row) == (None, "round")
+    assert row.new.round_open and len(row.new.obs.events) == events + 1

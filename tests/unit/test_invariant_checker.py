@@ -2,6 +2,8 @@
 catalog is deliberately violated and must raise a structured
 InvariantViolation naming the invariant, cycle, and unit."""
 
+import dataclasses
+
 import pytest
 
 from repro.arch.isa import assemble
@@ -9,8 +11,10 @@ from repro.arch.kernel import Kernel
 from repro.config import GPUConfig
 from repro.core.dab import DABConfig
 from repro.faults import InvariantChecker, InvariantConfig, InvariantViolation
+from repro.gpudet.gpudet import GPUDetConfig
 from repro.memory.globalmem import GlobalMemory
 from repro.sim.gpu import GPU
+from repro.sim.sm import SM
 from repro.workloads.microbench import build_atomic_sum
 
 
@@ -351,3 +355,118 @@ class TestGateSleepWake:
         v = raises_wake(gpu.inv.check_issue_agenda, gpu, 0)
         assert f"warp {w.uid} ready" in v.detail
         assert "gate is 'no atomic'" in v.detail
+
+
+#: one scheduler per SM: a CTA's warps share a row.
+ONE_SCHED = dataclasses.replace(GPUConfig.tiny(), num_schedulers_per_sm=1)
+
+
+def inorder_sleeper():
+    """An armed tiny SRR GPU with one scheduler per SM, after its first
+    CTAs were placed: SM 0's row holds warps at a red (pc 0), asleep on
+    the ``flush`` gate while a flush is in flight.  The warp in slot 1
+    issued its red behind the scheduler's back and is ready at ``exit``;
+    the in-order warp (slot 0) waits at its gated red: ``(gpu, w1)``."""
+    mem = GlobalMemory()
+    x = mem.alloc("x", 1, "f32")
+    kernel = Kernel("red", assemble("""
+        red.global.add.f32 [c_x], 1.0
+        exit
+    """), grid_dim=4, cta_dim=64, params={"c_x": x})
+    gpu = GPU(ONE_SCHED, mem, dab=DABConfig(scheduler="srr"),
+              invariants=True)
+    gpu.launch(kernel)
+    gpu._start_next_kernel()
+    assert gpu.dispatcher.place(0)
+    gpu.flush._active[-1] = {}  # a flush in flight closes the gate
+    sm = gpu.sms[0]
+    w1 = sm.sched_slots[0][1]
+    w1.step(gpu.mem)
+    assert not w1.next_is_atomic()
+    sm._acct_reason[0] = "flush"
+    sm._acct_epoch[0] = 1
+    gpu.soa.sched_dirty[sm.row0] = False
+    gpu.soa.gate_sleepers.add(sm.row0)
+    return gpu, w1
+
+
+class TestInorderSleepWake:
+    """An SRR scheduler asleep on a gate is exempt for every ready warp
+    only while its in-order warp, named by the policy from recomputed
+    gates, waits at an atomic closed with the reason its window books."""
+
+    def test_other_ready_warps_exempt_while_the_inorder_gate_holds(self):
+        gpu, _ = inorder_sleeper()
+        gpu.inv.check_issue_agenda(gpu, 0)
+
+    def test_inorder_gate_opened_under_the_sleeper(self):
+        gpu, _ = inorder_sleeper()
+        gpu.flush._active.clear()  # the flush ended; nobody woke it
+        v = raises_wake(gpu.inv.check_issue_agenda, gpu, 0)
+        assert "sleeps on 'flush' while the warp's gate is 'open'" in v.detail
+
+    def test_inorder_slot_moved_past_the_gated_warp(self):
+        gpu, w1 = inorder_sleeper()
+        gpu.sms[0].schedulers[0]._ptr = 1  # slot 1 is next in order
+        v = raises_wake(gpu.inv.check_issue_agenda, gpu, 0)
+        assert f"warp {w1.uid} ready" in v.detail
+        assert "gate is 'no atomic'" in v.detail
+
+
+def held_sleeper():
+    """An armed tiny GPUDet GPU with one scheduler per SM, after its
+    first CTAs were placed, whose SM 0 scheduler sleeps held: its window
+    books ``mem`` and GPUDet ended the quantum of every warp on the
+    row: ``(gpu, sm)``."""
+    workload = build_atomic_sum(n=512, cta_dim=128)
+    gpu = GPU(ONE_SCHED, workload.mem, gpudet=GPUDetConfig(),
+              invariants=True)
+    gpu.launch(workload.kernels[0])
+    gpu._start_next_kernel()
+    assert gpu.dispatcher.place(0)
+    sm = gpu.sms[0]
+    for w in sm.sched_slots[0]:
+        if w is not None:
+            gpu.gpudet._live[w.uid].reason = "budget"
+    sm._acct_reason[0] = "mem"
+    sm._acct_epoch[0] = 1
+    gpu.soa.sched_dirty[sm.row0] = False
+    return gpu, sm
+
+
+class TestHeldSleepWake:
+    """A GPUDet scheduler asleep on ``mem`` with ready warps is exempt
+    only while ``GPUDetController.holds`` says GPUDet holds each one."""
+
+    def test_held_sleeper_exempt_while_gpudet_holds(self):
+        gpu, _ = held_sleeper()
+        gpu.inv.check_issue_agenda(gpu, 0)
+
+    def test_held_sleeper_whose_warp_may_issue(self):
+        gpu, sm = held_sleeper()
+        w = next(w for w in sm.sched_slots[0] if w is not None)
+        gpu.gpudet._live[w.uid].reason = None  # a quantum reset, no wake
+        assert not gpu.gpudet.holds(w)
+        v = raises_wake(gpu.inv.check_issue_agenda, gpu, 0)
+        assert f"warp {w.uid} ready" in v.detail
+        assert "GPUDet holds the warp no longer" in v.detail
+
+    def test_held_sleeper_booking_another_window(self):
+        gpu, sm = held_sleeper()
+        sm._acct_reason[0] = "barrier"  # not what select books here
+        v = raises_wake(gpu.inv.check_issue_agenda, gpu, 0)
+        assert "will not be examined" in v.detail
+
+
+class TestIssueSleepWake:
+    def test_row_left_clean_after_an_issue_with_a_ready_warp(
+            self, monkeypatch):
+        # A post-issue sleep that ignores the row's other ready warps.
+        monkeypatch.setattr(SM, "_issue_sleep",
+                            lambda sm, row, now: "mem" if row.live else "")
+        workload = build_atomic_sum(n=512, cta_dim=128)
+        gpu = GPU(ONE_SCHED, workload.mem, invariants=True)
+        with pytest.raises(InvariantViolation) as ei:
+            workload.drive(gpu)
+        assert ei.value.invariant == "wake"
+        assert "will not be examined" in ei.value.detail
