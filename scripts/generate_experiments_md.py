@@ -62,6 +62,18 @@ def block(title, table, commentary):
     return f"\n## {title}\n\n```\n{table.render()}\n```\n\n{commentary}\n"
 
 
+def _relaxation_step(data, prev: str, cur: str) -> str:
+    """How ``cur`` compares with ``prev``, row by row (lower is better)."""
+    better = sum(row[cur] < row[prev] for row in data.values())
+    worse = [wl for wl, row in data.items() if row[cur] > row[prev]]
+    if not better and not worse:
+        return f"{cur} equals {prev} on every row"
+    text = f"{cur} beats {prev} on {better} of {len(data)} rows"
+    if worse:
+        text += f" and is worse on {', '.join(worse)}"
+    return text
+
+
 def splice(text: str, generated: str) -> str:
     """``text`` with the region between the markers replaced by
     ``generated``; every byte outside the markers is kept."""
@@ -257,8 +269,14 @@ def main() -> None:
     ))
 
     t = run_figure("fig18")
-    gms = {v: geomean([row[v] for row in t.data.values()])
-           for v in ("DAB", "DAB-NR", "DAB-NR-OF", "DAB-NR-CIF")}
+    variants = ("DAB", "DAB-NR", "DAB-NR-OF", "DAB-NR-CIF")
+    gms = {v: geomean([row[v] for row in t.data.values()]) for v in variants}
+    steps = list(zip(variants, variants[1:]))
+    largest = max(steps, key=lambda step: gms[step[0]] / gms[step[1]])
+    monotone = all(row[cur] <= row[prev] for prev, cur in steps
+                   for row in t.data.values())
+    of_idle = all(row["DAB-NR-OF"] == row["DAB-NR"]
+                  for row in t.data.values())
     parts.append(block(
         "Fig 18 — limitation study (relaxed constraints)",
         t,
@@ -267,9 +285,13 @@ def main() -> None:
         "the cross-SM implicit barrier is the main bottleneck.  "
         "**Measured (geomeans):** "
         + ", ".join(f"{k} {v:.3f}x" for k, v in gms.items())
-        + " — monotone improvement with the same attribution (CIF's removal "
-        "of the global flush barrier gives the largest single step on the "
-        "irregular workloads).",
+        + f".  The recovery is {'' if monotone else 'not '}monotone: "
+        + "; ".join(_relaxation_step(t.data, prev, cur)
+                    for prev, cur in steps)
+        + f".  {largest[1]} is the largest step over {largest[0]}."
+        + ("  OF changes nothing because the overlapping-flush relaxation "
+           "never starts a flush while another is in flight (ROADMAP item "
+           "7)." if of_idle else ""),
     ))
 
     t = run_figure("ablation-buffer-level")

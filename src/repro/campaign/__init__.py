@@ -17,7 +17,7 @@ Three pieces:
   figure of ``harness/experiments.py`` is such a list of matrices;
 * :mod:`repro.campaign.runner` — ``repro campaign run <yaml>``: routes
   every figure through :func:`repro.harness.sweep.run_jobs` (parallel,
-  cached, journaled) and appends each result to the run database from
+  cached) and appends each result to the run database from
   the single coordinating process, in submission order — parallel
   campaigns produce byte-identical databases modulo wall-clock columns;
 * :mod:`repro.campaign.html` — ``repro report <db>``: a static,

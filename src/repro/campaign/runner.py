@@ -2,16 +2,17 @@
 and persist every job.
 
 Each figure's job matrix goes through the sweep engine
-(:func:`repro.harness.sweep.run_jobs` — parallel fan-out, the
-content-addressed cache, crash-tolerant journals), then the results
-come back to this process in submission order and are appended to the
-run database one transaction at a time.  The coordinator is the **only
-writer**: workers never see the database, so the row order — and
-therefore the rendered dashboard — is identical at every ``--jobs``
-level.  Wall-clock and ``created_at`` columns are the one exception
-(they record host time and are never rendered into determinism
-surfaces).  Each figure's results also come back, in job order, on its
-:class:`FigureSummary` (the paper figures' reducers read them).
+(:func:`repro.harness.sweep.run_jobs` — parallel fan-out and the
+content-addressed cache, which is also the resume store), then the
+results come back to this process in submission order and are
+appended to the run database one transaction at a time.  The
+coordinator is the **only writer**: workers never see the database,
+so the row order — and therefore the rendered dashboard — is
+identical at every ``--jobs`` level.  Wall-clock and ``created_at``
+columns are the one exception (they record host time and are never
+rendered into determinism surfaces).  Each figure's results also come
+back, in job order, on its :class:`FigureSummary` (the paper figures'
+reducers read them).
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ class FigureSummary:
     name: str
     jobs: int
     cache_hits: int
-    journal_hits: int
     simulated: int
     quarantined: int = 0
     #: the figure's results in job order (None for a quarantined job)
@@ -58,10 +58,6 @@ class CampaignSummary:
         return sum(f.cache_hits for f in self.figures)
 
     @property
-    def journal_hits(self) -> int:
-        return sum(f.journal_hits for f in self.figures)
-
-    @property
     def simulated(self) -> int:
         return sum(f.simulated for f in self.figures)
 
@@ -77,7 +73,7 @@ class CampaignSummary:
 
     @property
     def all_replayed(self) -> bool:
-        """True when every job came from the cache or the journal."""
+        """True when every job came from the cache."""
         return self.simulated == 0 and self.jobs > 0
 
     def table(self) -> Table:
@@ -86,14 +82,13 @@ class CampaignSummary:
             f"(fingerprint {self.fingerprint[:12]}…)"
             + (f" [DEGRADED: {self.quarantined} job(s) quarantined]"
                if self.degraded else ""),
-            ["figure", "jobs", "simulated", "cache hits", "journal hits",
-             "quarantined"],
+            ["figure", "jobs", "simulated", "cache hits", "quarantined"],
         )
         for f in self.figures:
             t.add_row(f.name, f.jobs, f.simulated, f.cache_hits,
-                      f.journal_hits, f.quarantined)
+                      f.quarantined)
         t.add_row("total", self.jobs, self.simulated, self.cache_hits,
-                  self.journal_hits, self.quarantined)
+                  self.quarantined)
         return t
 
 
@@ -103,16 +98,17 @@ def run_campaign(
     jobs: Optional[int] = None,
     cache: Optional[bool] = None,
     cache_dir: Optional[str] = None,
-    journal=None,
     db: Optional[RunDB] = None,
     resilience: Optional[ResilienceContext] = None,
 ) -> CampaignSummary:
     """Run every figure of ``campaign`` and append results to the db.
 
-    ``jobs`` / ``cache`` / ``cache_dir`` / ``journal`` are forwarded to
-    :func:`run_jobs` (None = session defaults).  Pass an open ``db`` to
-    reuse a handle; otherwise ``db_path`` (default
-    :func:`default_db_path`) is opened for the duration of the run.
+    ``jobs`` / ``cache`` / ``cache_dir`` are forwarded to
+    :func:`run_jobs` (None = session defaults); a killed campaign
+    re-run against the same ``cache_dir`` resumes from its finished
+    jobs.  Pass an open ``db`` to reuse a handle; otherwise ``db_path``
+    (default :func:`default_db_path`) is opened for the duration of the
+    run.
 
     ``resilience`` arms failure classification (see
     :func:`run_jobs`): a poison job's slot comes back ``None`` and is
@@ -133,9 +129,8 @@ def run_campaign(
                              normalize=figure.normalize)
             specs = [job.spec for job in figure.jobs]
             results = run_jobs(specs, jobs=jobs, cache=cache,
-                               cache_dir=cache_dir, journal=journal,
-                               resilience=resilience)
-            fig_sum = FigureSummary(figure.name, len(specs), 0, 0, 0,
+                               cache_dir=cache_dir, resilience=resilience)
+            fig_sum = FigureSummary(figure.name, len(specs), 0, 0,
                                     results=results)
             for index, (job, result) in enumerate(zip(figure.jobs, results)):
                 if result is None:
@@ -156,8 +151,6 @@ def run_campaign(
                     continue
                 if result.extra.get("cache_hit"):
                     fig_sum.cache_hits += 1
-                elif result.extra.get("journal_hit"):
-                    fig_sum.journal_hits += 1
                 else:
                     fig_sum.simulated += 1
                 db.record_run(

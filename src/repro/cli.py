@@ -11,7 +11,7 @@ Examples::
     python -m repro audit --workload microbench --seeds 1,2,3,4
     python -m repro audit --workload microbench --trace-digest
     python -m repro chaos --seeds 10
-    python -m repro chaos --workload pagerank:coA --journal /tmp/chaos.jsonl
+    python -m repro chaos --workload pagerank:coA --journal /tmp/chaos-journal
     python -m repro chaos host --seed 0 --workdir /tmp/chaos-host
     python -m repro doctor benchmarks/results/cache
     python -m repro doctor benchmarks/results/runs.db --json -
@@ -46,11 +46,12 @@ witnesses for the baseline as ``repro.mc/v1`` certificates;
 table/figure by name and, like ``campaign run`` (a declarative yaml
 campaign), appends every job to the persistent run database;
 ``report`` renders the database into a static HTML dashboard;
-``doctor`` scans artifact stores (caches, journals, run databases) for
-corruption, quarantines what it finds, and prints a machine-readable
-integrity report; ``chaos host`` is the host-fault twin of ``chaos`` —
-it kills/SIGSTOPs workers, flips bits in every store, and simulates a
-full disk, asserting recovery is byte-identical or failure is loud.
+``doctor`` scans artifact stores (cache directories, run databases)
+for corruption, quarantines what it finds, and prints a
+machine-readable integrity report; ``chaos host`` is the host-fault
+twin of ``chaos`` — it kills/SIGSTOPs workers, flips bits in every
+store, and simulates a full disk, asserting recovery is
+byte-identical or failure is loud.
 
 Exit codes: 0 success, 1 failure (a simulation error, such as DAB
 rejecting returning atomics, prints one ``repro:`` line), 2 usage
@@ -316,6 +317,11 @@ def cmd_chaos(args) -> int:
     dropped and duplicated flush entries (the DAB-NR failure modes) must
     each raise a structured :class:`InvariantViolation`.
     """
+    if args.journal is not None:
+        journal = Path(args.journal)
+        if journal.exists() and not journal.is_dir():
+            raise SystemExit(f"chaos: --journal {journal} exists and is "
+                             f"not a directory")
     ref = parse_workload_ref(args.workload)
     config = GPU_PRESETS[args.preset]()
     if args.seeds < 1:
@@ -331,17 +337,19 @@ def cmd_chaos(args) -> int:
           f"(schedule digests {plans[0].schedule_digest()[:8]}… "
           f"… {plans[-1].schedule_digest()[:8]}…)")
     # One job per (arch, plan); invariants stay armed throughout so any
-    # protocol breakage under pure timing chaos fails loudly.  The cache
-    # is bypassed (replaying stored results would prove nothing) but a
-    # --journal makes the campaign itself kill-and-resumable.
+    # protocol breakage under pure timing chaos fails loudly.  The shared
+    # cache is bypassed (replaying stored results would prove nothing);
+    # --journal DIR stores this campaign's results in a private cache
+    # directory instead, so a killed campaign rerun with it resumes.
     specs = [
         JobSpec(ref, arch, gpu=config, seed=args.seed,
                 faults=p.config, fault_seed=p.seed, invariants=True)
         for _label, arch in arch_list for p in plans
     ]
     try:
-        all_results = run_jobs(specs, jobs=args.jobs, cache=False,
-                               journal=args.journal)
+        all_results = run_jobs(specs, jobs=args.jobs,
+                               cache=args.journal is not None,
+                               cache_dir=args.journal)
     except InvariantViolation as e:
         print(f"  INVARIANT VIOLATION under timing-only faults: {e}")
         return 1
@@ -443,9 +451,9 @@ def cmd_chaos_host(args) -> int:
 
 
 def cmd_doctor(args) -> int:
-    """Scan an artifact store (cache dir, journal, run db): verify every
-    checksum, quarantine corruption, repair journal tails; exit 0 iff
-    no corruption was found (staleness is not corruption)."""
+    """Scan an artifact store (cache dir or run db): verify every
+    checksum and quarantine corruption; exit 0 iff no corruption was
+    found (staleness is not corruption)."""
     from repro.resilience.doctor import diagnose
 
     report = diagnose(args.target)
@@ -458,11 +466,6 @@ def cmd_doctor(args) -> int:
             print(f"  cache {store['path']}: {store['entries']} entr(y/ies), "
                   f"{store['verified']} verified, {store['stale']} stale, "
                   f"{len(store['quarantined'])} quarantined")
-        elif kind == "journal":
-            state = "stale" if store["stale"] else "valid"
-            print(f"  journal {store['path']}: {store['records']} record(s) "
-                  f"({state}), {store['corrupt']} corrupt, "
-                  f"{store['repaired_bytes']} byte(s) repaired")
         elif kind == "rundb":
             print(f"  rundb {store['path']}: {store['rows']} row(s), "
                   f"{store['verified']} verified, {store['unsealed']} "
@@ -627,12 +630,11 @@ def cmd_campaign_run(args) -> int:
         jobs=args.jobs,
         cache=False if args.no_cache else None,
         cache_dir=args.cache_dir,
-        journal=args.journal,
         resilience=resilience,
     )
     print(summary.table().render())
     print(f"{summary.jobs} job(s) recorded -> {summary.db_path} "
-          f"({summary.cache_hits + summary.journal_hits} replayed, "
+          f"({summary.cache_hits} replayed, "
           f"{summary.simulated} simulated)")
     if summary.degraded:
         # Loud, distinct, and machine-checkable: the campaign finished,
@@ -779,9 +781,10 @@ def build_parser() -> argparse.ArgumentParser:
                          help="fault seed for the drop/dup detection probes")
     chaos_p.add_argument("--jobs", type=int, default=1, metavar="N",
                          help="worker processes for the campaign")
-    chaos_p.add_argument("--journal", metavar="PATH", default=None,
-                         help="checkpoint/resume journal; a killed campaign "
-                              "rerun with the same path resumes")
+    chaos_p.add_argument("--journal", metavar="DIR", default=None,
+                         help="private result-cache directory for the "
+                              "campaign; a killed campaign rerun with the "
+                              "same DIR resumes")
     chaos_p.set_defaults(fn=cmd_chaos_dispatch)
     chaos_sub = chaos_p.add_subparsers(dest="chaos_command", metavar="{host}")
     host_p = chaos_sub.add_parser(
@@ -901,8 +904,6 @@ def build_parser() -> argparse.ArgumentParser:
     camp_run.add_argument("--cache-dir", metavar="DIR", default=None,
                           help="result-cache directory "
                                "(default: benchmarks/results/cache)")
-    camp_run.add_argument("--journal", metavar="PATH", default=None,
-                          help="checkpoint/resume journal for the sweep")
     camp_run.add_argument("--resilient", action="store_true",
                           help="classify worker failures: retry transient "
                                "deaths, quarantine poison jobs with blame, "
@@ -927,12 +928,12 @@ def build_parser() -> argparse.ArgumentParser:
     report_p.set_defaults(fn=cmd_report)
 
     doctor_p = sub.add_parser(
-        "doctor", help="scan/repair artifact stores (cache dirs, journals, "
-                       "run dbs); verify every checksum, quarantine "
+        "doctor", help="scan/repair artifact stores (cache dirs, run "
+                       "dbs); verify every checksum, quarantine "
                        "corruption, print an integrity report")
     doctor_p.add_argument("target", metavar="DIR_OR_FILE",
-                          help="a cache directory, journal file, or run "
-                               "database to diagnose")
+                          help="a cache directory (such as a chaos "
+                               "--journal DIR) or a run database")
     doctor_p.add_argument("--json", metavar="PATH", default=None,
                           help="also write the structured report here "
                                "('-' = stdout)")

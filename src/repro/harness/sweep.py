@@ -54,15 +54,15 @@ per-job timeout.
 Cache entries are sealed with sha256 content checksums
 (:mod:`repro.resilience.integrity`) and verified on every read; a
 corrupt entry is quarantined to ``cache.quarantine/`` — never deleted —
-and transparently recomputed.  Store writes that fail (ENOSPC, a dying
+and transparently recomputed.  Cache writes that fail (ENOSPC, a dying
 disk) are tolerated loudly: the sweep completes, the failure is
 counted and warned about once.
 
-Long campaigns can pass ``journal=`` (a path or
-:class:`~repro.harness.journal.SweepJournal`): every completed job is
-durably appended before the sweep moves on, so a killed campaign
-resumes from the journal without recomputing cache misses and the
-resumed result table is byte-identical to an uninterrupted run.
+The cache is also the resume store.  Each entry is fsynced before it
+is renamed into place as the job completes, so a campaign killed
+mid-sweep and re-run against the same cache directory replays every
+finished job (``cache_hit``) and simulates only the rest; the resumed
+result table is byte-identical to an uninterrupted run.
 
 Observability hubs (tracers/metrics registries) are not picklable and
 must observe the run *in this process*: passing ``obs`` with ``jobs>1``
@@ -91,7 +91,6 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.config import GPUConfig
 from repro.faults import FaultConfig, FaultPlan
-from repro.harness.journal import SweepJournal
 from repro.harness.runner import ArchSpec, run_workload
 from repro.obs import ObsConfig
 from repro.resilience import integrity
@@ -268,9 +267,9 @@ class JobSpec:
     def spec_hash(self) -> str:
         """Content hash of the canonical spec (no code fingerprint).
 
-        Stable across code changes — the identity used for journal keys
-        and failure attribution, where "which simulation was this"
-        matters and staleness is handled elsewhere (journal header).
+        Stable across code changes — the identity used for failure
+        attribution and poison quarantine, where "which simulation was
+        this" matters more than which code ran it.
         """
         payload = json.dumps(self.canonical(), sort_keys=True,
                              separators=(",", ":"))
@@ -344,6 +343,34 @@ def default_cache_dir() -> Path:
     return Path.cwd() / ".repro-sweep-cache"
 
 
+#: Schema prefix shared by every sweep-cache version.
+_CACHE_SCHEMA_PREFIX = "repro.sweep-cache/"
+
+
+def read_entry(path: Path) -> Tuple[str, Optional[dict]]:
+    """Read and judge one cache entry: ``(state, document)``.
+
+    ``state`` is ``"ok"`` (a sealed document of the current schema),
+    ``"stale"`` (another sweep-cache version: a miss, not corruption),
+    ``"missing"`` (unreadable) or ``"corrupt"`` (undecodable bytes,
+    unparseable JSON, a failed checksum, or not a cache document at
+    all).  :meth:`ResultCache.get` and ``repro doctor`` both judge
+    entries here, so they cannot disagree about what is corrupt.
+    """
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except OSError:
+        return "missing", None
+    except ValueError:  # UnicodeDecodeError or JSONDecodeError
+        return "corrupt", None
+    schema = doc.get("schema") if isinstance(doc, dict) else None
+    if schema == CACHE_SCHEMA:
+        return ("ok" if integrity.verify(doc) else "corrupt"), doc
+    if isinstance(schema, str) and schema.startswith(_CACHE_SCHEMA_PREFIX):
+        return "stale", doc
+    return "corrupt", doc
+
+
 class ResultCache:
     """Content-addressed store: ``<dir>/<key[:2]>/<key>.json``.
 
@@ -352,7 +379,9 @@ class ResultCache:
     torn write from a pre-atomic writer, manual tampering) is moved to
     ``<dir>.quarantine/`` — never deleted, the evidence survives for
     ``repro doctor`` — and treated as a miss, so the result is
-    transparently recomputed and re-sealed.
+    transparently recomputed and re-sealed.  Each entry is fsynced
+    before its rename, so a directory written by a killed sweep holds
+    only whole entries: re-running against it resumes the sweep.
     """
 
     def __init__(self, root) -> None:
@@ -370,19 +399,10 @@ class ResultCache:
 
     def get(self, spec: JobSpec) -> Optional[SimResult]:
         path = self.path_for(spec.cache_key())
-        try:
-            raw = path.read_text(encoding="utf-8")
-        except OSError:
-            return None  # missing entry: a plain miss
-        try:
-            doc = json.loads(raw)
-        except ValueError:
-            self._quarantine(path)  # unparseable: corrupt, not foreign
-            return None
-        if not isinstance(doc, dict) or doc.get("schema") != CACHE_SCHEMA:
-            return None  # foreign/older schema: a miss, not corruption
-        if not integrity.verify(doc):
+        state, doc = read_entry(path)
+        if state == "corrupt":
             self._quarantine(path)
+        if state != "ok":
             return None
         result = SimResult.from_metrics_dict(doc["result"])
         result.extra["cache_hit"] = True
@@ -405,9 +425,9 @@ class ResultCache:
             "result": stored,
         })
         text = json.dumps(doc, sort_keys=True) + "\n"
-        # write-temp-then-rename through the injectable write shim (the
+        # fsync-then-rename through the injectable write shim (the
         # ENOSPC seam); concurrent writers race benignly.
-        integrity.atomic_write_text(path, text, fsync=False)
+        integrity.atomic_write_text(path, text)
 
 
 # ----------------------------------------------------------------------
@@ -548,7 +568,6 @@ def run_jobs(
     cache_dir: Optional[str] = None,
     timeout: Optional[float] = None,
     obs: Optional[ObsConfig] = None,
-    journal=None,
     resilience: Optional[ResilienceContext] = None,
 ) -> List[SimResult]:
     """Execute ``specs``; return results in submission order.
@@ -560,11 +579,10 @@ def run_jobs(
     ``jobs>1`` together with ``obs`` is an error rather than a silent
     serialization.
 
-    ``journal`` (a path or open :class:`SweepJournal`) arms
-    checkpoint/resume: completed jobs are durably appended as the sweep
-    progresses, and on a re-run previously-journaled jobs are restored
-    (``extra['journal_hit'] = True``) instead of recomputed — a killed
-    campaign resumes to a byte-identical result table.
+    With the cache on, each job's entry is durably written as the job
+    completes, so a killed sweep re-run against the same ``cache_dir``
+    replays its finished jobs (``extra['cache_hit'] = True``) and
+    resumes to a byte-identical result table.
 
     ``resilience`` (a :class:`~repro.resilience.ResilienceContext`)
     arms failure classification: every cache miss executes in a worker
@@ -589,89 +607,57 @@ def run_jobs(
             )
         return [_execute_spec(s, obs=obs) for s in specs]
 
-    jrnl: Optional[SweepJournal] = None
-    own_journal = False
-    if journal is not None:
-        if isinstance(journal, SweepJournal):
-            jrnl = journal
-        else:
-            jrnl = SweepJournal(journal, cache_fingerprint())
-            own_journal = True
-
     rcache = None
     if use_cache:
         rcache = ResultCache(cache_dir or cfg.cache_dir or default_cache_dir())
 
-    # Store writes are best-effort: ENOSPC or a dying disk must not take
-    # the sweep down with it.  The first failure per store disables it
-    # (every later write would fail the same way) and warns once.
-    store_ok = {"cache": True, "journal": True}
+    results: List[Optional[SimResult]] = [None] * len(specs)
+    misses: List[int] = []
+    for i, spec in enumerate(specs):
+        if resilience is not None \
+                and resilience.quarantine.is_poisoned(spec.spec_hash()):
+            continue  # known poison: slot stays None, no pool touched
+        hit = rcache.get(spec) if rcache is not None else None
+        if hit is not None:
+            results[i] = hit
+        else:
+            misses.append(i)
 
-    def _store_fault(store: str, exc: OSError) -> None:
-        store_ok[store] = False
-        if resilience is not None:
-            resilience.stats.store_write_errors += 1
-        print(f"repro.sweep: WARNING: {store} write failed ({exc}); "
-              f"sweep continues without durable {store} writes",
-              file=sys.stderr)
+    # Cache writes are best-effort: ENOSPC or a dying disk must not take
+    # the sweep down with it.  The first failure disables them (every
+    # later write would fail the same way) and warns once.
+    writing = rcache is not None
 
-    def _journal_record(spec: JobSpec, doc) -> None:
-        if jrnl is None or not store_ok["journal"]:
+    def _completed(i: int, res: SimResult) -> None:
+        nonlocal writing
+        results[i] = res
+        if not writing:
             return
         try:
-            jrnl.record(spec.spec_hash(), doc)
+            rcache.put(specs[i], res)
         except OSError as exc:
-            _store_fault("journal", exc)
+            writing = False
+            if resilience is not None:
+                resilience.stats.store_write_errors += 1
+            print(f"repro.sweep: WARNING: cache write failed ({exc}); "
+                  f"sweep continues without durable cache writes",
+                  file=sys.stderr)
 
-    try:
-        results: List[Optional[SimResult]] = [None] * len(specs)
-        misses: List[int] = []
-        for i, spec in enumerate(specs):
-            if resilience is not None \
-                    and resilience.quarantine.is_poisoned(spec.spec_hash()):
-                continue  # known poison: slot stays None, no pool touched
-            if jrnl is not None:
-                doc = jrnl.get(spec.spec_hash())
-                if doc is not None:
-                    res = SimResult.from_metrics_dict(doc)
-                    res.extra["journal_hit"] = True
-                    results[i] = res
-                    continue
-            hit = rcache.get(spec) if rcache is not None else None
-            if hit is not None:
-                results[i] = hit
-                # Count the cache hit as campaign progress too.
-                _journal_record(spec, hit.metrics_dict())
-            else:
-                misses.append(i)
-
-        def _completed(i: int, res: SimResult) -> None:
-            results[i] = res
-            if rcache is not None and store_ok["cache"]:
-                try:
-                    rcache.put(specs[i], res)
-                except OSError as exc:
-                    _store_fault("cache", exc)
-            _journal_record(specs[i], res.metrics_dict())
-
-        if misses:
-            if resilience is None and (jobs == 1 or len(misses) == 1):
-                for i in misses:
-                    _completed(i, _execute_spec(specs[i]))
-            else:
-                _run_parallel(
-                    [specs[i] for i in misses],
-                    jobs=min(jobs, len(misses)),
-                    timeout=timeout,
-                    on_result=lambda j, res: _completed(misses[j], res),
-                    resilience=resilience,
-                )
-        if resilience is not None and rcache is not None:
-            resilience.stats.cache_quarantined += len(rcache.quarantined)
-        return results  # type: ignore[return-value]
-    finally:
-        if own_journal and jrnl is not None:
-            jrnl.close()
+    if misses:
+        if resilience is None and (jobs == 1 or len(misses) == 1):
+            for i in misses:
+                _completed(i, _execute_spec(specs[i]))
+        else:
+            _run_parallel(
+                [specs[i] for i in misses],
+                jobs=min(jobs, len(misses)),
+                timeout=timeout,
+                on_result=lambda j, res: _completed(misses[j], res),
+                resilience=resilience,
+            )
+    if resilience is not None and rcache is not None:
+        resilience.stats.cache_quarantined += len(rcache.quarantined)
+    return results  # type: ignore[return-value]
 
 
 def _shutdown_pool(pool: ProcessPoolExecutor) -> None:
@@ -752,8 +738,8 @@ def _run_parallel(specs: Sequence[JobSpec], jobs: int,
     """Fan ``specs`` out over a process pool with retry and degradation.
 
     ``on_result(j, result)`` fires as each job's result is harvested (in
-    submission order) — the checkpoint-journal hook, so a campaign
-    killed mid-sweep has durably recorded every harvested job.
+    submission order) — the cache-write hook, so a campaign killed
+    mid-sweep has durably recorded every harvested job.
 
     With ``resilience`` armed, pool-killing survivors go through
     :func:`_isolate` (fresh single-worker pools, then quarantine)

@@ -30,7 +30,6 @@ from repro.resilience.integrity import (
     quarantine_dir,
     seal,
     verify,
-    walk_journal,
     write_shim,
 )
 from repro.resilience.quarantine import (
@@ -58,7 +57,6 @@ __all__ = [
     "quarantine_dir",
     "seal",
     "verify",
-    "walk_journal",
     "watchdog_supported",
     "write_shim",
 ]

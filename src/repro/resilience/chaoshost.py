@@ -9,10 +9,10 @@ fault site — drives a battery of host-fault probes against real
 stores and real worker pools:
 
 * **stores** — run a 2-cell campaign undisturbed, then bit-flip its
-  cache entries and garble its journal tail (offsets drawn from the
-  plan) and re-run: corruption must be detected on read, quarantined
-  (never deleted), and the recovered run's metrics digest must be
-  byte-identical to the undisturbed one;
+  cache entries (offsets drawn from the plan) and re-run: corruption
+  must be detected on read, quarantined (never deleted), and the
+  recovered run's metrics digest must be byte-identical to the
+  undisturbed one;
 * **rundb** — corrupt a recorded row in the sqlite history and assert
   the read path flags it (``integrity_ok=False``), the dashboard
   badges it, and ``repro doctor`` names the row;
@@ -64,9 +64,8 @@ from repro.resilience.quarantine import ISOLATION_ATTEMPTS, ResilienceContext
 from repro.resilience.watchdog import watchdog_supported
 
 # Substream site ids (HostFaultPlan reproducibility contract:
-# renumbering changes every schedule).
+# renumbering changes every schedule).  Id 1 is retired.
 SITE_CACHE = 0
-SITE_JOURNAL = 1
 SITE_DB = 2
 SITE_ENOSPC = 3
 
@@ -147,7 +146,7 @@ def smoke_campaign(extra_poison: bool = False):
 def metrics_digest(results) -> str:
     """Digest of the *deterministic* surface of a result list.
 
-    Provenance flags (cache/journal hits) and host wall-clock legally
+    Provenance flags (cache hits) and host wall-clock legally
     differ between an undisturbed run and a recovered one; cycles,
     instruction counts, and output/memory digests must not.
     """
@@ -174,27 +173,6 @@ def _flip_bit_in_file(path: Path, rng: np.random.Generator) -> int:
     return offset
 
 
-def _garble_journal_tail(path: Path, rng: np.random.Generator) -> str:
-    """Corrupt the journal's last record (truncate or flip, seeded)."""
-    raw = path.read_bytes()
-    lines = raw.rstrip(b"\n").split(b"\n")
-    last = lines[-1]
-    if int(rng.integers(0, 2)):
-        # Torn write: the record stops mid-byte stream.
-        cut = int(rng.integers(1, max(2, len(last))))
-        path.write_bytes(b"\n".join(lines[:-1]) + b"\n" + last[:cut])
-        return "truncated"
-    # Bit rot inside a sealed record: parses, fails its checksum.
-    body = bytearray(last)
-    # Flip a digit inside the integrity stamp itself — always breaks
-    # verification without breaking JSON syntax.
-    stamp_at = last.find(b'"integrity"')
-    offset = stamp_at + 14 + int(rng.integers(0, 32))
-    body[offset] = ord("0") if body[offset] != ord("0") else ord("1")
-    path.write_bytes(b"\n".join(lines[:-1]) + b"\n" + bytes(body) + b"\n")
-    return "bit-flipped"
-
-
 # ----------------------------------------------------------------------
 # Probes.
 # ----------------------------------------------------------------------
@@ -202,31 +180,27 @@ def _garble_journal_tail(path: Path, rng: np.random.Generator) -> str:
 def _probe_stores(plan: HostFaultPlan, work: Path) -> Dict[str, object]:
     cfg = plan.config
     cache_dir = work / "cache"
-    journal = work / "sweep.jsonl"
     specs = smoke_specs()
 
     baseline = run_jobs(specs, jobs=cfg.jobs, cache=True,
-                        cache_dir=str(cache_dir), timeout=cfg.timeout,
-                        journal=str(journal))
+                        cache_dir=str(cache_dir), timeout=cfg.timeout)
     digest0 = metrics_digest(baseline)
 
-    # Corrupt every cache entry and the journal tail, plan-seeded.
+    # Corrupt every cache entry, plan-seeded.
     rng = plan.rng(SITE_CACHE)
     flipped = []
     for entry in sorted(cache_dir.rglob("*.json")):
         _flip_bit_in_file(entry, rng)
         flipped.append(str(entry))
-    journal_fault = _garble_journal_tail(journal, plan.rng(SITE_JOURNAL))
 
     ctx = ResilienceContext()
     recovered = run_jobs(specs, jobs=cfg.jobs, cache=True,
                          cache_dir=str(cache_dir), timeout=cfg.timeout,
-                         journal=str(journal), resilience=ctx)
+                         resilience=ctx)
     digest1 = metrics_digest(recovered)
 
-    # The doctor sweeps up whatever the lazy read path didn't touch
-    # (e.g. the cache entry shadowed by a surviving journal record);
-    # a second scan must then report clean.
+    # The read path re-sealed every entry it recomputed: the doctor
+    # must find the store clean, and so must a second scan.
     doctor1 = diagnose(cache_dir)
     doctor2 = diagnose(cache_dir)
     qdir = integrity.quarantine_dir(cache_dir)
@@ -235,13 +209,12 @@ def _probe_stores(plan: HostFaultPlan, work: Path) -> Dict[str, object]:
     ok = (digest0 == digest1
           and len(flipped) >= 2
           and len(quarantined) >= 1
-          and doctor2["ok"])
+          and doctor1["ok"] and doctor2["ok"])
     return {
         "probe": "stores", "ok": ok,
         "digest_undisturbed": digest0, "digest_recovered": digest1,
         "byte_identical": digest0 == digest1,
         "cache_entries_corrupted": len(flipped),
-        "journal_fault": journal_fault,
         "cache_quarantined_on_read": ctx.stats.cache_quarantined,
         "quarantine_dir": quarantined,
         "doctor_after_recovery": doctor1,

@@ -2,21 +2,20 @@
 
 The doctor is the offline half of the self-verifying-store contract:
 stores verify lazily (on each read); the doctor verifies *eagerly* —
-walk a whole cache directory, journal, or run database, quarantine
-what is corrupt, repair what is repairable (truncating a journal's
-untrusted tail back to its valid prefix), and emit one machine-
-readable report a CI job or an operator script can branch on.
+walk a whole cache directory or run database, quarantine what is
+corrupt, and emit one machine-readable report a CI job or an operator
+script can branch on.
 
-Repair never destroys evidence: corrupt cache entries and discarded
-journal tails move to the store's ``*.quarantine/`` directory, and
-run-database rows — append-only history — are *flagged* in the report,
-never rewritten.  A run of the doctor is idempotent: a second scan of
-a repaired store reports clean.
+Repair never destroys evidence: corrupt cache entries move to the
+store's ``*.quarantine/`` directory, and run-database rows —
+append-only history — are *flagged* in the report, never rewritten.
+A run of the doctor is idempotent: a second scan of a repaired store
+reports clean.
 
 Report shape (``schema: repro.doctor/v1``)::
 
     {"schema": ..., "target": ..., "ok": bool, "stores": [
-        {"kind": "cache"|"journal"|"rundb", "path": ..., ...per-kind...}
+        {"kind": "cache"|"rundb", "path": ..., ...per-kind...}
     ]}
 
 ``ok`` is True iff no corruption was found anywhere (staleness — a
@@ -25,94 +24,40 @@ foreign schema or an old fingerprint — is not corruption).
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict
 
 from repro.resilience import integrity
 
 #: Schema tag of the doctor report document.
 DOCTOR_SCHEMA = "repro.doctor/v1"
 
-#: On-disk schema prefix of sweep-cache entries (any version).
-_CACHE_SCHEMA_PREFIX = "repro.sweep-cache/"
-
 
 def scan_cache_dir(root) -> Dict[str, object]:
     """Verify every cache entry under ``root``; quarantine corruption.
 
-    An entry with a parseable document of a *different* sweep-cache
-    version is stale, not corrupt (the engine already treats it as a
-    miss); an unparseable or checksum-failing entry is corrupt and is
-    moved to ``<root>.quarantine/`` so the engine recomputes it.
+    Entries are judged by :func:`repro.harness.sweep.read_entry`, the
+    engine's own read path: an entry of a *different* sweep-cache
+    version is stale, not corrupt (the engine treats it as a miss);
+    anything else that does not verify is corrupt and is moved to
+    ``<root>.quarantine/`` so the engine recomputes it.
     """
-    from repro.harness.sweep import CACHE_SCHEMA
+    from repro.harness.sweep import read_entry
 
     root = Path(root)
     report = {"kind": "cache", "path": str(root), "entries": 0,
               "verified": 0, "stale": 0, "quarantined": []}
     for path in sorted(root.rglob("*.json")):
         report["entries"] += 1
-        corrupt = False
-        try:
-            doc = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            corrupt = True
+        state = read_entry(path)[0]
+        if state == "ok":
+            report["verified"] += 1
+        elif state == "stale":
+            report["stale"] += 1
         else:
-            schema = doc.get("schema") if isinstance(doc, dict) else None
-            if schema == CACHE_SCHEMA:
-                if integrity.verify(doc):
-                    report["verified"] += 1
-                else:
-                    corrupt = True
-            elif isinstance(schema, str) \
-                    and schema.startswith(_CACHE_SCHEMA_PREFIX):
-                report["stale"] += 1
-            else:
-                corrupt = True  # not a cache document at all
-        if corrupt:
             qpath = integrity.quarantine_file(path, root)
             report["quarantined"].append(
                 str(qpath) if qpath is not None else str(path))
-    return report
-
-
-def scan_journal(path, fingerprint: Optional[str] = None
-                 ) -> Dict[str, object]:
-    """Verify a journal file; repair by truncating the untrusted tail.
-
-    With ``fingerprint=None`` (the doctor's default) a journal written
-    under different simulator code is *stale*, not corrupt — the
-    resume path handles staleness itself.  A torn or checksum-failing
-    tail is preserved in quarantine and truncated away so the journal
-    is a valid prefix again.
-    """
-    from repro.harness.journal import JOURNAL_SCHEMA
-
-    path = Path(path)
-    report = {"kind": "journal", "path": str(path), "records": 0,
-              "corrupt": 0, "stale": False, "repaired_bytes": 0,
-              "quarantined": []}
-    try:
-        raw = path.read_bytes()
-    except OSError as exc:
-        report["error"] = str(exc)
-        return report
-    scan = integrity.walk_journal(raw, JOURNAL_SCHEMA,
-                                  fingerprint=fingerprint)
-    report["records"] = len(scan.records)
-    report["corrupt"] = scan.corrupt
-    report["stale"] = scan.stopped in ("stale fingerprint",) or (
-        scan.header is None and scan.stopped.startswith("foreign schema"))
-    if scan.header is not None and scan.valid_bytes < len(raw):
-        # Repairable: keep the valid prefix, preserve the rest.
-        qpath = integrity.quarantine_bytes(
-            path, raw[scan.valid_bytes:], "journal-tail")
-        if qpath is not None:
-            report["quarantined"].append(str(qpath))
-        with open(path, "r+b") as fh:
-            fh.truncate(scan.valid_bytes)
-        report["repaired_bytes"] = len(raw) - scan.valid_bytes
     return report
 
 
@@ -145,25 +90,24 @@ def _store_ok(store: Dict[str, object]) -> bool:
 
 
 def diagnose(target) -> Dict[str, object]:
-    """Scan ``target`` (a cache dir, journal file, or run db) fully.
+    """Scan ``target`` (a cache directory or a run database) fully.
 
-    A directory is scanned as a cache store plus every ``*.jsonl``
-    journal directly inside it; a file is classified by content
-    (sqlite magic -> run db, otherwise journal).
+    A directory is scanned as a cache store (every ``*.json`` entry
+    below it); a file must be a sqlite run database — any other file
+    is reported unreadable, never opened as one (sqlite would turn an
+    empty file into a fresh database).
     """
     target = Path(target)
-    stores: List[Dict[str, object]] = []
     if target.is_dir():
-        stores.append(scan_cache_dir(target))
-        for jpath in sorted(target.glob("*.jsonl")):
-            stores.append(scan_journal(jpath))
+        stores = [scan_cache_dir(target)]
     elif target.is_file():
         with open(target, "rb") as fh:
             magic = fh.read(16)
         if magic.startswith(b"SQLite format 3"):
-            stores.append(scan_rundb(target))
+            stores = [scan_rundb(target)]
         else:
-            stores.append(scan_journal(target))
+            stores = [{"kind": "rundb", "path": str(target),
+                       "error": "not a sqlite run database"}]
     else:
         return {"schema": DOCTOR_SCHEMA, "target": str(target),
                 "ok": False, "error": "target does not exist",

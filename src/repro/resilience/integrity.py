@@ -1,8 +1,8 @@
 """Self-verifying artifact primitives: checksums, atomic writes, quarantine.
 
-Every durable store in the harness (the sweep-result cache, the
-checkpoint journal, the run database) trusts its own disk; this module
-is the shared machinery that lets them *verify* instead:
+Every durable store in the harness (the sweep-result cache, the run
+database, the poison-blame log) trusts its own disk; this module is
+the shared machinery that lets them *verify* instead:
 
 * **content checksums** — :func:`seal` stamps a document with the
   sha256 of its canonical JSON body; :func:`verify` recomputes and
@@ -15,15 +15,11 @@ is the shared machinery that lets them *verify* instead:
   module first consults the installed shim, the seam the host-fault
   harness (``repro chaos host``) uses to simulate ENOSPC and other
   disk failures without filling a real disk.
-* **quarantine, never deletion** — corrupt artifacts are moved (or
-  copied) into a ``<store>.quarantine/`` directory next to the store
-  they came from, named by content hash so the operation is
-  deterministic and idempotent.  Evidence of corruption is preserved
-  for post-mortems; the store itself heals by recomputing.
-
-The journal line-walk (:func:`walk_journal`) lives here too so the
-:class:`~repro.harness.journal.SweepJournal` loader and ``repro
-doctor`` validate journal bytes with the same single implementation.
+* **quarantine, never deletion** — corrupt artifacts are moved into
+  a ``<store>.quarantine/`` directory next to the store they came
+  from, named by content hash so the operation is deterministic and
+  idempotent.  Evidence of corruption is preserved for post-mortems;
+  the store itself heals by recomputing.
 """
 
 from __future__ import annotations
@@ -32,9 +28,8 @@ import hashlib
 import json
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Optional
 
 #: Key under which a document's checksum is stored (excluded from the
 #: checksummed body; part of the on-disk contract of every sealed store).
@@ -66,29 +61,26 @@ def write_shim(shim: Callable[[Path, int], None]):
         install_write_shim(saved)
 
 
-def checked_write_bytes(path, data: bytes, fsync: bool = False) -> None:
-    """Write ``data`` to ``path`` through the injectable shim."""
-    path = Path(path)
-    if _WRITE_SHIM is not None:
-        _WRITE_SHIM(path, len(data))
-    with open(path, "wb") as fh:
-        fh.write(data)
-        if fsync:
-            fh.flush()
-            os.fsync(fh.fileno())
+def atomic_write_text(path, text: str) -> None:
+    """Write-temp-fsync-then-rename: readers never observe a torn file.
 
-
-def atomic_write_text(path, text: str, fsync: bool = True) -> None:
-    """Write-temp-then-rename: readers never observe a torn file.
-
-    The temp file lives in the destination directory (rename must not
-    cross filesystems) and carries the pid so concurrent writers race
+    The data reaches the disk before the rename, so a crash — of the
+    process or the host — leaves either the old file or the whole new
+    one.  The write goes through the injectable shim first.  The temp
+    file lives in the destination directory (rename must not cross
+    filesystems) and carries the pid so concurrent writers race
     benignly — last rename wins with a complete file either way.
     """
     path = Path(path)
+    data = text.encode("utf-8")
     tmp = path.parent / f".{path.name}.{os.getpid()}.tmp"
     try:
-        checked_write_bytes(tmp, text.encode("utf-8"), fsync=fsync)
+        if _WRITE_SHIM is not None:
+            _WRITE_SHIM(tmp, len(data))
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
         tmp.replace(path)
     except BaseException:
         try:
@@ -158,100 +150,3 @@ def quarantine_file(path, store_path) -> Optional[Path]:
         return qpath
     except OSError:
         return None
-
-
-def quarantine_bytes(store_path, data: bytes, label: str) -> Optional[Path]:
-    """Preserve loose corrupt bytes (e.g. a journal tail) in quarantine."""
-    digest = hashlib.sha256(data).hexdigest()[:12]
-    qdir = quarantine_dir(store_path)
-    try:
-        qdir.mkdir(parents=True, exist_ok=True)
-        qpath = qdir / f"{label}.{digest}.bin"
-        if not qpath.exists():  # idempotent by content hash
-            qpath.write_bytes(data)
-        return qpath
-    except OSError:
-        return None
-
-
-# ----------------------------------------------------------------------
-# Journal line-walk (shared by SweepJournal and `repro doctor`).
-# ----------------------------------------------------------------------
-
-@dataclass
-class JournalScan:
-    """Verdict of one pass over raw journal bytes."""
-
-    #: parsed header document (None when missing/corrupt/foreign).
-    header: Optional[dict] = None
-    #: key -> result document for every verified record, in file order.
-    records: Dict[str, dict] = field(default_factory=dict)
-    #: bytes of the trusted prefix (truncation point for repair).
-    valid_bytes: int = 0
-    #: records whose checksum failed (bit-flips — not torn tails).
-    corrupt: int = 0
-    #: non-empty when the trailing bytes could not be parsed (crash tear).
-    torn: bool = False
-    #: why the walk stopped early ("" = reached end of file cleanly).
-    stopped: str = ""
-
-
-def walk_journal(raw: bytes, schema: str,
-                 fingerprint: Optional[str] = None) -> JournalScan:
-    """Validate journal bytes line by line; stop at the first bad line.
-
-    ``fingerprint=None`` accepts any header fingerprint (the doctor's
-    view: staleness is not corruption); passing one enforces it (the
-    resume path's view).  Records must carry a matching ``integrity``
-    checksum; a record that parses but fails verification marks the
-    scan ``corrupt`` and everything from that line on is untrusted.
-    """
-    scan = JournalScan()
-    offset = 0
-    for line in raw.split(b"\n"):
-        end = offset + len(line) + 1  # +1 for the newline
-        if not line:
-            offset = end
-            continue
-        if offset + len(line) >= len(raw):
-            # Final fragment with no trailing newline: the writer always
-            # terminates records, so this is a crash tear even if the
-            # fragment happens to parse — appending after it would glue
-            # two records onto one line.
-            scan.torn = True
-            scan.stopped = "unterminated final line (torn tail)"
-            break
-        try:
-            doc = json.loads(line.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError):
-            scan.torn = True
-            scan.stopped = "unparseable line (torn tail)"
-            break
-        if offset == 0:
-            if doc.get("schema") != schema:
-                scan.stopped = f"foreign schema {doc.get('schema')!r}"
-                break
-            if not verify(doc):
-                scan.corrupt += 1
-                scan.stopped = "header failed integrity check"
-                break
-            if fingerprint is not None \
-                    and doc.get("fingerprint") != fingerprint:
-                scan.stopped = "stale fingerprint"
-                break
-            scan.header = doc
-        elif scan.header is None:
-            scan.stopped = "records before a valid header"
-            break
-        elif "key" in doc and "result" in doc:
-            if not verify(doc):
-                scan.corrupt += 1
-                scan.stopped = "record failed integrity check"
-                break
-            scan.records[doc["key"]] = doc["result"]
-        else:
-            scan.stopped = "malformed record"
-            break
-        scan.valid_bytes = min(end, len(raw))
-        offset = end
-    return scan

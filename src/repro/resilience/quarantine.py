@@ -68,7 +68,7 @@ class ResilienceStats:
     isolated_attempts: int = 0
     #: suspect jobs that completed once isolated (transient failures).
     isolated_recoveries: int = 0
-    #: store writes (cache/journal) that failed and were tolerated loudly.
+    #: cache writes that failed and were tolerated loudly.
     store_write_errors: int = 0
     #: corrupt cache entries quarantined on read this sweep.
     cache_quarantined: int = 0

@@ -1,7 +1,7 @@
 """End-to-end chaos robustness: the `repro chaos` campaign, corruption
-detection through the full simulator stack, journal kill-and-resume
-(real SIGKILL, byte-identical resumed table), and failing-job
-attribution on sweep errors."""
+detection through the full simulator stack, kill-and-resume from a
+private cache directory (real SIGKILL, byte-identical resumed table),
+and failing-job attribution on sweep errors."""
 
 import os
 import signal
@@ -106,15 +106,18 @@ specs = [
     for n in range(16, 112, 8)
     for arch in (ArchSpec.baseline(), ArchSpec.make_dab())
 ]
-results = run_jobs(specs, jobs=1, cache=False, journal=sys.argv[1])
+results = run_jobs(specs, jobs=1, cache=True, cache_dir=sys.argv[1])
 for r in results:
     print(r.label, r.cycles, r.extra["output_digest"])
-hits = sum(bool(r.extra.get("journal_hit")) for r in results)
-print("journal hits:", hits, file=sys.stderr)
+hits = sum(bool(r.extra.get("cache_hit")) for r in results)
+print("cache hits:", hits, file=sys.stderr)
 """
 
 
 class TestJournalKillAndResume:
+    """The campaign's journal is a private cache directory: each
+    finished job is one fsynced entry, and a rerun replays them."""
+
     def _run(self, script, journal, **kw):
         env = dict(os.environ)
         env["PYTHONPATH"] = os.path.join(_REPO, "src")
@@ -125,18 +128,17 @@ class TestJournalKillAndResume:
     def test_sigkilled_campaign_resumes_byte_identical(self, tmp_path):
         script = tmp_path / "campaign.py"
         script.write_text(_CAMPAIGN)
-        journal = tmp_path / "resume.jsonl"
+        journal = tmp_path / "resume"
 
         env = dict(os.environ)
         env["PYTHONPATH"] = os.path.join(_REPO, "src")
         proc = subprocess.Popen(
             [sys.executable, str(script), str(journal)],
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, env=env)
-        # Wait for >=2 durably journaled jobs, then kill -9 mid-campaign.
+        # Wait for >=2 durably stored jobs, then kill -9 mid-campaign.
         deadline = time.monotonic() + 120
         while time.monotonic() < deadline:
-            if journal.exists() and \
-                    journal.read_bytes().count(b"\n") >= 3:
+            if len(list(journal.rglob("*.json"))) >= 2:
                 break
             if proc.poll() is not None:
                 break
@@ -144,33 +146,32 @@ class TestJournalKillAndResume:
         killed_running = proc.poll() is None
         proc.send_signal(signal.SIGKILL)
         proc.wait(timeout=60)
-        assert journal.exists()
-        journaled_before = journal.read_bytes().count(b"\n")
-        assert journaled_before >= 3  # header + >=2 completed jobs
+        stored_before = len(list(journal.rglob("*.json")))
+        assert stored_before >= 2
 
         resumed = self._run(script, journal)
         assert resumed.returncode == 0, resumed.stderr
-        pristine = self._run(script, tmp_path / "fresh.jsonl")
+        pristine = self._run(script, tmp_path / "fresh")
         assert pristine.returncode == 0, pristine.stderr
 
         # The resumed table is byte-identical to the uninterrupted one.
         assert resumed.stdout == pristine.stdout
         if killed_running:
-            # The resume actually restored journaled work.
+            # The resume actually replayed the stored work.
             hits = int(resumed.stderr.strip().rsplit(" ", 1)[-1])
             assert hits >= 2
 
     def test_rerun_after_completion_is_all_hits(self, tmp_path):
         script = tmp_path / "campaign.py"
         script.write_text(_CAMPAIGN)
-        journal = tmp_path / "full.jsonl"
+        journal = tmp_path / "full"
         first = self._run(script, journal)
         assert first.returncode == 0, first.stderr
         second = self._run(script, journal)
         assert second.returncode == 0, second.stderr
         assert second.stdout == first.stdout
         n_jobs = len(first.stdout.splitlines())
-        assert second.stderr.strip().endswith(f"journal hits: {n_jobs}")
+        assert second.stderr.strip().endswith(f"cache hits: {n_jobs}")
 
 
 class TestErrorAttribution:

@@ -102,6 +102,14 @@ class TestWatchdog:
 
 class TestStoreRecovery:
     def test_cache_corruption_recovers_byte_identical(self, tmp_path):
+        self._flip_and_recover(tmp_path, 0x10)
+
+    def test_undecodable_cache_entry_recovers_byte_identical(self, tmp_path):
+        # A flipped high bit leaves bytes that are not UTF-8 at all.
+        self._flip_and_recover(tmp_path, 0x80)
+
+    @staticmethod
+    def _flip_and_recover(tmp_path, mask):
         specs = smoke_specs()
         cache_dir = tmp_path / "cache"
         baseline = run_jobs(specs, jobs=1, cache=True,
@@ -110,7 +118,7 @@ class TestStoreRecovery:
         assert entries
         for entry in entries:
             data = bytearray(entry.read_bytes())
-            data[len(data) // 2] ^= 0x10
+            data[len(data) // 2] ^= mask
             entry.write_bytes(bytes(data))
         ctx = ResilienceContext()
         recovered = run_jobs(specs, jobs=1, cache=True,
@@ -241,6 +249,15 @@ figures:
       - {name: DAB, kind: dab}
 """)
         return path
+
+    def test_doctor_non_sqlite_file_exits_1(self, tmp_path):
+        path = tmp_path / "chaos.jsonl"  # e.g. an old JSONL journal
+        path.write_text('{"schema": "repro.sweep-journal/v2"}\n')
+        proc = run_cli("doctor", str(path))
+        assert proc.returncode == 1
+        assert "UNREADABLE (not a sqlite run database)" in proc.stdout
+        # Reported, never opened as a database or rewritten.
+        assert path.read_text() == '{"schema": "repro.sweep-journal/v2"}\n'
 
     def test_doctor_clean_exits_0_corrupt_exits_1(self, tmp_path):
         cache_dir = tmp_path / "cache"

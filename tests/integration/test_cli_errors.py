@@ -50,6 +50,15 @@ class TestUsageErrors:
         assert proc.returncode != 0
         assert "--seeds must be >= 1" in proc.stderr
 
+    def test_chaos_journal_must_be_a_directory(self, tmp_path):
+        old = tmp_path / "chaos.jsonl"  # a journal file of older releases
+        old.write_text("{}\n")
+        proc = run_cli("chaos", "--seeds", "1", "--journal", str(old))
+        assert proc.returncode != 0
+        assert proc.stderr.strip() == (
+            f"chaos: --journal {old} exists and is not a directory")
+        assert old.read_text() == "{}\n"
+
     def test_check_diff_unknown_workload(self):
         proc = run_cli("check", "diff", "--workloads", "atomic_sum,nope")
         assert proc.returncode != 0

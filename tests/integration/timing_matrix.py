@@ -62,7 +62,7 @@ def _dab(scheduler: str) -> ArchSpec:
                              f"dab-{scheduler}")
 
 
-#: the seven architectures of the grid, plus two single-cell variants.
+#: the seven architectures of the grid, plus single-cell variants.
 ARCHES = {
     "baseline": ArchSpec.baseline(),
     "dab-gwat": _dab("gwat"),
@@ -73,6 +73,11 @@ ARCHES = {
     "gpudet": ArchSpec.make_gpudet(),
     "dab-gwat32": ArchSpec.make_dab(
         DABConfig(buffer_entries=32, scheduler="gwat"), "dab-gwat32"),
+    # 32 unfused entries fill: the in-order policies' gate sleeps.
+    "dab-srr32": ArchSpec.make_dab(
+        DABConfig(buffer_entries=32, scheduler="srr"), "dab-srr32"),
+    "dab-gtrr32": ArchSpec.make_dab(
+        DABConfig(buffer_entries=32, scheduler="gtrr"), "dab-gtrr32"),
     "gpudet-q20": ArchSpec.make_gpudet(GPUDetConfig(quantum_instrs=20)),
 }
 GRID_ARCHES = ("baseline", "dab-gwat", "dab-gtrr", "dab-gtar", "dab-srr",
@@ -154,6 +159,10 @@ def _cells():
         Cell("small", "lock_tts", "baseline"),
         Cell("small", "lock_tts", "gpudet"),
         Cell("small", "bc_1k", "dab-gwat32"),
+        Cell("tiny", "tiny_histogram", "dab-srr32"),
+        Cell("tiny", "tiny_histogram", "dab-gtrr32"),
+        Cell("tiny", "tiny_atomic_sum", "dab-srr32"),
+        Cell("tiny", "tiny_atomic_sum", "dab-gtrr32"),
         Cell("small", "atomic_sum", "gpudet-q20"),
         Cell("titan_v", "bc_1k", "gpudet"),
     ]

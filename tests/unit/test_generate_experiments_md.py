@@ -30,3 +30,12 @@ def test_experiments_md_carries_the_markers(gen):
     text = gen.OUT.read_text(encoding="utf-8")
     assert text.count(gen.BEGIN) == 1 and text.count(gen.END) == 1
     assert text.index(gen.BEGIN) < text.index(gen.END)
+
+
+def test_relaxation_step_counts_rows_both_ways(gen):
+    data = {"a": {"X": 1.2, "Y": 1.1}, "b": {"X": 1.0, "Y": 1.0},
+            "c": {"X": 1.0, "Y": 1.3}}
+    assert (gen._relaxation_step(data, "X", "Y")
+            == "Y beats X on 1 of 3 rows and is worse on c")
+    assert (gen._relaxation_step(data, "X", "X")
+            == "X equals X on every row")

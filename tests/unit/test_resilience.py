@@ -16,8 +16,10 @@ import time
 
 import pytest
 
+from repro.harness.sweep import run_jobs
 from repro.resilience import integrity
-from repro.resilience.doctor import diagnose, scan_cache_dir, scan_journal
+from repro.resilience.chaoshost import smoke_specs
+from repro.resilience.doctor import diagnose, scan_cache_dir
 from repro.resilience.quarantine import (
     ISOLATION_ATTEMPTS,
     PoisonQuarantine,
@@ -112,15 +114,6 @@ def test_quarantine_file_preserves_bytes(tmp_path):
     assert qpath.parent == integrity.quarantine_dir(store)
 
 
-def test_quarantine_bytes_is_idempotent(tmp_path):
-    store = tmp_path / "sweep.jsonl"
-    first = integrity.quarantine_bytes(store, b"torn tail", "journal-tail")
-    second = integrity.quarantine_bytes(store, b"torn tail", "journal-tail")
-    assert first == second
-    assert first.read_bytes() == b"torn tail"
-    assert len(list(first.parent.iterdir())) == 1
-
-
 # ----------------------------------------------------------------------
 # PoisonQuarantine / ResilienceContext
 # ----------------------------------------------------------------------
@@ -184,21 +177,33 @@ def test_doctor_cache_scan_classifies_and_repairs(tmp_path):
     assert again["quarantined"] == [] and again["verified"] == 1
 
 
-def test_doctor_journal_repair_is_idempotent(tmp_path):
-    from repro.harness.journal import SweepJournal
+def _journal_dir(path):
+    """A private cache directory, as ``repro chaos --journal`` writes it."""
+    run_jobs(smoke_specs(), jobs=1, cache=True, cache_dir=str(path))
+    return sorted(path.rglob("*.json"))
 
-    path = tmp_path / "sweep.jsonl"
-    with SweepJournal(path, "f" * 64) as j:
-        j.record("a" * 64, {"cycles": 1})
-        j.record("b" * 64, {"cycles": 2})
-    pristine = path.read_bytes()
-    path.write_bytes(pristine + b'{"torn')
-    report = scan_journal(path)
-    assert report["records"] == 2
-    assert report["repaired_bytes"] == len(b'{"torn')
-    assert path.read_bytes() == pristine
-    again = scan_journal(path)
-    assert again["repaired_bytes"] == 0 and again["records"] == 2
+
+def test_doctor_journal_repair_is_idempotent(tmp_path):
+    path = tmp_path / "journal"
+    entries = _journal_dir(path)
+    assert len(entries) == 2
+    torn = entries[0].read_bytes()[:-40]
+    entries[0].write_bytes(torn)
+    report = scan_cache_dir(path)
+    assert report["entries"] == 2 and report["verified"] == 1
+    [qpath] = report["quarantined"]
+    assert not entries[0].exists()
+    with open(qpath, "rb") as fh:
+        assert fh.read() == torn  # evidence preserved, byte for byte
+    again = scan_cache_dir(path)
+    assert again["quarantined"] == [] and again["verified"] == 1
+    # The repaired directory resumes: the survivor replays, the
+    # quarantined job is simulated and sealed again.
+    results = run_jobs(smoke_specs(), jobs=1, cache=True,
+                       cache_dir=str(path))
+    hits = sorted(bool(r.extra.get("cache_hit")) for r in results)
+    assert hits == [False, True]
+    assert scan_cache_dir(path)["verified"] == 2
 
 
 def test_doctor_diagnose_missing_target(tmp_path):
@@ -208,14 +213,12 @@ def test_doctor_diagnose_missing_target(tmp_path):
 
 
 def test_doctor_diagnose_dir_covers_journals(tmp_path):
-    from repro.harness.journal import SweepJournal
-
     (tmp_path / "sub").mkdir()
-    with SweepJournal(tmp_path / "c.jsonl", "f" * 64) as j:
-        j.record("a" * 64, {"cycles": 1})
+    entries = _journal_dir(tmp_path / "chaos-journal")
     report = diagnose(tmp_path)
-    kinds = [s["kind"] for s in report["stores"]]
-    assert kinds == ["cache", "journal"]
+    [store] = report["stores"]
+    assert store["kind"] == "cache"
+    assert store["entries"] == store["verified"] == len(entries) == 2
     assert report["ok"]
 
 
