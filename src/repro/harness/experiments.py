@@ -4,8 +4,12 @@
 simulated figure is a list of ``repro.campaign/v1`` figure documents
 (its *matrices*; ``quick=True`` picks test-sized workload sets) plus a
 *reducer* from the result grid to a :class:`repro.harness.report.Table`,
-with raw data in ``table.data`` for tests.  Fig 1 and Table I simulate
-nothing and are plain functions.
+with raw data in ``table.data``.  Fig 1 and Table I simulate nothing:
+their reducer is a function of nothing.  Every figure carries the
+paper's claims about its table (:class:`Claim`), each stated once, as
+one measured number and one bound; :func:`judge_claims` judges them,
+and the quick tests, ``benchmarks/bench_figures.py`` and EXPERIMENTS.md
+all read the verdicts.
 
 :func:`run_figure` runs the matrices as one campaign
 (:func:`~repro.campaign.runner.run_campaign`): the sweep engine runs and
@@ -22,8 +26,9 @@ cycle counts (see EXPERIMENTS.md).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Union
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.campaign.rundb import RunDB
 from repro.campaign.runner import CampaignSummary, run_campaign
@@ -153,6 +158,90 @@ def _slowdowns(grid: Grid, matrix: str, title: str, first: str,
 
 
 # ----------------------------------------------------------------------
+# Claims: the paper's statements about a figure, as bounds on one
+# measured number each.
+# ----------------------------------------------------------------------
+
+_OPS = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
+        ">=": operator.ge, "==": operator.eq}
+
+
+@dataclass(frozen=True)
+class Claim:
+    """One named paper claim about a figure's ``table.data``.
+
+    ``measure`` is a pure function of the data that returns one number
+    and never mutates the data; the claim holds when ``measure(data)
+    <op> bound``, ``op`` one of ``<``, ``<=``, ``>``, ``>=`` and ``==``.
+    A row-wise condition counts its violating rows and is bounded by 0.
+    The bound is the same at both scales; a ``full_only`` claim is
+    judged at full scale only, because its rows are absent from the
+    quick workload set.
+    """
+
+    name: str
+    measure: Callable[[dict], float]
+    op: str
+    bound: float
+    full_only: bool = False
+
+
+@dataclass(frozen=True)
+class Verdict:
+    """A claim judged on one table: its measured number and whether the
+    bound holds."""
+
+    figure: str
+    claim: Claim
+    measured: float
+
+    @property
+    def holds(self) -> bool:
+        return _OPS[self.claim.op](self.measured, self.claim.bound)
+
+    def __str__(self) -> str:
+        state = "holds" if self.holds else "does not hold"
+        return (f"{self.figure}: claim {self.claim.name!r} {state}: "
+                f"measured {number(self.measured)}, bound {self.claim.op} "
+                f"{number(self.claim.bound)}")
+
+
+def number(value: float) -> str:
+    """A claim's measured value or bound, to four significant digits."""
+    return f"{value:.4g}"
+
+
+#: ``table.data`` keys that are summaries, not workload rows.
+_SUMMARIES = ("geomean", "area_bytes_per_sm")
+
+
+def _rows(d: dict) -> List[dict]:
+    """The workload rows of ``d``, without its summaries."""
+    return [r for k, r in d.items() if k not in _SUMMARIES]
+
+
+def _graphs(d: dict) -> List[dict]:
+    return [r for k, r in d.items() if k.startswith(("BC", "PRK"))]
+
+
+def _convs(d: dict) -> List[dict]:
+    return [r for k, r in d.items() if k.startswith("cnv")]
+
+
+def _violations(bad: Callable[[dict], bool],
+                rows: Callable[[dict], List[dict]] = _rows):
+    """The measure of a row-wise claim: how many rows are ``bad``."""
+    return lambda d: sum(1 for r in rows(d) if bad(r))
+
+
+def _gm_ratio(num: str, den: str,
+              rows: Callable[[dict], List[dict]] = _rows):
+    """The measure ``geomean(num column) / geomean(den column)``."""
+    return lambda d: (geomean(r[num] for r in rows(d))
+                      / geomean(r[den] for r in rows(d)))
+
+
+# ----------------------------------------------------------------------
 # Figure 1 — base-10 rounding example.
 # ----------------------------------------------------------------------
 
@@ -166,6 +255,18 @@ def fig01_rounding() -> Table:
     t.add_row("(b+c)+a", ex["(b+c)+a"])
     t.data = ex  # type: ignore[attr-defined]
     return t
+
+
+#: The paper's two results, digit for digit.
+_FIG01_PAPER = {"(a+b)+c": "1.01", "(b+c)+a": "1.00"}
+
+_FIG01_CLAIMS = (
+    Claim("orderings whose result is not the paper's",
+          lambda d: sum(d[k] != v for k, v in _FIG01_PAPER.items()),
+          "<=", 0),
+    Claim("the two orderings differ (1 = yes)",
+          lambda d: int(d["differ"]), "==", 1),
+)
 
 
 # ----------------------------------------------------------------------
@@ -206,6 +307,17 @@ def fig02_locks(grid: Grid) -> Table:
     return t
 
 
+_FIG02_CLAIMS = (
+    Claim("fastest lock over atomicAdd, any size",
+          lambda d: min(r[alg] for r in d.values() for alg in LOCK_ALGORITHMS),
+          ">", 5.0),
+    Claim("DAB atomicAdd over baseline atomicAdd, any size",
+          lambda d: max(r["DAB atomicAdd"] for r in d.values()), "<", 2.0),
+    Claim("Test&Set at the largest size over the smallest",
+          lambda d: d[max(d)]["ts"] / d[min(d)]["ts"], ">", 1.0),
+)
+
+
 # ----------------------------------------------------------------------
 # Figure 3 — GPUDet execution-mode breakdown.
 # ----------------------------------------------------------------------
@@ -235,6 +347,22 @@ def fig03_gpudet_modes(grid: Grid) -> Table:
     return t
 
 
+_FIG03_CLAIMS = (
+    Claim("lowest GPUDet slowdown",
+          lambda d: min(r["slowdown"] for r in d.values()), ">", 1.2),
+    Claim("lowest graph slowdown over highest conv slowdown",
+          lambda d: (min(r["slowdown"] for r in _graphs(d))
+                     / max(r["slowdown"] for r in _convs(d))), ">", 1.0),
+    Claim("highest serial fraction on a graph",
+          lambda d: max(r["serial"] for r in _graphs(d)), ">", 0.4),
+    Claim("rows where serial mode does not exceed commit mode",
+          _violations(lambda r: r["serial"] <= r["commit"]), "<=", 0),
+    Claim("largest distance of a row's mode fractions from a sum of 1",
+          lambda d: max(abs(r["parallel"] + r["commit"] + r["serial"] - 1.0)
+                        for r in d.values()), "<", 0.01),
+)
+
+
 # ----------------------------------------------------------------------
 # Tables I-III.
 # ----------------------------------------------------------------------
@@ -249,6 +377,32 @@ def table1_config() -> Table:
         t.add_row(key, value, small_rows[key])
     t.data = dict(cfg.table1_rows())  # type: ignore[attr-defined]
     return t
+
+
+#: The paper's Table I, verbatim.
+_TABLE1_PAPER = {
+    "# Compute Clusters": 40,
+    "# SM / Compute Cluster": 2,
+    "# Streaming Multiprocessors (SM)": 80,
+    "Max Warps / SM": 64,
+    "Warp Size": 32,
+    "Number of Threads / SM": 2048,
+    "Baseline Scheduler": "GTO",
+    "Number of Warp Schedulers / SM": 4,
+    "Number of Registers / SM": 65536,
+    "L1 Data Cache (bytes)": 128 * 1024,
+    "L2 Unified Cache (bytes)": int(4.5 * 1024 * 1024),
+    "DRAM request queue capacity": 32,
+    "Interconnect Flit Size": 40,
+    "Interconnect Input Buffer Size": 256,
+    "Cluster Ejection Buffer Size": 32,
+}
+
+_TABLE1_CLAIMS = (
+    Claim("parameters off the paper's Table I",
+          lambda d: sum(d.get(k) != v for k, v in _TABLE1_PAPER.items()),
+          "<=", 0),
+)
 
 
 def _table2_matrices(quick: bool) -> List[dict]:
@@ -281,6 +435,22 @@ def table2_graphs(grid: Grid) -> Table:
     return t
 
 
+_TABLE2_CLAIMS = (
+    Claim("lowest simulated PKI",
+          lambda d: min(r["sim_pki"] for r in d.values()), ">", 0),
+    Claim("rows where the simulated PKI is not above the paper's",
+          _violations(lambda r: r["sim_pki"] <= r["paper_pki"]), "<=", 0),
+    Claim("PageRank coA PKI over the heaviest other graph",
+          lambda d: d["coA"]["sim_pki"] / max(
+              r["sim_pki"] for k, r in d.items() if k != "coA"),
+          ">=", 1.0, full_only=True),
+    Claim("lighter of 1k/2k PKI over the heavier of ama/CNR",
+          lambda d: (min(d[k]["sim_pki"] for k in ("1k", "2k"))
+                     / max(d[k]["sim_pki"] for k in ("ama", "CNR"))),
+          ">", 1.0, full_only=True),
+)
+
+
 def _table3_matrices(quick: bool) -> List[dict]:
     return [_matrix("table3", conv_workloads(quick), [BASELINE])]
 
@@ -301,6 +471,12 @@ def table3_layers(grid: Grid) -> Table:
                   cfg.filter_elems, cfg.regions, cfg.grid_dim, pki)
     t.data = data  # type: ignore[attr-defined]
     return t
+
+
+_TABLE3_CLAIMS = (
+    Claim("lowest simulated PKI",
+          lambda d: min(r["sim_pki"] for r in d.values()), ">", 0),
+)
 
 
 # ----------------------------------------------------------------------
@@ -333,6 +509,14 @@ def fig09_correlation(grid: Grid) -> Table:
     return t
 
 
+_FIG09_CLAIMS = (
+    Claim("IPC correlation", lambda d: d["correlation"], ">", 0.5),
+    Claim("IPC correlation magnitude", lambda d: abs(d["correlation"]),
+          "<=", 1.0),
+    Claim("mean relative IPC error", lambda d: d["error"], "<", 1.0),
+)
+
+
 # ----------------------------------------------------------------------
 # Figure 10 — overall performance.
 # ----------------------------------------------------------------------
@@ -353,6 +537,17 @@ def fig10_overall(grid: Grid) -> Table:
     t.add_row("geomean", 1.0, gm["DAB"], gm["GPUDet"])
     t.data["geomean"] = gm
     return t
+
+
+_FIG10_CLAIMS = (
+    Claim("DAB geomean slowdown", lambda d: d["geomean"]["DAB"], "<", 1.6),
+    Claim("GPUDet geomean slowdown", lambda d: d["geomean"]["GPUDet"],
+          ">", 1.5),
+    Claim("DAB geomean over GPUDet geomean",
+          lambda d: d["geomean"]["DAB"] / d["geomean"]["GPUDet"], "<", 1.0),
+    Claim("rows where DAB is slower than 1.05x GPUDet",
+          _violations(lambda r: r["DAB"] > r["GPUDet"] * 1.05), "<=", 0),
+)
 
 
 # ----------------------------------------------------------------------
@@ -384,6 +579,17 @@ def fig11_schedulers(grid: Grid) -> Table:
         "buffers, narrow machine), normalized to baseline", "workload")
 
 
+_FIG11_CLAIMS = (
+    Claim("GWAT geomean over SRR geomean", _gm_ratio("GWAT", "SRR"),
+          "<=", 1.02),
+    Claim("GTAR geomean over SRR geomean", _gm_ratio("GTAR", "SRR"),
+          "<=", 1.05),
+    Claim("conv rows out of the order GWAT <= GTAR <= GTRR <= SRR",
+          _violations(lambda r: not r["GWAT"] <= r["GTAR"] <= r["GTRR"]
+                      <= r["SRR"], _convs), "<=", 0),
+)
+
+
 # ----------------------------------------------------------------------
 # Figure 12 — buffer capacity.
 # ----------------------------------------------------------------------
@@ -400,6 +606,24 @@ def fig12_capacity(grid: Grid) -> Table:
         grid, "fig12",
         "Fig 12: GWAT buffer capacity sweep, normalized to baseline",
         "workload")
+
+
+_CAPACITIES = ("GWAT-32", "GWAT-64", "GWAT-128", "GWAT-256")
+
+_FIG12_CLAIMS = (
+    Claim("graph geomean, GWAT-256 over GWAT-32",
+          _gm_ratio("GWAT-256", "GWAT-32", _graphs), "<=", 1.0),
+    Claim("graph rows where a larger buffer is slower",
+          _violations(lambda r: any(r[big] > r[small] for small, big
+                                    in zip(_CAPACITIES, _CAPACITIES[1:])),
+                      _graphs), "<=", 0),
+    Claim("largest conv change from GWAT-32 to GWAT-256",
+          lambda d: max(abs(r["GWAT-256"] / r["GWAT-32"] - 1.0)
+                        for r in _convs(d)), "<=", 0.05),
+    Claim("rows where GWAT-64 is slower than 1.25x GWAT-32",
+          _violations(lambda r: r["GWAT-64"] > r["GWAT-32"] * 1.25),
+          "<=", 0),
+)
 
 
 # ----------------------------------------------------------------------
@@ -421,6 +645,21 @@ def fig13_fusion(grid: Grid) -> Table:
         "normalized to baseline", "workload",
         extra=lambda wl: {f"{a}_fused": grid["fig13", wl, a].fused_atomics
                           for a in grid.archs["fig13"][1:]})
+
+
+_FIG13_CLAIMS = (
+    Claim("graph geomean, GWAT-32-AF over GWAT-32",
+          _gm_ratio("GWAT-32-AF", "GWAT-32", _graphs), "<=", 1.0),
+    Claim("graph geomean, GWAT-64-AF over GWAT-64",
+          _gm_ratio("GWAT-64-AF", "GWAT-64", _graphs), "<=", 1.0),
+    Claim("misaligned 3x3 (`_2`) layers that fuse on GWAT-64-AF",
+          _violations(lambda r: r["GWAT-64-AF_fused"] != 0,
+                      lambda d: [r for k, r in d.items()
+                                 if k.endswith("_2")]), "<=", 0),
+    Claim("rows where GWAT-32-AF is slower than 1.1x GWAT-32",
+          _violations(lambda r: r["GWAT-32-AF"] > r["GWAT-32"] * 1.1),
+          "<=", 0),
+)
 
 
 # ----------------------------------------------------------------------
@@ -465,6 +704,16 @@ def fig14_gating(grid: Grid) -> Table:
     return t
 
 
+_FIG14_CLAIMS = (
+    Claim("layers that fuse on the full machine",
+          _violations(lambda r: r["fused_full"] != 0), "<=", 0),
+    Claim("layers that fuse nothing on the gated machine",
+          _violations(lambda r: not r["fused_gated"] > 0), "<=", 0),
+    Claim("layers the gated machine does not speed up",
+          _violations(lambda r: not r["gated"] < r["full"]), "<=", 0),
+)
+
+
 # ----------------------------------------------------------------------
 # Figure 15 — DAB overhead breakdown.
 # ----------------------------------------------------------------------
@@ -493,6 +742,15 @@ def fig15_overheads(grid: Grid) -> Table:
     return t
 
 
+_FIG15_CLAIMS = (
+    Claim("largest distance of a row's slot fractions from a sum of 1",
+          lambda d: max(abs(sum(fr.values()) - 1.0) for fr in d.values()),
+          "<", 0.01),
+    Claim("rows without an issued slot",
+          _violations(lambda fr: not fr["issued"] > 0), "<=", 0),
+)
+
+
 # ----------------------------------------------------------------------
 # Figure 16 — offset flushing.
 # ----------------------------------------------------------------------
@@ -511,6 +769,13 @@ def fig16_offset(grid: Grid) -> Table:
         grid, "fig16",
         "Fig 16: offset flushing on GWAT-64-AF, normalized to baseline",
         "layer")
+
+
+_FIG16_CLAIMS = (
+    Claim("layers where offset flushing is slower than 1.1x without",
+          _violations(lambda r: r["GWAT-64-AF + offset"]
+                      > r["GWAT-64-AF"] * 1.1), "<=", 0),
+)
 
 
 # ----------------------------------------------------------------------
@@ -540,6 +805,16 @@ def fig17_coalescing(grid: Grid) -> Table:
     return t
 
 
+_FIG17_CLAIMS = (
+    Claim("geomean, GWAT-64-AF-Coal over GWAT-64-AF",
+          lambda d: (d["geomean"]["GWAT-64-AF-Coal"]
+                     / d["geomean"]["GWAT-64-AF"]), "<", 1.0),
+    Claim("layers where coalescing does not cut interconnect packets",
+          _violations(lambda r: not r["packets w/ coal"] < r["icnt packets"]),
+          "<=", 0),
+)
+
+
 # ----------------------------------------------------------------------
 # Figure 18 — limitation study (relaxed constraints).
 # ----------------------------------------------------------------------
@@ -563,6 +838,17 @@ def fig18_relaxed(grid: Grid) -> Table:
         grid, "fig18",
         "Fig 18: DAB with constraints relaxed (non-deterministic), "
         "normalized to baseline", "workload")
+
+
+_FIG18_CLAIMS = (
+    Claim("geomean, DAB-NR over DAB", _gm_ratio("DAB-NR", "DAB"), "<=", 1.02),
+    Claim("geomean, DAB-NR-OF over DAB-NR", _gm_ratio("DAB-NR-OF", "DAB-NR"),
+          "<=", 1.0),
+    Claim("geomean, DAB-NR-CIF over DAB-NR",
+          _gm_ratio("DAB-NR-CIF", "DAB-NR"), "<=", 1.02),
+    Claim("rows where DAB-NR-CIF is slower than 1.05x DAB",
+          _violations(lambda r: r["DAB-NR-CIF"] > r["DAB"] * 1.05), "<=", 0),
+)
 
 
 # ----------------------------------------------------------------------
@@ -594,6 +880,15 @@ def ablation_buffer_level(grid: Grid) -> Table:
     t.add_row("area bytes/SM", *area.values())
     t.data["area_bytes_per_sm"] = area
     return t
+
+
+_ABLATION_CLAIMS = (
+    Claim("area per SM, warp-level over scheduler-level",
+          lambda d: (d["area_bytes_per_sm"]["warp-level"]
+                     / d["area_bytes_per_sm"]["scheduler-level"]), "==", 16),
+    Claim("geomean, scheduler-level over warp-level",
+          _gm_ratio("scheduler-level", "warp-level"), "<", 1.2),
+)
 
 
 # ----------------------------------------------------------------------
@@ -629,41 +924,56 @@ def determinism_validation(grid: Grid) -> Table:
     return t
 
 
+_DETERMINISM_CLAIMS = (
+    Claim("distinct baseline digests", lambda d: d["baseline"]["distinct"],
+          ">=", 2),
+    Claim("deterministic architectures with more than one digest",
+          lambda d: sum(1 for a, r in d.items()
+                        if a != "baseline" and not r["deterministic"]),
+          "<=", 0),
+)
+
+
 # ----------------------------------------------------------------------
 # The registry and its runner.
 # ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class SimFigure:
-    """A simulated figure: its matrices and the reducer to its table."""
+class Figure:
+    """One paper table or figure: how its table is made and what the
+    paper claims about it."""
 
+    #: result grid -> the figure's table, raw data in ``table.data``;
+    #: without matrices, a function of nothing (it simulates nothing)
+    reduce: Callable[..., Table]
+    #: the paper's claims about ``table.data``, names unique
+    claims: Tuple[Claim, ...]
     #: quick -> the figure's ``repro.campaign/v1`` figure documents
-    matrices: Callable[[bool], List[dict]]
-    #: result grid -> the figure's table, raw data in ``table.data``
-    reduce: Callable[[Grid], Table]
+    matrices: Optional[Callable[[bool], List[dict]]] = None
 
 
-#: ``repro experiment`` name -> figure (plain functions simulate nothing).
-FIGURES: Dict[str, Union[SimFigure, Callable[[], Table]]] = {
-    "fig01": fig01_rounding,
-    "fig02": SimFigure(_fig02_matrices, fig02_locks),
-    "fig03": SimFigure(_fig03_matrices, fig03_gpudet_modes),
-    "fig09": SimFigure(_fig09_matrices, fig09_correlation),
-    "fig10": SimFigure(_fig10_matrices, fig10_overall),
-    "fig11": SimFigure(_fig11_matrices, fig11_schedulers),
-    "fig12": SimFigure(_fig12_matrices, fig12_capacity),
-    "fig13": SimFigure(_fig13_matrices, fig13_fusion),
-    "fig14": SimFigure(_fig14_matrices, fig14_gating),
-    "fig15": SimFigure(_fig15_matrices, fig15_overheads),
-    "fig16": SimFigure(_fig16_matrices, fig16_offset),
-    "fig17": SimFigure(_fig17_matrices, fig17_coalescing),
-    "fig18": SimFigure(_fig18_matrices, fig18_relaxed),
-    "table1": table1_config,
-    "table2": SimFigure(_table2_matrices, table2_graphs),
-    "table3": SimFigure(_table3_matrices, table3_layers),
-    "determinism": SimFigure(_determinism_matrices, determinism_validation),
-    "ablation-buffer-level": SimFigure(_ablation_matrices,
-                                       ablation_buffer_level),
+#: ``repro experiment`` name -> figure.
+FIGURES: Dict[str, Figure] = {
+    "fig01": Figure(fig01_rounding, _FIG01_CLAIMS),
+    "fig02": Figure(fig02_locks, _FIG02_CLAIMS, _fig02_matrices),
+    "fig03": Figure(fig03_gpudet_modes, _FIG03_CLAIMS, _fig03_matrices),
+    "fig09": Figure(fig09_correlation, _FIG09_CLAIMS, _fig09_matrices),
+    "fig10": Figure(fig10_overall, _FIG10_CLAIMS, _fig10_matrices),
+    "fig11": Figure(fig11_schedulers, _FIG11_CLAIMS, _fig11_matrices),
+    "fig12": Figure(fig12_capacity, _FIG12_CLAIMS, _fig12_matrices),
+    "fig13": Figure(fig13_fusion, _FIG13_CLAIMS, _fig13_matrices),
+    "fig14": Figure(fig14_gating, _FIG14_CLAIMS, _fig14_matrices),
+    "fig15": Figure(fig15_overheads, _FIG15_CLAIMS, _fig15_matrices),
+    "fig16": Figure(fig16_offset, _FIG16_CLAIMS, _fig16_matrices),
+    "fig17": Figure(fig17_coalescing, _FIG17_CLAIMS, _fig17_matrices),
+    "fig18": Figure(fig18_relaxed, _FIG18_CLAIMS, _fig18_matrices),
+    "table1": Figure(table1_config, _TABLE1_CLAIMS),
+    "table2": Figure(table2_graphs, _TABLE2_CLAIMS, _table2_matrices),
+    "table3": Figure(table3_layers, _TABLE3_CLAIMS, _table3_matrices),
+    "determinism": Figure(determinism_validation, _DETERMINISM_CLAIMS,
+                          _determinism_matrices),
+    "ablation-buffer-level": Figure(ablation_buffer_level, _ABLATION_CLAIMS,
+                                    _ablation_matrices),
 }
 
 
@@ -677,8 +987,18 @@ def run_figure(name: str, quick: bool = False,
     job to ``db`` (default: :func:`~repro.campaign.rundb.default_db_path`).
     """
     entry = FIGURES[name]
-    if not isinstance(entry, SimFigure):
-        return entry()
+    if entry.matrices is None:
+        return entry.reduce()
     campaign = parse_campaign({"campaign": f"{name}_quick" if quick else name,
                                "figures": entry.matrices(quick)})
     return entry.reduce(Grid(campaign, run_campaign(campaign, db=db)))
+
+
+def judge_claims(name: str, table: Table,
+                 quick: bool = False) -> List[Verdict]:
+    """The verdict of every claim of figure ``name`` on ``table``, the
+    figure's table at the quick or full scale; ``full_only`` claims are
+    skipped at quick scale."""
+    return [Verdict(name, claim, claim.measure(table.data))
+            for claim in FIGURES[name].claims
+            if not (quick and claim.full_only)]

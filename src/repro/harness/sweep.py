@@ -350,12 +350,13 @@ _CACHE_SCHEMA_PREFIX = "repro.sweep-cache/"
 def read_entry(path: Path) -> Tuple[str, Optional[dict]]:
     """Read and judge one cache entry: ``(state, document)``.
 
-    ``state`` is ``"ok"`` (a sealed document of the current schema),
-    ``"stale"`` (another sweep-cache version: a miss, not corruption),
-    ``"missing"`` (unreadable) or ``"corrupt"`` (undecodable bytes,
-    unparseable JSON, a failed checksum, or not a cache document at
-    all).  :meth:`ResultCache.get` and ``repro doctor`` both judge
-    entries here, so they cannot disagree about what is corrupt.
+    ``state`` is ``"ok"`` (a sealed document of the current schema,
+    filed under its own key), ``"stale"`` (another sweep-cache version:
+    a miss, not corruption), ``"missing"`` (unreadable) or ``"corrupt"``
+    (undecodable bytes, unparseable JSON, a failed checksum, a sealed
+    ``key`` other than the file name, or not a cache document at all).
+    :meth:`ResultCache.get` and ``repro doctor`` both judge entries
+    here, so they cannot disagree about what is corrupt.
     """
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
@@ -365,7 +366,10 @@ def read_entry(path: Path) -> Tuple[str, Optional[dict]]:
         return "corrupt", None
     schema = doc.get("schema") if isinstance(doc, dict) else None
     if schema == CACHE_SCHEMA:
-        return ("ok" if integrity.verify(doc) else "corrupt"), doc
+        # A whole entry copied onto another key's path verifies: only
+        # its sealed key tells that it answers another spec.
+        ok = integrity.verify(doc) and doc.get("key") == path.stem
+        return ("ok" if ok else "corrupt"), doc
     if isinstance(schema, str) and schema.startswith(_CACHE_SCHEMA_PREFIX):
         return "stale", doc
     return "corrupt", doc

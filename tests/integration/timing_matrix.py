@@ -111,6 +111,9 @@ WORKLOADS = {
     "atomic_sum": lambda: build_atomic_sum(2048),
     "bc_1k": lambda: build_bc(graph="1k", scale=32),
     "cnv2_1": lambda: build_conv("cnv2_1"),
+    # On tiny, a scheduler holds only next-batch warps at their atomic:
+    # the SRR/GTRR batch-gate sleep (SM._gate_sleeps).
+    "cnv2_2": lambda: build_conv("cnv2_2"),
     "lock_tts": lambda: build_lock_sum("tts", n=64),
     # The drawn tuples of tests/property/test_prop_fastpath.py: on the
     # tiny preset (2 SMs x 8 slots) the first two retire and replace
@@ -165,6 +168,8 @@ def _cells():
         Cell("tiny", "tiny_atomic_sum", "dab-gtrr32"),
         Cell("small", "atomic_sum", "gpudet-q20"),
         Cell("titan_v", "bc_1k", "gpudet"),
+        Cell("tiny", "cnv2_2", "dab-srr"),
+        Cell("tiny", "cnv2_2", "dab-gtrr"),
     ]
     return {c.name: c for c in cells}
 

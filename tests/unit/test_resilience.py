@@ -148,7 +148,7 @@ def test_resilience_context_degraded_flag():
 
 def _sealed_cache_entry(path, schema, cycles=5):
     from repro.harness.sweep import CACHE_SCHEMA  # noqa: F401 (import check)
-    doc = integrity.seal({"schema": schema, "key": "k",
+    doc = integrity.seal({"schema": schema, "key": path.stem,
                           "result": {"cycles": cycles}})
     path.write_text(json.dumps(doc, sort_keys=True) + "\n")
 

@@ -142,6 +142,27 @@ class TestResultRoundTrip:
         hit = cache.get(spec)
         assert hit is not None and hit.cycles == res.cycles
 
+    def test_entry_under_another_key_is_quarantined(self, tmp_path):
+        """A sealed entry copied onto another spec's path verifies, but
+        answers the other spec: it is corrupt, and the job simulates."""
+        small = _spec(workload=WorkloadRef("atomic_sum", (48,)),
+                      gpu=GPUConfig.tiny())
+        spec = _spec(gpu=GPUConfig.tiny())
+        cache = ResultCache(tmp_path / "cache")
+        cache.put(small, sweep._execute_spec(small))
+        path = cache.path_for(spec.cache_key())
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(cache.path_for(small.cache_key()).read_bytes())
+        # repro doctor judges entries through read_entry too.
+        assert sweep.read_entry(path)[0] == "corrupt"
+        assert cache.get(spec) is None
+        assert not path.exists() and len(cache.quarantined) == 1
+        [res] = sweep.run_jobs([spec], jobs=1, cache=True,
+                               cache_dir=str(tmp_path / "cache"))
+        assert not res.extra.get("cache_hit")
+        assert res.cycles == sweep._execute_spec(spec).cycles
+        assert res.cycles != cache.get(small).cycles
+
 
 class TestCanonical:
     def test_canonical_is_json_plain(self):
