@@ -151,8 +151,8 @@ def _run_tree(tree: Path, names: List[str]) -> Dict[str, dict]:
     return json.loads(proc.stdout)
 
 
-def _export(ref: str, dest: Path) -> None:
-    """``git archive ref`` unpacked into ``dest``."""
+def export_ref(ref: str, dest: Path) -> None:
+    """``git archive ref`` unpacked into ``dest / "tree"``."""
     tar = dest / "ref.tar"
     subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar",
                     "-o", str(tar), ref], check=True)
@@ -212,7 +212,7 @@ def main(argv=None) -> int:
     # progress together.
     chunks = [names[k::jobs] for k in range(jobs)]
     with tempfile.TemporaryDirectory(prefix="engine_diff-") as tmp:
-        _export(args.ref, Path(tmp))
+        export_ref(args.ref, Path(tmp))
         trees = {"ref": Path(tmp) / "tree", "cur": ROOT}
         tasks = [(side, chunk) for chunk in chunks if chunk
                  for side in trees]

@@ -149,22 +149,19 @@ _I, _F, _D, _B = (np.dtype(t) for t in (np.int64, np.float32, np.float64,
                                         np.bool_))
 
 
-def _trunc_div(a: np.ndarray, b: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """C-style truncating ``a / b`` (numpy // floors); ``d`` is ``b``
-    with zeros replaced by 1."""
-    q = np.floor_divide(a, d)
-    r = a - q * d
-    return q + ((r != 0) & ((a < 0) != (b < 0)))
+def _int_rem(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """C-style ``a % b`` (``fmod`` truncates: the sign of ``a``); 0
+    where ``b`` is 0."""
+    return np.fmod(a, b, out=np.zeros(a.shape, np.int64), where=b != 0)
 
 
 def _int_div(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """C-style truncating ``a / b``; 0 where ``b`` is 0.  ``a`` less
+    its truncated remainder is an exact multiple of ``b``, which numpy's
+    flooring ``//`` divides exactly."""
     nz = b != 0
-    return np.where(nz, _trunc_div(a, b, np.where(nz, b, 1)), 0)
-
-
-def _int_rem(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    nz = b != 0
-    return np.where(nz, a - _trunc_div(a, b, np.where(nz, b, 1)) * b, 0)
+    r = np.fmod(a, b, out=np.zeros(a.shape, np.int64), where=nz)
+    return np.floor_divide(a - r, b, out=r, where=nz)
 
 
 def _f32_div(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -38,6 +38,8 @@ from repro.arch.simt_stack import SIMTStack
 from repro.memory.globalmem import AtomicOp, GlobalMemory
 
 SECTOR_BYTES = 32
+#: ``a & _SECTOR_MASK`` is the base of the sector holding address ``a``.
+_SECTOR_MASK = -SECTOR_BYTES
 
 #: (Warp slot, WarpSlabs attribute) of each timing field stored in rows.
 _ROW_CELLS = (
@@ -421,18 +423,20 @@ def _reader(operand, want: Optional[np.dtype], ws: int) -> Reader:
     name = operand
     if want is None:
         return lambda regs: regs[name]
+    # A register's dtype is one of numpy's builtin dtype instances, so
+    # an identity test decides; any other instance converts, as before.
     if want is _BOOL:
         def read(regs):
             p = regs[name]
-            return p if p.dtype == _BOOL else p != 0
+            return p if p.dtype is _BOOL else p != 0
     elif want is _F64:
         def read(regs):
             a = regs[name]
-            return (a if a.dtype == _F32 else a.astype(_F32)).astype(np.float64)
+            return (a if a.dtype is _F32 else a.astype(_F32)).astype(np.float64)
     else:
         def read(regs):
             a = regs[name]
-            return a if a.dtype == want else a.astype(want)
+            return a if a.dtype is want else a.astype(want)
     return read
 
 
@@ -556,12 +560,13 @@ def _memory(ins: Instr, ws: int) -> Executor:
 
     def run(warp, mem, mask, active):
         regs = warp.regs
-        full = active == ws
-        lane_ids = all_lanes if full else np.nonzero(mask)[0]
-        act_addrs = addr(regs)[lane_ids]
+        if active == ws:
+            full, lane_ids, act_addrs = True, all_lanes, addr(regs)
+        else:
+            full, lane_ids = False, np.nonzero(mask)[0]
+            act_addrs = addr(regs)[lane_ids]
         addr_list = act_addrs.tolist()
-        sectors = tuple(sorted({a // SECTOR_BYTES * SECTOR_BYTES
-                                for a in addr_list}))
+        sectors = tuple(sorted({a & _SECTOR_MASK for a in addr_list}))
         if oc is OpClass.MEM_LOAD:
             raw = mem.load_many(act_addrs)
             if full:
@@ -572,7 +577,8 @@ def _memory(ins: Instr, ws: int) -> Executor:
                 _write(regs, dst, values, mask)
             spec = MemRequestSpec(kind=kind, sectors=sectors)
         elif oc is OpClass.MEM_STORE:
-            mem.store_many(act_addrs, vals[0](regs)[lane_ids])
+            values = vals[0](regs)
+            mem.store_many(act_addrs, values if full else values[lane_ids])
             spec = MemRequestSpec(kind=kind, sectors=sectors)
         elif oc is OpClass.MEM_RED:
             warp.dyn_atomics += 1

@@ -190,8 +190,10 @@ class FlushController:
                 self._drain_requested_at = None
             return False
         # The feeder scan is the expensive query, evaluated only once a
-        # trigger condition is actually met.
-        if not all(sm.buffers_flush_ready() for sm in sms):
+        # trigger condition is actually met, and only on SMs with a live
+        # warp: elsewhere every feeder finished, so every buffer is at a
+        # deterministic point.
+        if not all(sm.buffers_flush_ready() for sm in sms if sm.live_count):
             # Not every buffer is at a deterministic point yet; under a
             # global quiesce this cannot happen (everything is blocked),
             # but re-check defensively.
@@ -229,7 +231,8 @@ class FlushController:
             drain = self._drain_requested and nonempty
             if not (any_full or fence or drain):
                 continue
-            if not all(sm.buffers_flush_ready() for sm in sms):
+            if not all(sm.buffers_flush_ready() for sm in sms
+                       if sm.live_count):
                 continue
             self.stats.cluster_flushes += 1
             reason = "full" if any_full else ("fence" if fence else "drain")
@@ -441,4 +444,5 @@ class FlushController:
         # started: this flush drained their buffered atomics.  Later
         # arrivals wait for the next flush (their request is still set).
         for sm in self.gpu.sms:
-            sm.release_waits(now, since=state["started"])
+            if sm._barrier_ctas or sm._fence_warps:
+                sm.release_waits(now, since=state["started"])

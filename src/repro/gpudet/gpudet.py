@@ -83,7 +83,8 @@ class StoreBufferView:
             else:
                 out[k] = v
         if miss_addrs:
-            out[miss_lanes] = self._mem.load_many(miss_addrs)
+            out[miss_lanes] = self._mem.load_many(
+                np.array(miss_addrs, dtype=np.int64))
         return out
 
     def store_many(self, addrs, values) -> None:

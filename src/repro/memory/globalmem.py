@@ -27,6 +27,9 @@ WORD_BYTES = 4
 #: Base of the first allocation; address 0 is reserved as "null".
 _HEAP_BASE = 0x1000
 
+_I64 = np.dtype(np.int64)
+_or_reduce = np.bitwise_or.reduce
+
 
 @dataclass(frozen=True)
 class AtomicOp:
@@ -178,9 +181,25 @@ class GlobalMemory:
 
     # -- vector access (per-warp lanes) ------------------------------------
     def load_many(self, addrs: np.ndarray) -> np.ndarray:
-        """Gather; returns float64 array of raw values (caller casts)."""
-        addr_list = addrs.tolist() if isinstance(addrs, np.ndarray) else \
-            [int(a) for a in addrs]
+        """Gather; returns float64 array of raw values (caller casts).
+
+        Warp lanes overwhelmingly hit one buffer: an int64 address array
+        whose lanes all lie in the buffer of its lowest address and are
+        word-aligned is gathered with one index.  Anything else goes
+        run by run, lane by lane, and raises at the first bad lane.
+        """
+        if isinstance(addrs, np.ndarray):
+            addr_list = addrs.tolist()
+            if addr_list and addrs.dtype is _I64:
+                i = bisect_right(self._bases, min(addr_list)) - 1
+                if i >= 0:
+                    buf = self._buffers[i]
+                    # (4-byte words: two low address bits, shift by 2)
+                    if max(addr_list) < buf.end and not _or_reduce(addrs) & 3:
+                        return buf.data.take(
+                            (addrs - buf.base) >> 2).astype(np.float64)
+        else:
+            addr_list = [int(a) for a in addrs]
         n = len(addr_list)
         out = np.empty(n, dtype=np.float64)
         i = 0

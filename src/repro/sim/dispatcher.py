@@ -43,9 +43,12 @@ class CTADispatcher:
         self._launch = KernelLaunch(kernel)
         self._per_sm_next = [0] * len(self.sms)
         n = len(self.sms)
+        # Per PC: the instruction is a red/atom (SchedRow.atomic), one
+        # list shared by every SM's rows.
+        atomic = [ins.atomic for ins in kernel.program.instrs]
         for sm in self.sms:
             count = (kernel.grid_dim - sm.sm_id + n - 1) // n if self.deterministic else 0
-            sm.begin_kernel(kernel, expected_ctas=count)
+            sm.begin_kernel(kernel, expected_ctas=count, atomic=atomic)
 
     @property
     def all_dispatched(self) -> bool:
@@ -62,6 +65,8 @@ class CTADispatcher:
 
     def _place_deterministic(self, now: int) -> int:
         launch = self._launch
+        if launch.all_ctas_dispatched:
+            return 0  # every SM's queue is empty: the walk places nothing
         kernel = launch.kernel
         n = len(self.sms)
         placed = 0

@@ -18,7 +18,7 @@ feeds the Fig 15 overhead breakdown.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple, TYPE_CHECKING
+from typing import List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from repro.arch.isa import OpClass
 from repro.arch.kernel import CTA, Kernel
@@ -72,6 +72,13 @@ class SM:
         #: GPUDet holds may sleep (see _held_sleeps).
         self._gto_held = (gpu.gpudet is not None
                           and self.schedulers[0].name == "gto")
+        #: scan the live slots for a timing-ready warp before the
+        #: consults and select(): DAB's consult trips sticky full bits
+        #: on warps that are not ready, and every policy but GTO changes
+        #: state in select().  Elsewhere GTO's select() is the readiness
+        #: test (see issue_cycle_fast).
+        self._precheck = (gpu.dab is not None
+                          or self.schedulers[0].name != "gto")
         #: per-scheduler local slot tables.
         self.sched_slots: List[List[Optional[Warp]]] = [
             [None] * self.slots_per_scheduler for _ in range(self.num_schedulers)
@@ -141,7 +148,10 @@ class SM:
     # ------------------------------------------------------------------
     # Kernel / CTA management.
     # ------------------------------------------------------------------
-    def begin_kernel(self, kernel: Kernel, expected_ctas: int) -> None:
+    def begin_kernel(self, kernel: Kernel, expected_ctas: int,
+                     atomic: Sequence[bool]) -> None:
+        """Start ``kernel``; ``atomic[pc]`` says whether its instruction
+        at ``pc`` is a red/atom (built once per launch)."""
         self.kernel = kernel
         self.expected_ctas = expected_ctas
         self.ctas_placed = 0
@@ -156,7 +166,6 @@ class SM:
         self._ctas_per_wave = max(1, self.total_slots // self._warps_per_cta)
         # Read only at live warps' PCs, so stale done-warp PCs from a
         # previous kernel are never looked up.
-        atomic = [ins.atomic for ins in kernel.program.instrs]
         for row, sched in zip(self.rows, self.schedulers):
             row.atomic = atomic
             sched.reset_for_drain()
@@ -347,10 +356,12 @@ class SM:
         or ``barrier``) and goes clean; the window is booked in bulk at
         its next examination.  One with a timing-ready warp runs the
         consults (GPUDet's quantum check or DAB's atomic gates) over its
-        live slots, then ``select()``.  It stays dirty only while its
-        answer can change without a cell write on its row; otherwise it
-        sleeps in a window from the next epoch (DESIGN §12 "Sleeping
-        schedulers"):
+        live slots, then ``select()``.  Without DAB, GTO's ``select``
+        is that readiness test: it answers no warp, with nothing held,
+        iff no live warp is timing-ready, and its reason is then the
+        window's.  It stays dirty only while its answer can change
+        without a cell write on its row; otherwise it sleeps in a window
+        from the next epoch (DESIGN §12 "Sleeping schedulers"):
 
         * after an issue that leaves one live warp on its row, not
           timing-ready (``mem`` or ``barrier``, the window the next
@@ -369,6 +380,7 @@ class SM:
         soa = self.soa
         gpudet = self.gpu.gpudet
         dab = self.dab
+        precheck = self._precheck
         if (dab is None and gpudet is None
                 and (self._barrier_ctas or self._fence_warps)):
             # Baseline: every change that can end a wait (a response,
@@ -397,35 +409,39 @@ class SM:
                 self._acct_reason[s] = None
             dirty[r0] = False
 
-            # Precheck over the live slots: the rows are the warps' own
-            # storage, so an earlier scheduler's issue side effects are
-            # always observed.
             row = self.rows[s]
             live = row.live
             if not live:
                 continue  # idle scheduler: not counted as a stall slot
-            bar, rc, ol, oa = row.bar, row.rc, row.ol, row.oa
-            any_ready = False
-            all_barrier = True
-            for i in live:
-                if bar[i]:
+            if precheck:
+                # Precheck over the live slots: the rows are the warps'
+                # own storage, so an earlier scheduler's issue side
+                # effects are always observed.
+                bar, rc, ol, oa = row.bar, row.rc, row.ol, row.oa
+                any_ready = False
+                all_barrier = True
+                for i in live:
+                    if bar[i]:
+                        continue
+                    all_barrier = False
+                    if ol[i] == 0 and oa[i] == 0 and rc[i] <= now:
+                        any_ready = True
+                        break
+                if not any_ready:
+                    # Frozen until a cell write or a due warp_wake entry
+                    # dirties the row again.
+                    self._acct_reason[s] = "barrier" if all_barrier else "mem"
+                    self._acct_epoch[s] = epoch
                     continue
-                all_barrier = False
-                if ol[i] == 0 and oa[i] == 0 and rc[i] <= now:
-                    any_ready = True
-                    break
-            if not any_ready:
-                # Frozen until a cell write or a due warp_wake entry
-                # dirties the row again.
-                self._acct_reason[s] = "barrier" if all_barrier else "mem"
-                self._acct_epoch[s] = epoch
-                continue
 
-            # A warp is timing-ready: consult and select.
+            # Consult and select.  GPUDet's consult runs only on
+            # timing-ready warps, and holds those at a barrier without
+            # side effects, so it needs no precheck.
             warps = row.warps
             if gpudet is not None:
                 held = row.held
                 held.clear()
+                rc, ol, oa = row.rc, row.ol, row.oa
                 for i in live:
                     if (ol[i] == 0 and oa[i] == 0 and rc[i] <= now
                             and not gpudet.can_issue(warps[i])):
@@ -433,13 +449,18 @@ class SM:
             elif dab is not None:
                 gated = row.gated
                 gated.clear()
-                pc, atomic = row.pc, row.atomic
+                pc, atomic, bar = row.pc, row.atomic, row.bar
                 for i in live:
                     if atomic[pc[i]] and not bar[i]:
                         gate = self._atomic_gate(warps[i])
                         if gate:
                             gated[i] = gate
             warp, reason = sched.select(now, row)
+            if warp is None and not precheck and not row.held:
+                # GTO found no timing-ready warp: the precheck's window.
+                self._acct_reason[s] = reason
+                self._acct_epoch[s] = epoch
+                continue
             blocked = sched.gate_blocked_warp
             if blocked is not None:
                 # The policy's deterministic atomic candidate was blocked

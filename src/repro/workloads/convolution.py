@@ -156,23 +156,20 @@ JEND:
 
 
 def conv_reference(layer: ConvLayer, x: np.ndarray, dy: np.ndarray) -> np.ndarray:
-    """Float64 reference dW for the simulated index math."""
-    f = layer.filter_elems
-    msl = layer.slices * layer.slice_len
-    dw = np.zeros(f, dtype=np.float64)
+    """Float64 reference dW for the simulated index math.
+
+    Filter element ``fg`` of output channel ``k`` and input channel
+    ``c`` is the dot product of channel ``k``'s gradient block with
+    channel ``c``'s input block over every slice; the (k, c) products
+    are one contraction.
+    """
+    blocks = (layer.slices, layer.slice_len)
+    xs = x.astype(np.float64).reshape(layer.c, *blocks)
+    dys = dy.astype(np.float64).reshape(layer.k, *blocks)
+    dots = np.einsum("ksj,csj->kc", dys, xs)
     crs = layer.c * layer.r * layer.s
-    rs = layer.r * layer.s
-    for fg in range(f):
-        k = fg // crs
-        c = (fg % crs) // rs
-        for sl in range(layer.slices):
-            xi = c * msl + sl * layer.slice_len
-            yi = k * msl + sl * layer.slice_len
-            seg = x[xi:xi + layer.slice_len].astype(np.float64) * dy[
-                yi:yi + layer.slice_len
-            ].astype(np.float64)
-            dw[fg] += seg.sum()
-    return dw
+    fg = np.arange(layer.filter_elems)
+    return dots[fg // crs, fg % crs // (layer.r * layer.s)]
 
 
 def build_conv(layer: str = "cnv2_1", seed: int = 7) -> Workload:

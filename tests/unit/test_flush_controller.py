@@ -26,6 +26,11 @@ class FakeSM:
         self._full = False
         self._warps_blocked = True  # pretend warps are at barriers
         self.flush_events = []
+        # Read by the controller: the trigger skips SMs with no live
+        # warp, and completion releases only SMs holding a wait.
+        self.live_count = 1
+        self._barrier_ctas = ["cta"]  # a CTA waits at its bar.sync
+        self._fence_warps = []
 
     # SM interface used by the controller -------------------------------
     def any_buffer_nonempty(self):
@@ -156,6 +161,14 @@ class TestTriggers:
         gpu.sms[1]._warps_blocked = False  # running warps, not full
         assert not fc.maybe_trigger(0)
 
+    def test_sm_without_live_warps_is_not_asked(self):
+        gpu, fc = make()
+        gpu.sms[0]._full = True
+        gpu.sms[1]._warps_blocked = False
+        gpu.sms[1].live_count = 0  # every feeder finished
+        gpu.sms[1].buffers_flush_ready = None  # a call would raise
+        assert fc.maybe_trigger(0)
+
     def test_no_overlap_by_default(self):
         gpu, fc = make()
         gpu.sms[0]._full = True
@@ -182,6 +195,17 @@ class TestCompletion:
         for sm in gpu.sms:
             (now, since), = sm.flush_events
             assert since == 7 and now >= since
+
+    def test_completion_releases_only_sms_holding_a_wait(self):
+        gpu, fc = make()
+        gpu.sms[0]._barrier_ctas = []
+        gpu.sms[1]._barrier_ctas, gpu.sms[1]._fence_warps = [], ["warp"]
+        fc.request_fence_flush(2)
+        assert fc.maybe_trigger(2)
+        gpu.drain_events()
+        assert gpu.sms[0].flush_events == []
+        (now, since), = gpu.sms[1].flush_events
+        assert since == 2 and now >= since
 
     def test_empty_fence_flush_completes_immediately(self):
         gpu, fc = make(sm_entries={})

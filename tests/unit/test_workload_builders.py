@@ -5,7 +5,12 @@ import pytest
 
 from repro.workloads import Workload
 from repro.workloads.bc import build_bc
-from repro.workloads.convolution import RESNET_LAYERS, build_conv
+from repro.workloads.convolution import (
+    GATING_LAYERS,
+    RESNET_LAYERS,
+    build_conv,
+    conv_reference,
+)
 from repro.workloads.graphs import generate
 from repro.workloads.locks import build_lock_sum
 from repro.workloads.microbench import (
@@ -86,6 +91,20 @@ class TestBuilders:
             assert k.grid_dim == cfg.regions * cfg.slices
             assert len(wl.mem.buffer("dw")) == cfg.filter_elems
 
+    @pytest.mark.parametrize("name", [*RESNET_LAYERS, *GATING_LAYERS])
+    def test_conv_reference_equals_the_loop(self, name):
+        """The contraction matches the per-element, per-slice loop it
+        replaced (kept here) to 1e-12 relative: only the summation
+        order differs."""
+        layer = {**RESNET_LAYERS, **GATING_LAYERS}[name]
+        wl = build_conv(name)
+        x, dy = wl.mem.buffer("x"), wl.mem.buffer("dy")
+        want = _loop_conv_reference(layer, x, dy)
+        got = conv_reference(layer, x, dy)
+        assert got.dtype == np.float64 and got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        np.testing.assert_array_equal(wl.info["reference_f64"], got)
+
     def test_workload_default_drive_launches_kernels(self):
         wl = build_atomic_sum(n=64)
         assert isinstance(wl, Workload)
@@ -96,3 +115,21 @@ class TestBuilders:
         b = build_atomic_sum(n=64, seed=1)
         assert a.mem is not b.mem
         assert (a.mem.buffer("in") == b.mem.buffer("in")).all()
+
+
+def _loop_conv_reference(layer, x, dy):
+    """dW filter element by filter element, slice by slice."""
+    msl = layer.slices * layer.slice_len
+    dw = np.zeros(layer.filter_elems, dtype=np.float64)
+    crs = layer.c * layer.r * layer.s
+    rs = layer.r * layer.s
+    for fg in range(layer.filter_elems):
+        k = fg // crs
+        c = (fg % crs) // rs
+        for sl in range(layer.slices):
+            xi = c * msl + sl * layer.slice_len
+            yi = k * msl + sl * layer.slice_len
+            seg = (x[xi:xi + layer.slice_len].astype(np.float64)
+                   * dy[yi:yi + layer.slice_len].astype(np.float64))
+            dw[fg] += seg.sum()
+    return dw
