@@ -5,11 +5,16 @@
     python scripts/bench_ab.py REF --pairs 5              # all four workloads
     python scripts/bench_ab.py REF --pairs 0 --opcodes    # opcode counts only
 
-Exports ``git archive REF`` into a temporary directory (a local
-operation: nothing is fetched) and alternates
+Exports two trees into a temporary directory with ``git archive`` (a
+local operation: nothing is fetched): REF (the parent) and this
+checkout's working tree, tracked and untracked files alike (the change;
+:func:`worktree_id` writes it through a temporary index, so the real
+index stays as it is).  Both sides thus run from equally built trees:
+a run in place reads a slightly different ``peak_rss_mb`` than an
+export of the same source.  It alternates
 ``benchmarks/engine/run.py --workload W --seed S --trace 0`` between the
-exported tree (the parent) and this checkout (the change), ``--pairs``
-times per workload, switching which side runs first from pair to pair.
+two, ``--pairs`` times per workload, switching which side runs first
+from pair to pair.
 For each workload and each end-to-end metric of ``BENCHMARK.json`` it
 reports both sides' medians and quartiles, the parent's quartile
 spread, the median gap, the pairs the change won, and whether the
@@ -24,9 +29,10 @@ hash seed, so the count does not move with the host's load: it
 resolves changes of a few percent that a handful of wall-clock pairs
 cannot.
 
-The report is a ``repro.bench_ab/v1`` JSON document (``--out``) plus a
-text summary.  Exit status: 0 every run passed its output check, 1 some
-run failed it or could not run, 2 the A/B itself could not run.
+The report is a ``repro.bench_ab/v1`` JSON document (``--out``), which
+names both sides' tree ids, plus a text summary.  Exit status: 0 every
+run passed its output check, 1 some run failed it or could not run, 2
+the A/B itself could not run.
 """
 
 from __future__ import annotations
@@ -161,6 +167,25 @@ def _opcodes_in(tree: Path, workloads: List[str]) -> dict:
     if proc.returncode != 0:
         raise RuntimeError(f"opcode count on {tree} failed:\n{proc.stderr}")
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+# ----------------------------------------------------------------------
+# The two trees.
+# ----------------------------------------------------------------------
+
+def _git(*args: str, env: Optional[dict] = None) -> str:
+    return subprocess.run(["git", "-C", str(ROOT), *args], check=True,
+                          capture_output=True, text=True,
+                          env=env).stdout.strip()
+
+
+def worktree_id() -> str:
+    """The git tree id of this checkout's working tree (what ``git add
+    -A`` would stage), written through a temporary index file."""
+    with tempfile.TemporaryDirectory(prefix="bench_ab-index-") as tmp:
+        env = dict(os.environ, GIT_INDEX_FILE=str(Path(tmp) / "index"))
+        _git("add", "-A", env=env)
+        return _git("write-tree", env=env)
 
 
 # ----------------------------------------------------------------------
@@ -321,9 +346,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     doc = {"schema": SCHEMA, "ref": args.ref, "seed": args.seed,
            "pairs": args.pairs, "workloads": {}}
     try:
+        doc["trees"] = {"parent": _git("rev-parse", f"{args.ref}^{{tree}}"),
+                        "change": worktree_id()}
         with tempfile.TemporaryDirectory(prefix="bench_ab-") as tmp:
-            export_ref(args.ref, Path(tmp))
-            trees = {"parent": Path(tmp) / "tree", "change": ROOT}
+            trees = {}
+            for side, tree_id in doc["trees"].items():
+                (Path(tmp) / side).mkdir()
+                export_ref(tree_id, Path(tmp) / side)
+                trees[side] = Path(tmp) / side / "tree"
             if args.opcodes:
                 engine = [w for w in workloads if w in ENGINE_WORKLOADS]
                 doc["opcodes"] = {side: _opcodes_in(tree, engine)

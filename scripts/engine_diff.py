@@ -141,7 +141,6 @@ def worker() -> None:
 def _run_tree(tree: Path, names: List[str]) -> Dict[str, dict]:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([str(tree / "src"), str(ROOT)])
-    env.setdefault("REPRO_STRICT_STALLS", "1")
     proc = subprocess.run(
         [sys.executable, str(Path(__file__).resolve()), "--worker"],
         input=json.dumps(names), capture_output=True, text=True, env=env,

@@ -88,7 +88,7 @@ class Warp:
         "uid", "sm_id", "scheduler_id", "hw_slot", "batch",
         "cta", "warp_id_in_cta", "warp_size", "program", "regs", "stack",
         "outstanding_stores", "buffered_reds", "_exited", "dyn_instrs",
-        "dyn_atomics", "sleep_until", "launched_cycle", "fence_arrived_at",
+        "dyn_atomics", "launched_cycle", "fence_arrived_at",
         "_red_cache", "capture_addrs", "_code", "_mask", "_nact",
         "_rc", "_ol", "_oa", "_bar", "_act", "_pc", "_row", "_col", "_slabs",
     )
@@ -148,7 +148,6 @@ class Warp:
         #: reds inserted into a DAB buffer since the last flush; a CTA
         #: barrier whose warps all have 0 here needs no fence flush.
         self.buffered_reds = 0
-        self.sleep_until = 0
         self.launched_cycle = 0
         self.fence_arrived_at = 0
         self.dyn_instrs = 0

@@ -12,9 +12,9 @@ Three pieces:
 
 * :mod:`repro.campaign.spec` — declarative campaign files
   (``repro.campaign/v1`` yaml): figures are named job matrices
-  (workload x architecture x seed grids) that compile to the sweep
-  engine's :class:`~repro.harness.sweep.JobSpec` lists; every paper
-  figure of ``harness/experiments.py`` is such a list of matrices;
+  (workload x architecture x seed x fault-plan grids) that compile to
+  the sweep engine's :class:`~repro.harness.sweep.JobSpec` lists; every
+  paper figure of ``harness/experiments.py`` is such a list of matrices;
 * :mod:`repro.campaign.runner` — ``repro campaign run <yaml>``: routes
   every figure through :func:`repro.harness.sweep.run_jobs` (parallel,
   cached) and appends each result to the run database from

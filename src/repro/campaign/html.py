@@ -332,15 +332,18 @@ def _figure_section(db: RunDB, campaign: str, figure: str,
                    f'{n_corrupt} corrupt row(s) — run '
                    f'<code>repro doctor</code></span></p>')
 
-    # Latest row per matrix cell drives the table and the chart; the
-    # full history feeds the badges and the trajectory chart below.
-    latest: Dict[Tuple[str, str, int], RunRow] = {}
-    cell_order: List[Tuple[str, str, int]] = []
+    # Latest row per matrix cell (workload, arch, seed, fault-plan seed)
+    # drives the table and the chart; the full history feeds the badges
+    # and the trajectory chart below.
+    history: Dict[tuple, List[RunRow]] = {}
     for row in rows:
-        key = (row.workload, row.arch, row.seed)
-        if key not in latest:
-            cell_order.append(key)
-        latest[key] = row
+        plan = row.fault_plan["seed"] if row.fault_plan else None
+        history.setdefault((row.workload, row.arch, row.seed, plan),
+                           []).append(row)
+    cell_order = list(history)
+    latest = {key: runs[-1] for key, runs in history.items()}
+    # A plan column only where fault plans were run (chaos campaigns).
+    plans = any(p is not None for _w, _a, _s, p in cell_order)
 
     # Determinism badges: digest stability per (workload, arch) cell
     # over every recorded run of it (jitter seeds and re-runs alike —
@@ -367,26 +370,25 @@ def _figure_section(db: RunDB, campaign: str, figure: str,
     # Normalized-slowdown chart (vs the figure's normalize arch).
     workload_order: List[str] = []
     arch_series: List[str] = []
-    for w, a, _s in cell_order:
+    for w, a, _s, _p in cell_order:
         if w not in workload_order:
             workload_order.append(w)
         if a not in arch_series:
             arch_series.append(a)
-    slowdown: Dict[Tuple[str, str, int], float] = {}
+    slowdown: Dict[tuple, float] = {}
     if normalize:
-        for (w, a, s), row in latest.items():
-            base = latest.get((w, normalize, s))
+        for (w, a, s, p), row in latest.items():
+            base = latest.get((w, normalize, s, p))
             if row.quarantined or (base is not None and base.quarantined):
                 continue  # a blame row has no cycles to normalize
             if base is not None and base.cycles:
-                slowdown[(w, a, s)] = row.cycles / base.cycles
+                slowdown[(w, a, s, p)] = row.cycles / base.cycles
         groups = []
         for w in workload_order:
             vals: List[Optional[float]] = []
             for a in arch_series:
-                per_seed = [slowdown[(w, a, s)]
-                            for (w2, a2, s) in cell_order
-                            if w2 == w and a2 == a and (w, a, s) in slowdown]
+                per_seed = [slowdown[key] for key in cell_order
+                            if key[:2] == (w, a) and key in slowdown]
                 vals.append(sum(per_seed) / len(per_seed)
                             if per_seed else None)
             groups.append((w, vals))
@@ -399,18 +401,22 @@ def _figure_section(db: RunDB, campaign: str, figure: str,
     # The per-cell table: deterministic outputs + full provenance.
     out.append('<table class="data"><thead><tr>'
                '<th>workload</th><th>arch</th><th>seed</th>'
-               '<th class="num">cycles</th><th class="num">IPC</th>'
+               + ('<th>plan</th>' if plans else '')
+               + '<th class="num">cycles</th><th class="num">IPC</th>'
                + ('<th class="num">slowdown</th>' if normalize else '')
                + '<th>Δ vs prev</th><th>output digest</th>'
                '<th>spec</th><th>code</th><th>provenance</th>'
                '</tr></thead><tbody>')
     for key in cell_order:
         row = latest[key]
+        head = [
+            f"<td>{_esc(row.workload)}</td>",
+            f"<td>{_esc(row.arch)}</td>",
+            f"<td>{row.seed}</td>",
+        ] + ([f"<td>{'—' if key[3] is None else key[3]}</td>"]
+             if plans else [])
         if row.quarantined:
-            cells = [
-                f"<td>{_esc(row.workload)}</td>",
-                f"<td>{_esc(row.arch)}</td>",
-                f"<td>{row.seed}</td>",
+            cells = head + [
                 '<td class="num">—</td>', '<td class="num">—</td>',
             ]
             if normalize:
@@ -435,10 +441,7 @@ def _figure_section(db: RunDB, campaign: str, figure: str,
                      f'{_f(pct, 2)}% cycles</span>')
         stale = (' <span class="badge">stale code</span>'
                  if row.stale(fingerprint) else "")
-        cells = [
-            f"<td>{_esc(row.workload)}</td>",
-            f"<td>{_esc(row.arch)}</td>",
-            f"<td>{row.seed}</td>",
+        cells = head + [
             f'<td class="num">{row.cycles}</td>',
             f'<td class="num">{_f(row.ipc)}</td>',
         ]
@@ -460,17 +463,16 @@ def _figure_section(db: RunDB, campaign: str, figure: str,
     # than once, cycles relative to their first recorded run.
     multi: List[Tuple[str, List[Tuple[str, float]]]] = []
     for key in cell_order:
-        w, a, s = key
-        history = [r for r in rows
-                   if (r.workload, r.arch, r.seed) == key
-                   and not r.quarantined]
-        if len(history) < 2 or not history[0].cycles:
+        w, a, s, p = key
+        runs = [r for r in history[key] if not r.quarantined]
+        if len(runs) < 2 or not runs[0].cycles:
             continue
         label = f"{w} · {a}" + (f" · seed {s}" if len({
-            k[2] for k in cell_order}) > 1 else "")
+            k[2] for k in cell_order}) > 1 else "") + (
+            f" · plan {p}" if p is not None else "")
         pts = [(f"run {i + 1}, code {r.fingerprint[:8]}",
-                r.cycles / history[0].cycles)
-               for i, r in enumerate(history)]
+                r.cycles / runs[0].cycles)
+               for i, r in enumerate(runs)]
         multi.append((label, pts))
     if multi:
         shown = multi[:8]

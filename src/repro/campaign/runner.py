@@ -25,6 +25,7 @@ from repro.campaign.rundb import RunDB, default_db_path
 from repro.campaign.spec import Campaign
 from repro.harness.report import Table
 from repro.harness.sweep import code_fingerprint, run_jobs
+from repro.obs import ObsConfig
 from repro.resilience import ResilienceContext
 from repro.sim.results import SimResult
 
@@ -100,10 +101,11 @@ def run_campaign(
     cache_dir: Optional[str] = None,
     db: Optional[RunDB] = None,
     resilience: Optional[ResilienceContext] = None,
+    obs: Optional[ObsConfig] = None,
 ) -> CampaignSummary:
     """Run every figure of ``campaign`` and append results to the db.
 
-    ``jobs`` / ``cache`` / ``cache_dir`` are forwarded to
+    ``jobs`` / ``cache`` / ``cache_dir`` / ``obs`` are forwarded to
     :func:`run_jobs` (None = session defaults); a killed campaign
     re-run against the same ``cache_dir`` resumes from its finished
     jobs.  Pass an open ``db`` to reuse a handle; otherwise ``db_path``
@@ -129,7 +131,8 @@ def run_campaign(
                              normalize=figure.normalize)
             specs = [job.spec for job in figure.jobs]
             results = run_jobs(specs, jobs=jobs, cache=cache,
-                               cache_dir=cache_dir, resilience=resilience)
+                               cache_dir=cache_dir, obs=obs,
+                               resilience=resilience)
             fig_sum = FigureSummary(figure.name, len(specs), 0, 0,
                                     results=results)
             for index, (job, result) in enumerate(zip(figure.jobs, results)):

@@ -27,14 +27,16 @@ points, SNIPPETS.md #1/#3)::
                    fusion: true, coalescing: true}}
           - {name: GPUDet, kind: gpudet}
 
-Job order is deterministic: workloads x archs x seeds, in file order —
-the same order the database rows are appended in, at any ``--jobs``
-level.
+Job order is deterministic: workloads x archs x seeds x fault plans,
+in file order — the same order the database rows are appended in, at
+any ``--jobs`` level.
 
 Figure-level overrides: ``preset``, ``seeds``, ``gpu`` (a dict of
 :meth:`GPUConfig.replace` overrides, e.g. ``{num_clusters: 3}`` for the
 Fig 14 gating study), ``max_cycles``, ``jitter_dram`` / ``jitter_icnt``
-(the determinism-validation knobs).  Workload factories are the sweep
+(the determinism-validation knobs), and for ``repro chaos``
+``fault_plans`` (seeds, each armed as ``FaultPlan.sample(seed)``) and
+``invariants`` (a bool).  Workload factories are the sweep
 registry names (:data:`repro.harness.sweep.WORKLOAD_FACTORIES`).
 """
 
@@ -46,6 +48,7 @@ from typing import Dict, List, Optional
 
 from repro.config import GPU_PRESETS, GPUConfig
 from repro.core.dab import BufferLevel, DABConfig
+from repro.faults import FaultPlan
 from repro.gpudet.gpudet import GPUDetConfig
 from repro.harness.runner import ArchSpec
 from repro.harness.sweep import WORKLOAD_FACTORIES, JobSpec, WorkloadRef
@@ -180,15 +183,23 @@ def _build_gpu(figure_doc: dict, defaults: dict, where: str) -> GPUConfig:
     return gpu
 
 
+def _seed_list(seeds, where: str) -> List[int]:
+    """``seeds``, checked: a non-empty list of non-negative ints."""
+    if not isinstance(seeds, list) or not seeds:
+        raise CampaignError(f"{where}: expected a non-empty list of "
+                            f"non-negative ints")
+    for j, seed in enumerate(seeds):
+        if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+            raise CampaignError(f"{where}[{j}]: expected a non-negative "
+                                f"int, got {seed!r}")
+    return list(seeds)
+
+
 def _seeds(figure_doc: dict, defaults: dict, where: str) -> List[int]:
     seeds = figure_doc.get("seeds", defaults.get("seeds", [1]))
-    if isinstance(seeds, int):
+    if isinstance(seeds, int) and not isinstance(seeds, bool):
         seeds = [seeds]
-    if (not isinstance(seeds, list) or not seeds
-            or not all(isinstance(s, int) for s in seeds)):
-        raise CampaignError(f"{where}: 'seeds' must be an int or a "
-                            f"non-empty list of ints")
-    return list(seeds)
+    return _seed_list(seeds, f"{where}.seeds")
 
 
 def _int_knob(figure_doc: dict, defaults: dict, key: str, fallback,
@@ -249,6 +260,14 @@ def parse_campaign(doc: dict, name_hint: str = "campaign") -> Campaign:
         max_cycles = _int_knob(fig_doc, defaults, "max_cycles", None, where)
         jitter_dram = _int_knob(fig_doc, defaults, "jitter_dram", 16, where)
         jitter_icnt = _int_knob(fig_doc, defaults, "jitter_icnt", 6, where)
+        plans: List[Optional[FaultPlan]] = [None]  # no faults
+        if "fault_plans" in fig_doc:
+            plans = [FaultPlan.sample(seed) for seed in _seed_list(
+                fig_doc["fault_plans"], f"{where}.fault_plans")]
+        invariants = fig_doc.get("invariants", False)
+        if not isinstance(invariants, bool):
+            raise CampaignError(f"{where}.invariants: expected a bool, "
+                                f"got {invariants!r}")
 
         jobs = [
             CampaignJob(
@@ -256,11 +275,15 @@ def parse_campaign(doc: dict, name_hint: str = "campaign") -> Campaign:
                 spec=JobSpec(ref, arch, gpu=gpu, seed=seed,
                              jitter_dram=jitter_dram,
                              jitter_icnt=jitter_icnt,
-                             max_cycles=max_cycles),
+                             max_cycles=max_cycles,
+                             faults=plan.config if plan else None,
+                             fault_seed=plan.seed if plan else 0,
+                             invariants=invariants),
             )
             for wname, ref in workloads
             for aname, arch in archs
             for seed in seeds
+            for plan in plans
         ]
         figures.append(Figure(
             name=fig_name,

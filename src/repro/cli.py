@@ -34,7 +34,9 @@ jitter seeds and reports bitwise digests (the determinism check);
 ``chaos`` fuzzes seeded fault plans against all three architectures
 and asserts DAB/GPUDet outputs stay bitwise identical while the
 baseline diverges, then corrupts the flush protocol on purpose and
-asserts the invariant checker catches it; ``check`` is the conformance
+asserts the invariant checker catches it (both run the Section V
+matrix of the ``determinism`` experiment as a campaign and append its
+jobs to the run database); ``check`` is the conformance
 subsystem — ``check diff`` runs the workload × architecture matrix
 against the ISA-level reference oracle, ``check drf`` certifies
 workloads data-race-free, and ``check mc`` exhaustively model-checks
@@ -69,6 +71,8 @@ import sys
 from pathlib import Path
 from typing import Optional
 
+from repro.campaign.runner import run_campaign
+from repro.campaign.spec import parse_campaign
 from repro.check.differential import diff_one, run_differential
 from repro.check.mc import (
     DEFAULT_MAX_INTERLEAVINGS,
@@ -83,10 +87,18 @@ from repro.core.dab import BufferLevel, DABConfig
 from repro.faults import FaultConfig, FaultPlan, InvariantViolation
 from repro.gpudet.gpudet import GPUDetConfig
 from repro.harness import sweep
-from repro.harness.experiments import FIGURES, run_figure
+from repro.harness.experiments import (
+    BASELINE_DIVERGES,
+    FIGURES,
+    ONE_DIGEST_EACH,
+    Grid,
+    determinism_matrix,
+    determinism_validation,
+    judge_claims,
+    run_figure,
+)
 from repro.harness.runner import ArchSpec, run_workload
 from repro.harness.sweep import (
-    JobSpec,
     SweepTimeoutError,
     SweepWorkerError,
     WorkloadRef,
@@ -179,17 +191,19 @@ def parse_obs(args) -> Optional[ObsConfig]:
                      profile=want_profile)
 
 
-def _emit_metrics_json(res, dest: str) -> None:
-    text = json.dumps(res.metrics_dict(), indent=2, sort_keys=True)
+def _write_json(doc, dest: str, what: str, lead: str = "") -> None:
+    """Print ``doc`` as JSON (``dest`` ``-``) or write it to ``dest``
+    and say so; an unwritable ``dest`` exits 1 with one line."""
+    text = json.dumps(doc, indent=2, sort_keys=True)
     if dest == "-":
         print(text)
-    else:
-        try:
-            with open(dest, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
-        except OSError as e:
-            raise SystemExit(f"cannot write metrics json {dest!r}: {e}")
-        print(f"  metrics json: {dest}")
+        return
+    try:
+        with open(dest, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+    except OSError as e:
+        raise SystemExit(f"cannot write {what} {dest!r}: {e}")
+    print(f"{lead}{what}: {dest}")
 
 
 def _write_trace(tracer, dest: str) -> None:
@@ -217,7 +231,8 @@ def cmd_run(args) -> int:
     if args.trace:
         _write_trace(res.obs.tracer, args.trace)
     if args.metrics_json:
-        _emit_metrics_json(res, args.metrics_json)
+        _write_json(res.metrics_dict(), args.metrics_json, "metrics json",
+                    lead="  ")
     if getattr(args, "profile", False):
         print("  host profile (wall clock, not deterministic):")
         for phase, seconds, calls in res.obs.profiler.table_rows():
@@ -251,9 +266,29 @@ def cmd_trace(args) -> int:
     return 0
 
 
+def _section_v(campaign: str, args, ref: WorkloadRef, jobs, cache_dir=None,
+               obs=None, **matrix):
+    """Run the Section V matrix of ``args.workload`` (parsed as ``ref``)
+    on ``args.preset`` as the one-figure campaign ``campaign``, recorded
+    in the run database, without the shared cache: a determinism check
+    that replays stored results proves nothing (``cache_dir`` is chaos's
+    private resume cache).  Returns the figure, its grid, its
+    :func:`determinism_validation` data and each claim's verdict."""
+    workload = {"name": args.workload, "factory": ref.factory,
+                "args": list(ref.args), "kwargs": dict(ref.kwargs)}
+    parsed = parse_campaign({"campaign": campaign, "figures": [
+        determinism_matrix(f"{args.workload}@{args.preset}", workload,
+                           preset=args.preset, **matrix)]})
+    summary = run_campaign(parsed, jobs=jobs, cache=cache_dir is not None,
+                           cache_dir=cache_dir, obs=obs)
+    grid = Grid(parsed, summary)
+    table = determinism_validation(grid)
+    return parsed.figures[0], grid, table.data, {
+        v.claim: v.holds for v in judge_claims("determinism", table)}
+
+
 def cmd_audit(args) -> int:
     ref = parse_workload_ref(args.workload)
-    config = GPU_PRESETS[args.preset]()
     seeds = [int(s) for s in args.seeds.split(",")]
     jobs = getattr(args, "jobs", 1)
     obs = ObsConfig(trace=True, trace_capacity=0) if args.trace_digest else None
@@ -263,44 +298,36 @@ def cmd_audit(args) -> int:
         raise SystemExit("--trace-digest requires --jobs 1 "
                          "(traces are collected in-process)")
     print(f"Determinism audit of {args.workload!r} over seeds {seeds}:")
-    ok = True
-    arch_list = (
-        ("baseline", ArchSpec.baseline()),
-        ("DAB", ArchSpec.make_dab()),
-        ("GPUDet", ArchSpec.make_gpudet()),
-    )
-    # One job per (arch, seed); the audit always re-simulates (no cache —
-    # a determinism check that replays stored results would be vacuous).
-    specs = [JobSpec(ref, arch, gpu=config, seed=s)
-             for _label, arch in arch_list for s in seeds]
-    all_results = run_jobs(specs, jobs=jobs, cache=False, obs=obs)
-    for i, (label, arch) in enumerate(arch_list):
-        results = all_results[i * len(seeds):(i + 1) * len(seeds)]
-        digests = {r.extra["output_digest"] for r in results}
-        det = len(digests) == 1
-        if label != "baseline":
-            ok = ok and det
-        print(f"  {label:9s} {len(digests)} distinct digest(s) "
+    figure, grid, data, holds = _section_v("audit", args, ref, jobs,
+                                           obs=obs, seeds=seeds)
+    ok = holds[ONE_DIGEST_EACH]
+    for arch, row in data.items():
+        det = row["deterministic"]
+        print(f"  {arch:9s} {row['distinct']} distinct digest(s) "
               f"-> {'deterministic' if det else 'NON-deterministic'}")
         if args.trace_digest:
             # Traces are cycle-stamped so they differ across jitter seeds
             # (timing is allowed to vary); the determinism claim audited
             # here is *repeatability* — the same seed must reproduce the
             # trace bit-for-bit.
-            repeat = run_workload(ref, arch, gpu_config=config,
-                                  seed=seeds[0], obs=obs)
-            same = (repeat.obs.tracer.digest()
-                    == results[0].obs.tracer.digest())
+            first = next(job for job in figure.jobs
+                         if (job.arch, job.seed) == (arch, seeds[0]))
+            (repeat,) = run_jobs([first.spec], cache=False, obs=obs)
+            digest = repeat.obs.tracer.digest()
+            same = digest == grid.results[
+                figure.name, first.workload, arch, first.seed, None
+            ].obs.tracer.digest()
             ok = ok and same
-            trace_digests = {r.obs.tracer.digest() for r in results}
+            trace_digests = {r.obs.tracer.digest()
+                             for r in grid.runs(figure.name, arch)}
             print(f"            trace: {len(trace_digests)} distinct "
                   f"digest(s) across seeds; seed {seeds[0]} repeat run "
                   f"{'IDENTICAL' if same else 'DIVERGED'} "
-                  f"({repeat.obs.tracer.digest()[:16]}…)")
+                  f"({digest[:16]}…)")
     if getattr(args, "drf", False):
         # Determinism is only *guaranteed* for data-race-free programs;
         # certify the precondition alongside the digest audit.
-        report = certify_drf(ref, gpu=config)
+        report = certify_drf(ref, gpu=GPU_PRESETS[args.preset]())
         ok = ok and report.ok
         print("  " + report.render().replace("\n", "\n  "))
     return 0 if ok else 1
@@ -326,57 +353,38 @@ def cmd_chaos(args) -> int:
     config = GPU_PRESETS[args.preset]()
     if args.seeds < 1:
         raise SystemExit("--seeds must be >= 1")
-    plans = [FaultPlan.sample(s) for s in range(1, args.seeds + 1)]
-    arch_list = (
-        ("baseline", ArchSpec.baseline()),
-        ("DAB", ArchSpec.make_dab()),
-        ("GPUDet", ArchSpec.make_gpudet()),
-    )
+    plans = list(range(1, args.seeds + 1))
     print(f"Chaos campaign: {args.workload!r} on preset {args.preset!r}, "
           f"{len(plans)} fault plan(s) "
-          f"(schedule digests {plans[0].schedule_digest()[:8]}… "
-          f"… {plans[-1].schedule_digest()[:8]}…)")
-    # One job per (arch, plan); invariants stay armed throughout so any
-    # protocol breakage under pure timing chaos fails loudly.  The shared
-    # cache is bypassed (replaying stored results would prove nothing);
-    # --journal DIR stores this campaign's results in a private cache
-    # directory instead, so a killed campaign rerun with it resumes.
-    specs = [
-        JobSpec(ref, arch, gpu=config, seed=args.seed,
-                faults=p.config, fault_seed=p.seed, invariants=True)
-        for _label, arch in arch_list for p in plans
-    ]
+          f"(schedule digests {FaultPlan.sample(1).schedule_digest()[:8]}… "
+          f"… {FaultPlan.sample(args.seeds).schedule_digest()[:8]}…)")
+    # One job per (arch, plan) at one jitter seed; invariants stay armed
+    # throughout so any protocol breakage under pure timing chaos fails
+    # loudly.
     try:
-        all_results = run_jobs(specs, jobs=args.jobs,
-                               cache=args.journal is not None,
-                               cache_dir=args.journal)
+        _figure, _grid, data, holds = _section_v(
+            "chaos", args, ref, args.jobs, cache_dir=args.journal,
+            seeds=[args.seed], fault_plans=plans, invariants=True)
     except InvariantViolation as e:
         print(f"  INVARIANT VIOLATION under timing-only faults: {e}")
         return 1
-    ok = True
-    for i, (label, arch) in enumerate(arch_list):
-        results = all_results[i * len(plans):(i + 1) * len(plans)]
-        digests = {r.extra["output_digest"] for r in results}
-        injected = sum(int(r.extra.get("faults_injected", 0))
-                       for r in results)
-        checks = sum(int(r.extra.get("invariant_checks", 0))
-                     for r in results)
-        det = len(digests) == 1
-        if label == "baseline":
-            # With >=2 plans the baseline *should* diverge; a single
-            # digest would mean the fault plans never perturbed the
-            # atomic order and the campaign proved nothing.
-            good = det if len(plans) == 1 else not det
+    # With >=2 plans the baseline *should* diverge; a single digest
+    # would mean the fault plans never perturbed the atomic order and
+    # the campaign proved nothing.
+    ok = holds[ONE_DIGEST_EACH] and (len(plans) < 2
+                                     or holds[BASELINE_DIVERGES])
+    for arch, row in data.items():
+        det = row["deterministic"]
+        if arch == "baseline":
             verdict = ("diverged as expected" if not det
                        else "did NOT diverge (campaign too weak?)")
         else:
-            good = det
             verdict = ("bitwise identical" if det
                        else "NON-DETERMINISTIC under faults")
-        ok = ok and good
-        print(f"  {label:9s} {len(digests)} distinct digest(s) over "
+        print(f"  {arch:9s} {row['distinct']} distinct digest(s) over "
               f"{len(plans)} plan(s) -> {verdict} "
-              f"[{injected} faults injected, {checks} invariant checks]")
+              f"[{row['faults_injected']} faults injected, "
+              f"{row['invariant_checks']} invariant checks]")
 
     print("Corruption detection (DAB-NR study failure modes):")
     probes = (
@@ -474,13 +482,7 @@ def cmd_doctor(args) -> int:
     if report.get("error"):
         print(f"doctor: {report['error']}")
     if args.json:
-        text = json.dumps(report, indent=2, sort_keys=True)
-        if args.json == "-":
-            print(text)
-        else:
-            with open(args.json, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
-            print(f"report json: {args.json}")
+        _write_json(report, args.json, "report json")
     print("doctor: all stores clean" if report["ok"]
           else "doctor: CORRUPTION FOUND (quarantined where repairable)")
     return 0 if report["ok"] else 1
@@ -501,13 +503,7 @@ def cmd_check_diff(args) -> int:
         raise SystemExit(f"check diff: {e}")
     print(report.render())
     if args.json:
-        text = json.dumps(report.to_doc(), indent=2, sort_keys=True)
-        if args.json == "-":
-            print(text)
-        else:
-            with open(args.json, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
-            print(f"report json: {args.json}")
+        _write_json(report.to_doc(), args.json, "report json")
     return 0 if report.ok else 1
 
 
@@ -577,14 +573,7 @@ def cmd_check_mc(args) -> int:
         for path in write_certificates(reports, args.cert_dir):
             print(f"certificate: {path}")
     if args.json:
-        text = json.dumps([r.to_doc() for r in reports],
-                          indent=2, sort_keys=True)
-        if args.json == "-":
-            print(text)
-        else:
-            with open(args.json, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
-            print(f"report json: {args.json}")
+        _write_json([r.to_doc() for r in reports], args.json, "report json")
     broken = [r.preset for r in reports if not r.as_expected]
     ok = all(r.ok for r in reports)
     if broken:

@@ -61,7 +61,6 @@ class FlushStats:
     trigger_fence: int = 0
     trigger_drain: int = 0
     trigger_quiesce: int = 0
-    last_completion: int = 0
 
 
 class FlushController:
@@ -430,7 +429,6 @@ class FlushController:
         state = self._active.pop(key)
         self._wake_gate_sleepers()
         self.stats.total_flush_cycles += now - state["started"]
-        self.stats.last_completion = now
         if self._m_cycles is not None:
             self._m_cycles.observe(now - state["started"])
         if self.obs is not None:

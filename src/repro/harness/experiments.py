@@ -104,10 +104,11 @@ def _matrix(name: str, workloads: List[dict], archs: List[dict],
 
 
 class Grid:
-    """A figure run's results by matrix, workload, arch and seed name."""
+    """A figure run's results by matrix, workload, arch, seed and plan
+    name; the plan is a faulted job's fault seed, None for the rest."""
 
     def __init__(self, campaign: Campaign, summary: CampaignSummary) -> None:
-        #: (matrix, workload, arch, seed) -> SimResult
+        #: (matrix, workload, arch, seed, plan) -> SimResult
         self.results: Dict[tuple, SimResult] = {}
         #: matrix -> workload / arch names, in document order
         self.workloads: Dict[str, List[str]] = {}
@@ -116,8 +117,10 @@ class Grid:
         self.dab_configs: Dict[str, Optional[DABConfig]] = {}
         for figure, done in zip(campaign.figures, summary.figures):
             for job, result in zip(figure.jobs, done.results):
-                self.results[figure.name, job.workload, job.arch,
-                             job.seed] = result
+                plan = (job.spec.fault_seed if job.spec.faults is not None
+                        else None)
+                self.results[figure.name, job.workload, job.arch, job.seed,
+                             plan] = result
                 self.dab_configs[job.arch] = job.spec.arch.dab
             self.workloads[figure.name] = list(
                 dict.fromkeys(job.workload for job in figure.jobs))
@@ -125,8 +128,13 @@ class Grid:
                 dict.fromkeys(job.arch for job in figure.jobs))
 
     def __getitem__(self, key: tuple) -> SimResult:
-        """``grid[matrix, workload, arch]``: the seed-1 result."""
-        return self.results[(*key, 1)]
+        """``grid[matrix, workload, arch]``: the seed-1 unfaulted result."""
+        return self.results[(*key, 1, None)]
+
+    def runs(self, matrix: str, arch: str) -> List[SimResult]:
+        """Every result of ``arch`` in ``matrix``, in job order."""
+        return [r for (m, _w, a, _s, _p), r in self.results.items()
+                if m == matrix and a == arch]
 
 
 def _slowdowns(grid: Grid, matrix: str, title: str, first: str,
@@ -895,43 +903,58 @@ _ABLATION_CLAIMS = (
 # Section V determinism validation.
 # ----------------------------------------------------------------------
 
+def determinism_matrix(name: str, workload: dict, dab: str = "DAB",
+                       **knobs) -> dict:
+    """The Section V matrix of ``workload``: baseline, DAB (the paper
+    configuration, named ``dab``) and GPUDet, with the figure ``knobs``
+    (preset, seeds, jitter, fault plans, invariants) of its three users:
+    the ``determinism`` figure, ``repro audit`` and ``repro chaos``."""
+    return _matrix(name, [workload],
+                   [BASELINE, _dab(dab, **PAPER_DAB), GPUDET],
+                   normalize="", **knobs)
+
+
 def _determinism_matrices(quick: bool) -> List[dict]:
     # Heavy jitter + a large order-sensitive reduction: enough timing
     # perturbation that the baseline visibly scrambles its f32 result.
     # Row labels are the arch names.
-    return [_matrix(
+    return [determinism_matrix(
         "determinism",
-        [{"name": "order_sensitive", "factory": "order_sensitive",
-          "args": [2048]}],
-        [BASELINE, _dab("DAB-GWAT-64-AF-Coal", **PAPER_DAB), GPUDET],
-        normalize="", seeds=[1, 2, 3, 4, 5], jitter_dram=48, jitter_icnt=24,
-    )]
+        {"name": "order_sensitive", "factory": "order_sensitive",
+         "args": [2048]},
+        dab="DAB-GWAT-64-AF-Coal", seeds=[1, 2, 3, 4, 5], jitter_dram=48,
+        jitter_icnt=24)]
 
 
 def determinism_validation(grid: Grid) -> Table:
+    """Per arch of the one matrix: distinct output digests, whether
+    there is one, and the summed faults injected and invariant checks."""
+    (matrix,) = grid.archs
     t = Table(
         "Section V validation: bitwise output digests across jitter seeds",
         ["architecture", "distinct digests", "deterministic"],
     )
     data = {}
-    for arch in grid.archs["determinism"]:
-        digests = {r.extra["output_digest"]
-                   for (_m, _w, a, _s), r in grid.results.items() if a == arch}
+    for arch in grid.archs[matrix]:
+        runs = grid.runs(matrix, arch)
+        digests = {r.extra["output_digest"] for r in runs}
         det = len(digests) == 1
-        data[arch] = {"distinct": len(digests), "deterministic": det}
+        data[arch] = {"distinct": len(digests), "deterministic": det, **{
+            key: sum(int(r.extra.get(key, 0)) for r in runs)
+            for key in ("faults_injected", "invariant_checks")}}
         t.add_row(arch, len(digests), det)
     t.data = data  # type: ignore[attr-defined]
     return t
 
 
-_DETERMINISM_CLAIMS = (
-    Claim("distinct baseline digests", lambda d: d["baseline"]["distinct"],
-          ">=", 2),
-    Claim("deterministic architectures with more than one digest",
-          lambda d: sum(1 for a, r in d.items()
-                        if a != "baseline" and not r["deterministic"]),
-          "<=", 0),
-)
+BASELINE_DIVERGES = Claim(
+    "distinct baseline digests", lambda d: d["baseline"]["distinct"],
+    ">=", 2)
+ONE_DIGEST_EACH = Claim(
+    "deterministic architectures with more than one digest",
+    lambda d: sum(1 for a, r in d.items()
+                  if a != "baseline" and not r["deterministic"]),
+    "<=", 0)
 
 
 # ----------------------------------------------------------------------
@@ -970,7 +993,8 @@ FIGURES: Dict[str, Figure] = {
     "table1": Figure(table1_config, _TABLE1_CLAIMS),
     "table2": Figure(table2_graphs, _TABLE2_CLAIMS, _table2_matrices),
     "table3": Figure(table3_layers, _TABLE3_CLAIMS, _table3_matrices),
-    "determinism": Figure(determinism_validation, _DETERMINISM_CLAIMS,
+    "determinism": Figure(determinism_validation,
+                          (BASELINE_DIVERGES, ONE_DIGEST_EACH),
                           _determinism_matrices),
     "ablation-buffer-level": Figure(ablation_buffer_level, _ABLATION_CLAIMS,
                                     _ablation_matrices),

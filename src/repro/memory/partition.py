@@ -30,7 +30,6 @@ class PartitionStats:
     writes: int = 0
     atomics: int = 0
     flush_entries: int = 0
-    l2_evictions_for_vwq: int = 0
     #: flush transactions that arrived out of deterministic order and
     #: had to wait in the reorder buffer (accumulated across rounds).
     reorder_buffered: int = 0
@@ -141,7 +140,6 @@ class MemoryPartition:
                 self.stats.reorder_max_depth = after
             if self.model_virtual_write_queue:
                 self.l2.evict_one()
-                self.stats.l2_evictions_for_vwq += 1
             if self.obs is not None:
                 self.obs.emit_at(now, "partition", "reorder_stall",
                                  partition=self.partition_id, sm=sm_id,

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, TYPE_CHECKING
 
@@ -14,45 +13,25 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: trackers) pins on it.
 #:
 #: v2: ``from_metrics_dict`` round-trips the sweep provenance flags
-#: (``extra['cache_hit']`` / ``extra['journal_hit']``) instead of
-#: silently dropping them.  v1 documents are still accepted — their
-#: provenance flags are discarded because v1 producers re-derived them
-#: on load, so a stored flag is stale by construction.
+#: (``extra['cache_hit']`` / ``extra['journal_hit']``).
 #:
 #: v3: ``host_profile`` gains a stable shape — ``{"wall_s": seconds,
 #: "phases": {phase: {"seconds", "calls"}}}`` — and round-trips through
 #: ``from_metrics_dict`` (as plain data on ``wall_s`` /
-#: ``host_phases``; no Observability hub is reconstructed).  v1/v2
-#: documents load with ``wall_s=0.0`` and no phases, since their
-#: ``host_profile`` layout predates the wall-clock field.  Host time
+#: ``host_phases``; no Observability hub is reconstructed).  Host time
 #: remains confined to ``host_profile``: strip that one section before
 #: any determinism diff, exactly as before.
 METRICS_SCHEMA = "repro.metrics/v3"
-
-#: Schemas ``from_metrics_dict`` accepts.
-_KNOWN_SCHEMAS = ("repro.metrics/v1", "repro.metrics/v2", METRICS_SCHEMA)
-
-_STRICT_ENV = "REPRO_STRICT_STALLS"
-
-
-def strict_stalls() -> bool:
-    """Strict stall accounting: unknown reasons raise instead of being
-    folded into the ``other`` bucket.  Enabled via the
-    ``REPRO_STRICT_STALLS`` environment variable (any non-empty value
-    except ``0``); ``tests/conftest.py`` and every CI job set it to
-    catch new stall sources that were never given a Fig 15 bucket."""
-    v = os.environ.get(_STRICT_ENV, "")
-    return v not in ("", "0")
 
 
 @dataclass
 class StallBreakdown:
     """Per-scheduler-cycle stall accounting (Fig 15 buckets).
 
-    ``other`` collects stall reasons no named bucket claims; it keeps
-    Fig 15 data honest when a new stall source appears (previously such
-    reasons were silently folded into ``mem``).  Under
-    :func:`strict_stalls` an unknown reason raises immediately.
+    A stall reason without a bucket raises, so a new stall source
+    cannot land in Fig 15 data unnoticed.  No scheduler reports
+    ``other``: it stays in :meth:`as_dict`, always 0, so that the
+    metrics document keeps its layout.
     """
 
     issued: int = 0
@@ -71,20 +50,13 @@ class StallBreakdown:
         "issued", "empty", "mem", "barrier", "inorder",
         "token", "round", "buffer_full", "flush", "batch", "other",
     )
-
     def record(self, reason: Optional[str]) -> None:
         if reason is None:
             self.issued += 1
-            return
-        if reason in self._FIELDS:
+        elif reason in self._FIELDS:
             setattr(self, reason, getattr(self, reason) + 1)
-            return
-        if strict_stalls():
-            raise ValueError(
-                f"unknown stall reason {reason!r}; add a StallBreakdown "
-                f"bucket for it (known: {', '.join(self._FIELDS)})"
-            )
-        self.other += 1
+        else:
+            self._unknown(reason)
 
     def record_bulk(self, reason: str, count: int) -> None:
         """Book ``count`` stalled scheduler-cycles of one reason at once.
@@ -99,13 +71,14 @@ class StallBreakdown:
             return
         if reason in self._FIELDS:
             setattr(self, reason, getattr(self, reason) + count)
-            return
-        if strict_stalls():
-            raise ValueError(
-                f"unknown stall reason {reason!r}; add a StallBreakdown "
-                f"bucket for it (known: {', '.join(self._FIELDS)})"
-            )
-        self.other += count
+        else:
+            self._unknown(reason)
+
+    def _unknown(self, reason: str) -> None:
+        raise ValueError(
+            f"unknown stall reason {reason!r}; add a StallBreakdown "
+            f"bucket for it (known: {', '.join(self._FIELDS)})"
+        )
 
     def merge(self, other: "StallBreakdown") -> None:
         for f in self._FIELDS:
@@ -198,20 +171,16 @@ class SimResult:
         restored — a reconstructed result has ``obs=None``.  Used by the
         sweep engine's disk cache (``repro.harness.sweep``).
 
-        Version-gated: v2+ documents round-trip the sweep provenance
-        flags (``cache_hit`` / ``journal_hit``); v1 documents (and
-        unversioned ones, treated as v1) drop them as the v1 reader
-        always did.  v3 documents additionally restore the host
-        wall-clock and phase totals from ``host_profile`` (as plain
-        data — still no hub); earlier schemas load with ``wall_s=0``.
-        Unknown schemas raise rather than silently misreading a future
-        layout.
+        Only :data:`METRICS_SCHEMA` documents are read: the sweep cache,
+        the one production source, keys each entry by the cache version
+        and the code fingerprint, so no older document reaches this
+        reader.  Any other schema raises rather than misreading a layout.
         """
-        schema = str(doc.get("schema", "repro.metrics/v1"))
-        if schema not in _KNOWN_SCHEMAS:
+        schema = doc.get("schema")
+        if schema != METRICS_SCHEMA:
             raise ValueError(
                 f"unsupported metrics schema {schema!r} "
-                f"(known: {', '.join(_KNOWN_SCHEMAS)})"
+                f"(expected {METRICS_SCHEMA!r})"
             )
         stalls = StallBreakdown()
         for k, v in dict(doc.get("stalls", {})).items():
@@ -220,17 +189,7 @@ class SimResult:
         caches = dict(doc.get("caches", {}))
         flush = dict(doc.get("flush", {}))
         icnt = dict(doc.get("icnt", {}))
-        extra = dict(doc.get("extra", {}))
-        if schema == "repro.metrics/v1":
-            extra.pop("cache_hit", None)    # stale v1 provenance
-            extra.pop("journal_hit", None)  # likewise
-        wall_s, sim_wall_s, host_phases = 0.0, 0.0, {}
-        if schema == METRICS_SCHEMA:
-            host = dict(doc.get("host_profile", {}))
-            wall_s = float(host.get("wall_s", 0.0))
-            sim_wall_s = float(host.get("sim_wall_s", 0.0))
-            host_phases = {str(k): dict(v) for k, v in
-                           dict(host.get("phases", {})).items()}
+        host = dict(doc.get("host_profile", {}))
         return cls(
             label=str(doc.get("label", "")),
             cycles=int(doc["cycles"]),
@@ -249,12 +208,13 @@ class SimResult:
             icnt_queue_delay=int(icnt.get("queue_delay", 0)),
             gpudet_mode_cycles={str(k): int(v) for k, v in
                                 dict(doc.get("gpudet_mode_cycles", {})).items()},
-            extra=extra,
+            extra=dict(doc.get("extra", {})),
             buffer_stats=list(doc.get("buffers", [])),
             partition_stats=list(doc.get("partitions", [])),
-            wall_s=wall_s,
-            sim_wall_s=sim_wall_s,
-            host_phases=host_phases,
+            wall_s=float(host.get("wall_s", 0.0)),
+            sim_wall_s=float(host.get("sim_wall_s", 0.0)),
+            host_phases={str(k): dict(v) for k, v in
+                         dict(host.get("phases", {})).items()},
         )
 
     def metrics_dict(self) -> Dict[str, object]:

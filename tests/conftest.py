@@ -1,13 +1,17 @@
-"""Repo-wide pytest options."""
+"""Repo-wide pytest options and fixtures."""
 
-import os
+import pytest
 
 
-def pytest_configure(config):
-    # Strict stall accounting (repro.sim.results.strict_stalls): a stall
-    # reason without a Fig 15 bucket raises instead of landing in
-    # "other".
-    os.environ.setdefault("REPRO_STRICT_STALLS", "1")
+@pytest.fixture(autouse=True, scope="session")
+def _scratch_run_db(tmp_path_factory):
+    """Point the default run database at a scratch file: ``repro audit``,
+    ``repro chaos`` and ``repro experiment`` run in-process (and the CLI
+    subprocesses, which inherit the environment) append rows to it."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("REPRO_RUNDB_PATH",
+                  str(tmp_path_factory.mktemp("rundb") / "runs.db"))
+        yield
 
 
 def pytest_addoption(parser):

@@ -1,8 +1,9 @@
 """Smoke tests of ``scripts/bench_ab.py``: the opcode counter on one
 ``tiny`` timing-matrix cell in this process, the paired-run verdicts on
-made-up samples, and the export of ``HEAD``."""
+made-up samples, and the exports of ``HEAD`` and of the working tree."""
 
 import importlib.util
+import json
 import shutil
 import subprocess
 from pathlib import Path
@@ -78,3 +79,25 @@ def test_export_head(tmp_path):
     tree = tmp_path / "tree"
     assert (tree / "benchmarks" / "engine" / "run.py").is_file()
     assert (tree / "BENCHMARK.json").is_file()
+
+
+@pytest.mark.skipif(not _in_git_checkout(), reason="needs a git checkout")
+def test_export_worktree(tmp_path):
+    def git(*args):
+        return subprocess.run(["git", "-C", str(ROOT), *args],
+                              capture_output=True, text=True,
+                              check=True).stdout.strip()
+
+    staged = git("write-tree")
+    out = tmp_path / "ab.json"
+    assert bench_ab.main(["HEAD", "--pairs", "0", "--out", str(out)]) == 0
+    assert git("write-tree") == staged  # the real index is untouched
+    trees = json.loads(out.read_text())["trees"]
+    assert trees == {"parent": git("rev-parse", "HEAD^{tree}"),
+                     "change": bench_ab.worktree_id()}
+    _script("engine_diff").export_ref(trees["change"], tmp_path)
+    tree = tmp_path / "tree"
+    # The change side holds this checkout's files as they are on disk.
+    for rel in ("scripts/bench_ab.py", "src/repro/cli.py"):
+        assert (tree / rel).read_bytes() == (ROOT / rel).read_bytes()
+    assert not (tree / "benchmarks" / "results" / "runs.db").exists()

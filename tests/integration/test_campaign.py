@@ -179,3 +179,41 @@ class TestBenchInReport:
         assert out.read_bytes() == out2.read_bytes()
         with RunDB(db_path) as db:
             assert db.counts()["bench"] == 2
+
+
+class TestSectionVCampaigns:
+    """``repro audit`` and ``repro chaos`` run as campaigns: their jobs
+    land in the run database and the dashboard shows them."""
+
+    @pytest.fixture()
+    def db_path(self, tmp_path, monkeypatch):
+        path = tmp_path / "runs.db"
+        monkeypatch.setenv("REPRO_RUNDB_PATH", str(path))
+        return path
+
+    def test_chaos_and_audit_rows_and_report(self, db_path, capsys):
+        assert main(["chaos", "--seeds", "3"]) == 0
+        assert main(["audit", "--workload", "microbench:64", "--preset",
+                     "tiny", "--seeds", "1,2", "--trace-digest"]) == 0
+        capsys.readouterr()
+        with RunDB(db_path) as db:
+            chaos = db.runs(campaign="chaos")
+            audit = db.runs(campaign="audit")
+            html = render_report(db, fingerprint=FP)
+        assert len(chaos) == 9
+        assert {r.figure for r in chaos} == {"order-sensitive:256@tiny"}
+        assert [(r.arch, r.fault_plan["seed"]) for r in chaos] == [
+            (a, p) for a in ("baseline", "DAB", "GPUDet") for p in (1, 2, 3)]
+        assert all(r.spec["invariants"] is True and r.seed == 1
+                   for r in chaos)
+        assert len(audit) == 6
+        assert {r.figure for r in audit} == {"microbench:64@tiny"}
+        assert [(r.arch, r.seed) for r in audit] == [
+            (a, s) for a in ("baseline", "DAB", "GPUDet") for s in (1, 2)]
+        assert all(r.fault_plan is None and r.trace_digest for r in audit)
+        # One plan column, in the chaos section only, and one table row
+        # per (arch, plan) cell.
+        chaos_html, audit_html = html.split('id="audit-')
+        assert '<th>plan</th>' in chaos_html
+        assert '<th>plan</th>' not in audit_html
+        assert chaos_html.count("<td>order-sensitive:256</td>") == 9

@@ -90,6 +90,14 @@ class TestUsageErrors:
         assert proc.returncode != 0
         assert "unknown trace categories" in proc.stderr
 
+    def test_doctor_json_to_unwritable_path(self, tmp_path):
+        dest = tmp_path / "no_such_dir" / "x.json"
+        proc = run_cli("doctor", str(tmp_path), "--json", str(dest))
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(f"cannot write report json '{dest}': ")
+        assert len(proc.stderr.splitlines()) == 1
+        assert "Traceback" not in proc.stderr
+
     def test_lock_workload_under_default_dab_arch(self):
         # The lock kernels use returning atom.* atomics, which DAB
         # rejects when the kernel starts; the default --arch is dab.

@@ -1,7 +1,9 @@
-"""Campaign-file parsing: matrix expansion, defaults, validation."""
+"""Campaign-file parsing: matrix expansion, defaults, validation, and the
+result grid built from a run."""
 
 import pytest
 
+from repro.campaign.runner import CampaignSummary, FigureSummary
 from repro.campaign.spec import (
     CAMPAIGN_SCHEMA,
     CampaignError,
@@ -10,6 +12,11 @@ from repro.campaign.spec import (
 )
 from repro.config import GPUConfig
 from repro.core.dab import BufferLevel
+from repro.faults import FaultPlan
+from repro.harness.experiments import Grid
+from repro.harness.runner import ArchSpec
+from repro.harness.sweep import JobSpec, WorkloadRef
+from repro.sim.results import SimResult
 
 
 def _doc(**overrides):
@@ -92,6 +99,38 @@ class TestParsing:
         doc["defaults"]["seeds"] = 7
         assert parse_campaign(doc).figures[0].jobs[0].seed == 7
 
+    def test_fault_plans_expand_to_the_chaos_specs(self):
+        # The specs ``repro chaos --seeds 3`` ran before it became a
+        # campaign: one per (arch, plan), plans innermost, one jitter
+        # seed, invariants armed.
+        ref = WorkloadRef("order_sensitive", (256,))
+        archs = (ArchSpec.baseline(), ArchSpec.make_dab(),
+                 ArchSpec.make_gpudet())
+        expected = [
+            JobSpec(ref, arch, gpu=GPUConfig.tiny(), seed=1,
+                    faults=plan.config, fault_seed=plan.seed,
+                    invariants=True)
+            for arch in archs
+            for plan in (FaultPlan.sample(s) for s in (1, 2, 3))
+        ]
+        doc = _doc()
+        doc["figures"][0].update(
+            workloads=[{"factory": "order_sensitive", "args": [256]}],
+            archs=[{"name": "baseline", "kind": "baseline"},
+                   {"name": "DAB-GWAT-64-AF-Coal", "kind": "dab",
+                    "dab": {"fusion": True, "coalescing": True}},
+                   {"name": "GPUDet", "kind": "gpudet"}],
+            normalize="", fault_plans=[1, 2, 3], invariants=True)
+        jobs = parse_campaign(doc).figures[0].jobs
+        assert [j.spec for j in jobs] == expected
+        assert [(j.arch, j.seed) for j in jobs] == [
+            (a.label, 1) for a in archs for _ in range(3)]
+
+    def test_unfaulted_figures_arm_nothing(self):
+        spec = parse_campaign(_doc()).figures[0].jobs[0].spec
+        assert spec.faults is None and spec.fault_seed == 0
+        assert spec.invariants is False
+
 
 class TestValidation:
     @pytest.mark.parametrize("mutate, match", [
@@ -118,6 +157,28 @@ class TestValidation:
         mutate(doc)
         with pytest.raises(CampaignError, match=match):
             parse_campaign(doc)
+
+    @pytest.mark.parametrize("key, value, path", [
+        ("seeds", [1, True], "figures[0].seeds[1]"),
+        ("seeds", [-3], "figures[0].seeds[0]"),
+        ("seeds", False, "figures[0].seeds"),
+        ("fault_plans", [], "figures[0].fault_plans"),
+        ("fault_plans", 3, "figures[0].fault_plans"),
+        ("fault_plans", [1, -2], "figures[0].fault_plans[1]"),
+        ("fault_plans", [1, True], "figures[0].fault_plans[1]"),
+        ("fault_plans", ["1"], "figures[0].fault_plans[0]"),
+        ("fault_plans", [1.0], "figures[0].fault_plans[0]"),
+        ("invariants", 1, "figures[0].invariants"),
+        ("invariants", "yes", "figures[0].invariants"),
+        ("invariants", None, "figures[0].invariants"),
+    ])
+    def test_bad_seed_lists_and_flags_name_their_path(self, key, value,
+                                                       path):
+        doc = _doc()
+        doc["figures"][0][key] = value
+        with pytest.raises(CampaignError) as ei:
+            parse_campaign(doc)
+        assert str(ei.value).startswith(path)
 
     def test_duplicate_figure_names_rejected(self):
         doc = _doc()
@@ -153,3 +214,33 @@ class TestLoadYaml:
     def test_missing_file_raises_campaign_error(self, tmp_path):
         with pytest.raises(CampaignError, match="cannot read"):
             load_campaign(tmp_path / "nope.yaml")
+
+
+class TestGrid:
+    @staticmethod
+    def _grid(doc, cycles):
+        """The Grid of a run of ``doc`` in which job ``i`` took
+        ``cycles(i, job)`` cycles."""
+        camp = parse_campaign(doc)
+        jobs = camp.figures[0].jobs
+        results = [SimResult(label=j.arch, cycles=cycles(i, j),
+                             instructions=1, atomics=0, kernels=1,
+                             mem_digest="") for i, j in enumerate(jobs)]
+        return Grid(camp, CampaignSummary("demo", None, "", [FigureSummary(
+            "figA", len(jobs), 0, len(jobs), results=results)]))
+
+    def test_jobs_differing_only_in_plan_are_both_kept(self):
+        doc = _doc()
+        doc["figures"][0].update(fault_plans=[4, 5])
+        grid = self._grid(doc, lambda i, job: 100 + i)
+        assert len(grid.results) == 8
+        assert grid.results["figA", "w1", "DAB", 1, 4].cycles == 102
+        assert grid.results["figA", "w1", "DAB", 1, 5].cycles == 103
+        assert [r.cycles for r in grid.runs("figA", "DAB")] == [
+            102, 103, 106, 107]
+
+    def test_unfaulted_lookup_is_the_seed_1_result(self):
+        doc = _doc()
+        doc["figures"][0]["seeds"] = [2, 1]
+        grid = self._grid(doc, lambda i, job: 10 * job.seed)
+        assert grid["figA", "w1", "DAB"].cycles == 10

@@ -155,18 +155,11 @@ class TestStallBreakdown:
         assert sb.issued == 1 and sb.mem == 1 and sb.token == 1
         assert sb.total == 3
 
-    def test_unknown_reason_goes_to_other(self, monkeypatch):
-        monkeypatch.delenv("REPRO_STRICT_STALLS", raising=False)
-        sb = StallBreakdown()
-        sb.record("weird")
-        assert sb.other == 1 and sb.mem == 0
-        assert sb.total == 1
-
-    def test_unknown_reason_raises_in_strict_mode(self, monkeypatch):
-        monkeypatch.setenv("REPRO_STRICT_STALLS", "1")
+    def test_unknown_reason_raises(self):
         sb = StallBreakdown()
         with pytest.raises(ValueError, match="weird"):
             sb.record("weird")
+        assert sb.total == 0
 
     def test_merge(self):
         a, b = StallBreakdown(), StallBreakdown()

@@ -33,15 +33,7 @@ def test_record_bulk_nonpositive_is_noop():
     assert sb.as_dict() == StallBreakdown().as_dict()
 
 
-def test_record_bulk_unknown_reason_folds_to_other(monkeypatch):
-    monkeypatch.delenv("REPRO_STRICT_STALLS", raising=False)
-    sb = StallBreakdown()
-    sb.record_bulk("mystery", 5)
-    assert sb.other == 5
-
-
-def test_record_bulk_unknown_reason_strict_raises(monkeypatch):
-    monkeypatch.setenv("REPRO_STRICT_STALLS", "1")
+def test_record_bulk_unknown_reason_raises():
     sb = StallBreakdown()
     with pytest.raises(ValueError, match="mystery"):
         sb.record_bulk("mystery", 5)

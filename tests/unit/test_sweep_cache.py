@@ -179,12 +179,9 @@ class TestCanonical:
 class TestMetricsSchemaVersioning:
     """Version gate on SimResult.from_metrics_dict (repro.metrics/v3).
 
-    v1 readers historically dropped the sweep provenance flags
-    (``cache_hit`` / ``journal_hit``) on reconstruction; v2+ documents
-    round-trip them; v3 documents additionally round-trip the host
-    wall-clock and phase totals under ``host_profile``.  Earlier
-    schemas still load (wall_s=0), and unknown schemas refuse to parse
-    rather than silently misread.
+    v3 documents round-trip the sweep provenance flags and the host
+    wall-clock and phase totals under ``host_profile``; every other
+    schema, older ones included, refuses to parse rather than misread.
     """
 
     def _result_with_provenance(self):
@@ -212,28 +209,16 @@ class TestMetricsSchemaVersioning:
         assert back.host_phases == res.host_phases
         assert back.metrics_dict() == doc
 
-    def test_v2_document_keeps_flags_but_not_wall_clock(self):
+    @pytest.mark.parametrize("schema", ["repro.metrics/v2",
+                                        "repro.metrics/v1", None])
+    def test_older_schema_raises(self, schema):
         doc = self._result_with_provenance().metrics_dict()
-        doc["schema"] = "repro.metrics/v2"
-        doc["host_profile"] = {}  # the v2 layout (phase dict or empty)
-        back = SimResult.from_metrics_dict(doc)
-        assert back.extra["cache_hit"] is True
-        assert back.extra["journal_hit"] is True
-        assert back.wall_s == 0.0 and back.host_phases == {}
-
-    def test_v1_document_drops_provenance_flags(self):
-        doc = self._result_with_provenance().metrics_dict()
-        doc["schema"] = "repro.metrics/v1"
-        back = SimResult.from_metrics_dict(doc)
-        assert "cache_hit" not in back.extra
-        assert "journal_hit" not in back.extra
-        assert back.extra["output_digest"]  # the rest still round-trips
-
-    def test_unversioned_document_treated_as_v1(self):
-        doc = self._result_with_provenance().metrics_dict()
-        del doc["schema"]
-        back = SimResult.from_metrics_dict(doc)
-        assert "cache_hit" not in back.extra
+        if schema is None:
+            del doc["schema"]
+        else:
+            doc["schema"] = schema
+        with pytest.raises(ValueError, match="unsupported metrics schema"):
+            SimResult.from_metrics_dict(doc)
 
     def test_unknown_schema_raises(self):
         doc = self._result_with_provenance().metrics_dict()
