@@ -15,8 +15,8 @@ from repro.harness.experiments import FIGURES, judge_claims, run_figure
 
 
 @pytest.mark.parametrize("name", list(FIGURES))
-def test_figure(benchmark, name):
-    table = run_once(benchmark, run_figure, name)
+def test_figure(benchmark, sweep_args, name):
+    table = run_once(benchmark, run_figure, name, **sweep_args)
     record_table(FIGURES[name].reduce.__name__, table)
     failed = [str(v) for v in judge_claims(name, table) if not v.holds]
     assert not failed, "\n".join(failed)

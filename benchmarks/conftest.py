@@ -54,20 +54,15 @@ def pytest_addoption(parser):
                          "(default: benchmarks/results/cache)")
 
 
-@pytest.fixture(scope="session", autouse=True)
-def _sweep_config(request):
-    """Point the sweep engine at the pytest command-line knobs."""
-    from repro.harness import sweep
-
+@pytest.fixture(scope="session")
+def sweep_args(request):
+    """The pytest command-line knobs as ``run_figure`` keywords."""
     jobs = request.config.getoption("--jobs")
-    if jobs is None:
-        jobs = os.cpu_count() or 1
-    with sweep.configured(
-        jobs=jobs,
-        cache=not request.config.getoption("--no-cache"),
-        cache_dir=request.config.getoption("--cache-dir"),
-    ):
-        yield
+    return {
+        "jobs": jobs if jobs is not None else (os.cpu_count() or 1),
+        "cache": not request.config.getoption("--no-cache"),
+        "cache_dir": request.config.getoption("--cache-dir"),
+    }
 
 
 @pytest.fixture(scope="session", autouse=True)

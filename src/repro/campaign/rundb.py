@@ -13,11 +13,13 @@ and compare it later —
   digests) and the full ``metrics_dict`` document;
 * host wall-clock seconds (throughput history — never part of any
   determinism surface);
-* sweep **provenance flags**: ``cache_hit`` / ``serial_fallback`` /
-  ``quarantined`` (a poison job recorded with structured ``blame``
-  instead of a result — degraded mode is part of the history, never
-  hidden); ``journal_hit`` is set only on rows from before the result
-  cache became the one resume store;
+* sweep **provenance flags**: ``cache_hit`` / ``quarantined`` (a
+  poison job recorded with structured ``blame`` instead of a result —
+  degraded mode is part of the history, never hidden);
+  ``journal_hit`` is set only on rows from before the result cache
+  became the one resume store, and ``serial_fallback`` only on rows
+  from before a dead pool's jobs were isolated in fresh worker pools
+  instead of re-run in the coordinator;
 * a per-row **integrity checksum** (sha256 over the row's content
   columns), recomputed on every read: bit rot in the database file is
   detected and flagged (``RunRow.integrity_ok``), never silently

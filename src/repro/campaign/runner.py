@@ -96,8 +96,8 @@ class CampaignSummary:
 def run_campaign(
     campaign: Campaign,
     db_path=None,
-    jobs: Optional[int] = None,
-    cache: Optional[bool] = None,
+    jobs: int = 1,
+    cache: bool = True,
     cache_dir: Optional[str] = None,
     db: Optional[RunDB] = None,
     resilience: Optional[ResilienceContext] = None,
@@ -106,9 +106,9 @@ def run_campaign(
     """Run every figure of ``campaign`` and append results to the db.
 
     ``jobs`` / ``cache`` / ``cache_dir`` / ``obs`` are forwarded to
-    :func:`run_jobs` (None = session defaults); a killed campaign
-    re-run against the same ``cache_dir`` resumes from its finished
-    jobs.  Pass an open ``db`` to reuse a handle; otherwise ``db_path``
+    :func:`run_jobs`, with its defaults; a killed campaign re-run
+    against the same ``cache_dir`` resumes from its finished jobs.
+    Pass an open ``db`` to reuse a handle; otherwise ``db_path``
     (default :func:`default_db_path`) is opened for the duration of the
     run.
 

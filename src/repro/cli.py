@@ -86,7 +86,6 @@ from repro.config import GPU_PRESETS
 from repro.core.dab import BufferLevel, DABConfig
 from repro.faults import FaultConfig, FaultPlan, InvariantViolation
 from repro.gpudet.gpudet import GPUDetConfig
-from repro.harness import sweep
 from repro.harness.experiments import (
     BASELINE_DIVERGES,
     FIGURES,
@@ -596,9 +595,8 @@ def cmd_experiment(args) -> int:
             f"unknown experiment {args.name!r}; one of {sorted(FIGURES)}"
         )
     jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
-    with sweep.configured(jobs=jobs, cache=not args.no_cache,
-                          cache_dir=args.cache_dir):
-        print(run_figure(args.name, quick=args.quick))
+    print(run_figure(args.name, quick=args.quick, jobs=jobs,
+                     cache=not args.no_cache, cache_dir=args.cache_dir))
     return 0
 
 
@@ -617,7 +615,7 @@ def cmd_campaign_run(args) -> int:
         campaign,
         db_path=args.db,
         jobs=args.jobs,
-        cache=False if args.no_cache else None,
+        cache=not args.no_cache,
         cache_dir=args.cache_dir,
         resilience=resilience,
     )
@@ -886,18 +884,19 @@ def build_parser() -> argparse.ArgumentParser:
     camp_run.add_argument("--db", metavar="PATH", default=None,
                           help="run database "
                                "(default: benchmarks/results/runs.db)")
-    camp_run.add_argument("--jobs", type=int, default=None, metavar="N",
-                          help="worker processes (default: session config)")
+    camp_run.add_argument("--jobs", type=int, default=1, metavar="N",
+                          help="worker processes (default: 1 = run "
+                               "in-process)")
     camp_run.add_argument("--no-cache", action="store_true",
                           help="skip the content-addressed result cache")
     camp_run.add_argument("--cache-dir", metavar="DIR", default=None,
                           help="result-cache directory "
                                "(default: benchmarks/results/cache)")
     camp_run.add_argument("--resilient", action="store_true",
-                          help="classify worker failures: retry transient "
-                               "deaths, quarantine poison jobs with blame, "
-                               "and complete degraded (exit 5) instead of "
-                               "dying with the first crasher")
+                          help="classify worker failures: quarantine "
+                               "poison jobs with blame and complete "
+                               "degraded (exit 5) instead of failing "
+                               "(exit 4)")
     camp_run.set_defaults(fn=cmd_campaign_run)
 
     report_p = sub.add_parser(

@@ -59,7 +59,6 @@ class GPUConfig:
     warp_size: int = 32
     num_schedulers_per_sm: int = 4
     num_registers_per_sm: int = 65536
-    max_ctas_per_sm: int = 32
 
     # Memory system.
     num_mem_partitions: int = 24
@@ -86,7 +85,6 @@ class GPUConfig:
     alu_latency: int = 4
     sfu_latency: int = 20
     rop_latency: int = 2  # cycles per atomic op at the ROP unit
-    issue_width_per_scheduler: int = 1
 
     # Scheduling.
     baseline_scheduler: str = "gto"

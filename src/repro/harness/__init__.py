@@ -6,8 +6,6 @@ from repro.harness.report import Table, geomean
 from repro.harness.sweep import (
     JobSpec,
     WorkloadRef,
-    configure,
-    configured,
     register_workload,
     run_jobs,
 )
@@ -15,5 +13,5 @@ from repro.harness.sweep import (
 __all__ = [
     "ArchSpec", "run_workload", "Table", "geomean",
     "JobSpec", "WorkloadRef", "run_jobs",
-    "configure", "configured", "register_workload",
+    "register_workload",
 ]

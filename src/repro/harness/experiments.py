@@ -1002,20 +1002,24 @@ FIGURES: Dict[str, Figure] = {
 
 
 def run_figure(name: str, quick: bool = False,
-               db: Optional[RunDB] = None) -> Table:
+               db: Optional[RunDB] = None, jobs: int = 1,
+               cache: bool = True,
+               cache_dir: Optional[str] = None) -> Table:
     """Regenerate the table or figure ``name`` (a :data:`FIGURES` key).
 
     A simulated figure runs as the campaign ``name`` (``name_quick``
-    for the quick sets) with the sweep engine's session settings
-    (:func:`repro.harness.sweep.configured`) and appends one row per
-    job to ``db`` (default: :func:`~repro.campaign.rundb.default_db_path`).
+    for the quick sets), its jobs through
+    :func:`repro.harness.sweep.run_jobs` with ``jobs``, ``cache`` and
+    ``cache_dir``, and appends one row per job to ``db`` (default:
+    :func:`~repro.campaign.rundb.default_db_path`).
     """
     entry = FIGURES[name]
     if entry.matrices is None:
         return entry.reduce()
     campaign = parse_campaign({"campaign": f"{name}_quick" if quick else name,
                                "figures": entry.matrices(quick)})
-    return entry.reduce(Grid(campaign, run_campaign(campaign, db=db)))
+    return entry.reduce(Grid(campaign, run_campaign(
+        campaign, db=db, jobs=jobs, cache=cache, cache_dir=cache_dir)))
 
 
 def judge_claims(name: str, table: Table,

@@ -11,45 +11,48 @@ without changing a single table byte:
   (:class:`WorkloadRef`), never by closure, so a spec can cross a
   process boundary and be hashed canonically.
 * :func:`run_jobs` — executes a list of specs and returns results in
-  submission order.  ``jobs=1`` is the exact legacy serial path;
-  ``jobs>1`` fans out over a ``ProcessPoolExecutor``.  Because every
-  job is an independent deterministic simulation and results are
-  reassembled by index, a parallel sweep is byte-identical to a serial
-  one (asserted in CI).
+  submission order.  Every setting is an explicit argument: ``jobs=1``
+  (the default) runs in-process; ``jobs>1`` fans out over a
+  ``ProcessPoolExecutor``.  Because every job is an independent
+  deterministic simulation and results are reassembled by index, a
+  parallel sweep is byte-identical to a serial one (asserted in CI).
 * :class:`ResultCache` — a content-addressed disk cache under
   ``benchmarks/results/cache/``.  The key is the sha256 of the
-  canonical JobSpec document plus a fingerprint of the simulator
-  sources and :data:`SWEEP_CACHE_VERSION`, so *any* code change or
-  schema bump invalidates every entry.  Cached results round-trip
-  through ``SimResult.metrics_dict()`` and carry
-  ``extra['cache_hit'] = True``.
+  canonical JobSpec document (everything but the architecture's
+  display label) plus a fingerprint of the simulator sources and
+  :data:`SWEEP_CACHE_VERSION`, so *any* code change or schema bump
+  invalidates every entry, while one simulation requested under two
+  arch names is one entry.  Cached results round-trip through
+  ``SimResult.metrics_dict()``, carry ``extra['cache_hit'] = True``
+  and take the requesting spec's label.
 
 Failure semantics (documented contract, exercised by the integration
 tests): an exception raised *by the job itself* propagates to the
-caller; a worker process dying (``BrokenProcessPool``) is retried in a
-fresh pool — with exponential backoff between attempts — and after
-``retries`` attempts the engine degrades gracefully to serial
-in-process execution (``serial_fallback=False`` raises
-:class:`SweepWorkerError` instead); a job exceeding ``timeout`` seconds
-is retried and then raises :class:`SweepTimeoutError` — a hang is never
-retried in-process, where it could not be interrupted.  Both error
+caller, and a job exceeding ``timeout`` seconds is retried and then
+raises :class:`SweepTimeoutError` — a hang is never retried in-process,
+where it could not be interrupted.  A worker process dying
+(``BrokenProcessPool``) costs the shared pool: its unfinished jobs are
+retried in a fresh one (:data:`POOL_ATTEMPTS` pools, with exponential
+backoff between them), and the jobs that survive every attempt are
+*isolated* — each re-run alone in fresh single-worker pools
+(:func:`_isolate`), never in this process, where a crashing job would
+kill the coordinator.  A job that completes in isolation was the victim
+of someone else's crash; one that kills
+:data:`~repro.resilience.ISOLATION_ATTEMPTS` pools of its own is
+deterministic poison and raises :class:`SweepWorkerError`.  Both error
 types carry ``.jobs``: the canonical spec hash and workload name of
-every failing job, so a failed chaos campaign is attributable and
-re-runnable.
+every failing job, so a failed campaign is attributable and re-runnable.
 
 Passing ``resilience`` (a
-:class:`~repro.resilience.ResilienceContext`) arms **failure
-classification**: jobs whose shared pool died are re-run in fresh
-single-worker pools instead of in-process (where a crashing job would
-kill the coordinator); a job that kills
-:data:`~repro.resilience.ISOLATION_ATTEMPTS` dedicated pools in a row
-is deterministically poisonous and is *quarantined* with structured
-blame — its result slot comes back ``None`` and the sweep completes in
-explicitly-recorded degraded mode.  A heartbeat watchdog
-(:mod:`repro.resilience.watchdog`) additionally samples worker kernel
-states so a SIGSTOP'd worker is killed and replaced within
-``watchdog_interval * watchdog_grace`` seconds instead of burning the
-per-job timeout.
+:class:`~repro.resilience.ResilienceContext`) changes what poison
+costs: the job is *quarantined* with structured blame instead of
+raised — its result slot comes back ``None`` and the sweep completes in
+explicitly-recorded degraded mode — and a job's own exception in a pool
+is a poison suspect, isolated like a dead worker instead of raised.
+Every shared pool carries a heartbeat watchdog
+(:mod:`repro.resilience.watchdog`) that samples worker kernel states,
+so a SIGSTOP'd worker is killed and replaced within a few 0.25 s
+ticks instead of burning the per-job timeout.
 
 Cache entries are sealed with sha256 content checksums
 (:mod:`repro.resilience.integrity`) and verified on every read; a
@@ -76,15 +79,13 @@ import dataclasses
 import enum
 import hashlib
 import json
-import os
 import sys
 import time
 import traceback as _traceback
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as _FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -122,6 +123,14 @@ SWEEP_CACHE_VERSION = 4  # v4: sealed entries (sha256 content checksums)
 #: an ``integrity`` checksum verified on read (corrupt -> quarantine).
 CACHE_SCHEMA = "repro.sweep-cache/v2"
 
+#: Shared-pool attempts before the jobs a dying pool took with it are
+#: isolated (:func:`_isolate`).
+POOL_ATTEMPTS = 2
+
+#: Base of the exponential backoff between pool attempts (seconds):
+#: ``POOL_BACKOFF_S * 2**(attempt-1)`` before attempt 2, 3, ...
+POOL_BACKOFF_S = 0.5
+
 
 class SweepError(RuntimeError):
     """Sweep engine misuse or unrecoverable executor failure."""
@@ -145,17 +154,11 @@ class SweepTimeoutError(SweepJobError):
 
 
 class SweepWorkerError(SweepJobError):
-    """Workers kept dying and serial fallback was disabled."""
+    """Jobs killed every worker they ran in, shared and isolated."""
 
 
 class UnknownWorkloadError(SweepError):
-    """A WorkloadRef names a factory missing from the registry.
-
-    Raised in-process for a genuinely unknown name; when it arrives
-    from a *worker* it usually means the registry entry was registered
-    after the pool forked — the engine falls back to in-process
-    execution, where the entry is visible (or the real error surfaces).
-    """
+    """A WorkloadRef names a factory missing from the registry."""
 
 
 # ----------------------------------------------------------------------
@@ -259,8 +262,13 @@ class JobSpec:
         return self.gpu if self.gpu is not None else GPUConfig.small()
 
     def canonical(self) -> Dict[str, object]:
-        """JSON-able dict that fully determines the simulation output."""
+        """JSON-able dict that fully determines the simulation output.
+
+        The arch's ``label`` is a display name, not part of the
+        simulation: one machine under two names is one spec.
+        """
         doc = _plain(self)
+        del doc["arch"]["label"]
         doc["gpu"] = _plain(self.resolved_gpu())
         return doc
 
@@ -334,9 +342,6 @@ def cache_fingerprint() -> str:
 # ----------------------------------------------------------------------
 
 def default_cache_dir() -> Path:
-    env = os.environ.get("REPRO_SWEEP_CACHE_DIR")
-    if env:
-        return Path(env)
     root = Path(__file__).resolve().parents[3]
     if (root / "benchmarks").is_dir():
         return root / "benchmarks" / "results" / "cache"
@@ -409,6 +414,7 @@ class ResultCache:
         if state != "ok":
             return None
         result = SimResult.from_metrics_dict(doc["result"])
+        result.label = spec.arch.label
         result.extra["cache_hit"] = True
         return result
 
@@ -416,116 +422,16 @@ class ResultCache:
         key = spec.cache_key()
         path = self.path_for(key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        stored = result.metrics_dict()
-        # serial_fallback describes how *this* run was executed, not
-        # the result itself — a later cache hit must not inherit it.
-        extra = dict(stored.get("extra", {}))
-        if extra.pop("serial_fallback", None) is not None:
-            stored["extra"] = extra
         doc = integrity.seal({
             "schema": CACHE_SCHEMA,
             "key": key,
             "spec": spec.canonical(),
-            "result": stored,
+            "result": result.metrics_dict(),
         })
         text = json.dumps(doc, sort_keys=True) + "\n"
         # fsync-then-rename through the injectable write shim (the
         # ENOSPC seam); concurrent writers race benignly.
         integrity.atomic_write_text(path, text)
-
-
-# ----------------------------------------------------------------------
-# Engine configuration (CLI / conftest / env wiring).
-# ----------------------------------------------------------------------
-
-@dataclass
-class SweepConfig:
-    jobs: int = 1
-    cache: bool = True
-    cache_dir: Optional[str] = None
-    timeout: Optional[float] = None
-    #: pool attempts before giving up on parallel execution.
-    retries: int = 2
-    #: base of the exponential backoff between pool attempts (seconds):
-    #: sleep ``backoff * 2**(attempt-1)`` before attempt 2, 3, ...
-    backoff: float = 0.5
-    #: degrade to serial in-process execution when the pool keeps dying
-    #: (False raises SweepWorkerError instead).
-    serial_fallback: bool = True
-    #: arm the heartbeat watchdog on every pool (no-op off Linux).
-    watchdog: bool = True
-    #: seconds between worker-state samples.
-    watchdog_interval: float = 0.25
-    #: consecutive stopped observations before a worker is killed.
-    watchdog_grace: int = 2
-
-
-def _config_from_env() -> SweepConfig:
-    cfg = SweepConfig()
-    jobs = os.environ.get("REPRO_SWEEP_JOBS")
-    if jobs:
-        cfg.jobs = max(1, int(jobs))
-    cache = os.environ.get("REPRO_SWEEP_CACHE")
-    if cache is not None:
-        cfg.cache = cache not in ("", "0")
-    cfg.cache_dir = os.environ.get("REPRO_SWEEP_CACHE_DIR") or None
-    return cfg
-
-
-_CONFIG: Optional[SweepConfig] = None
-
-
-def get_config() -> SweepConfig:
-    global _CONFIG
-    if _CONFIG is None:
-        _CONFIG = _config_from_env()
-    return _CONFIG
-
-
-def configure(jobs: Optional[int] = None, cache: Optional[bool] = None,
-              cache_dir: Optional[str] = None,
-              timeout: Optional[float] = None,
-              retries: Optional[int] = None,
-              backoff: Optional[float] = None,
-              serial_fallback: Optional[bool] = None,
-              watchdog: Optional[bool] = None,
-              watchdog_interval: Optional[float] = None,
-              watchdog_grace: Optional[int] = None) -> SweepConfig:
-    """Set session-wide defaults for :func:`run_jobs` (None = keep)."""
-    cfg = get_config()
-    if jobs is not None:
-        cfg.jobs = max(1, int(jobs))
-    if cache is not None:
-        cfg.cache = cache
-    if cache_dir is not None:
-        cfg.cache_dir = str(cache_dir)
-    if timeout is not None:
-        cfg.timeout = timeout
-    if retries is not None:
-        cfg.retries = max(1, int(retries))
-    if backoff is not None:
-        cfg.backoff = max(0.0, float(backoff))
-    if serial_fallback is not None:
-        cfg.serial_fallback = serial_fallback
-    if watchdog is not None:
-        cfg.watchdog = watchdog
-    if watchdog_interval is not None:
-        cfg.watchdog_interval = max(0.01, float(watchdog_interval))
-    if watchdog_grace is not None:
-        cfg.watchdog_grace = max(1, int(watchdog_grace))
-    return cfg
-
-
-@contextmanager
-def configured(**kwargs):
-    """Temporarily override the session sweep configuration."""
-    global _CONFIG
-    saved = dataclasses.replace(get_config())
-    try:
-        configure(**kwargs)
-        yield get_config()
-    finally:
-        _CONFIG = saved
 
 
 # ----------------------------------------------------------------------
@@ -567,8 +473,8 @@ def _job_desc(ref: Dict[str, object]) -> str:
 
 def run_jobs(
     specs: Iterable[JobSpec],
-    jobs: Optional[int] = None,
-    cache: Optional[bool] = None,
+    jobs: int = 1,
+    cache: bool = True,
     cache_dir: Optional[str] = None,
     timeout: Optional[float] = None,
     obs: Optional[ObsConfig] = None,
@@ -576,12 +482,14 @@ def run_jobs(
 ) -> List[SimResult]:
     """Execute ``specs``; return results in submission order.
 
-    Defaults for every knob come from the session :class:`SweepConfig`
-    (see :func:`configure`); explicit arguments win.  With ``obs`` set
-    the whole sweep runs in-process with the cache bypassed (hubs are
-    not picklable and a cache hit would observe nothing) — requesting
-    ``jobs>1`` together with ``obs`` is an error rather than a silent
-    serialization.
+    ``jobs`` worker processes run the cache misses (``1`` runs them in
+    this process); ``cache`` reads and writes the result cache under
+    ``cache_dir`` (default :func:`default_cache_dir`); ``timeout``
+    bounds each job in a pool, in seconds (None: unbounded).  With
+    ``obs`` set the whole sweep runs in-process with the cache bypassed
+    (hubs are not picklable and a cache hit would observe nothing) —
+    requesting ``jobs>1`` together with ``obs`` is an error rather than
+    a silent serialization.
 
     With the cache on, each job's entry is durably written as the job
     completes, so a killed sweep re-run against the same ``cache_dir``
@@ -589,19 +497,16 @@ def run_jobs(
     resumes to a byte-identical result table.
 
     ``resilience`` (a :class:`~repro.resilience.ResilienceContext`)
-    arms failure classification: every cache miss executes in a worker
-    process (never in-process, where a crashing job would kill the
-    coordinator), jobs classified as deterministic poison are
+    runs every cache miss in a worker process, even at ``jobs=1``
+    (never in-process, where a crashing job would kill the
+    coordinator); jobs classified as deterministic poison are
     quarantined with structured blame instead of raised, and their
     result slot comes back ``None`` — the caller decides how a
     degraded sweep is recorded.  Specs already quarantined by the
     context are skipped without touching a pool.
     """
     specs = list(specs)
-    cfg = get_config()
-    jobs = cfg.jobs if jobs is None else max(1, int(jobs))
-    use_cache = cfg.cache if cache is None else cache
-    timeout = cfg.timeout if timeout is None else timeout
+    jobs = max(1, int(jobs))
 
     if obs is not None and obs.enabled:
         if jobs > 1:
@@ -611,9 +516,7 @@ def run_jobs(
             )
         return [_execute_spec(s, obs=obs) for s in specs]
 
-    rcache = None
-    if use_cache:
-        rcache = ResultCache(cache_dir or cfg.cache_dir or default_cache_dir())
+    rcache = ResultCache(cache_dir or default_cache_dir()) if cache else None
 
     results: List[Optional[SimResult]] = [None] * len(specs)
     misses: List[int] = []
@@ -648,17 +551,13 @@ def run_jobs(
                   file=sys.stderr)
 
     if misses:
-        if resilience is None and (jobs == 1 or len(misses) == 1):
+        if resilience is None and jobs == 1:
             for i in misses:
                 _completed(i, _execute_spec(specs[i]))
         else:
-            _run_parallel(
-                [specs[i] for i in misses],
-                jobs=min(jobs, len(misses)),
-                timeout=timeout,
-                on_result=lambda j, res: _completed(misses[j], res),
-                resilience=resilience,
-            )
+            _run_parallel(specs, misses, jobs=min(jobs, len(misses)),
+                          timeout=timeout, on_result=_completed,
+                          resilience=resilience)
     if resilience is not None and rcache is not None:
         resilience.stats.cache_quarantined += len(rcache.quarantined)
     return results  # type: ignore[return-value]
@@ -695,19 +594,22 @@ def _format_exc(exc: BaseException) -> str:
 
 def _isolate(spec: JobSpec, index: int, timeout: Optional[float],
              kind: str, tb: str,
-             resilience: ResilienceContext) -> Optional[SimResult]:
-    """Classify one suspect job in fresh single-worker pools.
+             resilience: Optional[ResilienceContext]) -> Optional[SimResult]:
+    """Run one job that a dying pool took with it, alone.
 
     A job whose *shared* pool died is only a suspect: the worker may
-    have been killed by the OS for someone else's sins.  It gets
-    exactly :data:`ISOLATION_ATTEMPTS` dedicated pools; completing in
-    one clears it (transient), killing every one is the definition of
-    deterministic poison — quarantine with blame, return None.
-    Isolation runs in a subprocess on purpose: re-running a crasher
-    in-process would take the coordinator down with it.
+    have been killed by the OS, or by another job's crash.  It gets
+    exactly :data:`ISOLATION_ATTEMPTS` dedicated single-worker pools;
+    completing in one clears it, killing every one is the definition
+    of deterministic poison: None is returned, after the job is
+    quarantined with blame when ``resilience`` is armed.  Unarmed, the
+    job's own exception propagates.  Isolation runs in a subprocess on
+    purpose: re-running a crasher in-process would take the
+    coordinator down with it.
     """
     for _ in range(ISOLATION_ATTEMPTS):
-        resilience.stats.isolated_attempts += 1
+        if resilience is not None:
+            resilience.stats.isolated_attempts += 1
         pool = ProcessPoolExecutor(max_workers=1)
         try:
             future = pool.submit(_execute_spec, spec)
@@ -721,63 +623,54 @@ def _isolate(spec: JobSpec, index: int, timeout: Optional[float],
             kind = "worker-death"
             tb = _format_exc(exc)
         except Exception as exc:  # the job's own deterministic failure
+            if resilience is None:
+                raise
             kind = "exception"
             tb = _format_exc(exc)
         else:
-            resilience.stats.isolated_recoveries += 1
+            if resilience is not None:
+                resilience.stats.isolated_recoveries += 1
             return res
         finally:
             _shutdown_pool(pool)
-    resilience.quarantine.add(
-        spec_hash=spec.spec_hash(), workload=spec.workload.factory,
-        index=index, kind=kind, attempts=ISOLATION_ATTEMPTS, traceback=tb)
+    if resilience is not None:
+        resilience.quarantine.add(
+            spec_hash=spec.spec_hash(), workload=spec.workload.factory,
+            index=index, kind=kind, attempts=ISOLATION_ATTEMPTS,
+            traceback=tb)
     return None
 
 
-def _run_parallel(specs: Sequence[JobSpec], jobs: int,
-                  timeout: Optional[float],
-                  on_result=None,
-                  resilience: Optional[ResilienceContext] = None,
-                  ) -> List[Optional[SimResult]]:
-    """Fan ``specs`` out over a process pool with retry and degradation.
+def _run_parallel(specs: Sequence[JobSpec], indices: Sequence[int],
+                  jobs: int, timeout: Optional[float], on_result,
+                  resilience: Optional[ResilienceContext] = None) -> None:
+    """Fan ``specs[j]`` for each ``j`` in ``indices`` out over a process
+    pool; isolate what it kills.  Failing jobs are named by ``j``.
 
     ``on_result(j, result)`` fires as each job's result is harvested (in
     submission order) — the cache-write hook, so a campaign killed
     mid-sweep has durably recorded every harvested job.
 
-    With ``resilience`` armed, pool-killing survivors go through
-    :func:`_isolate` (fresh single-worker pools, then quarantine)
-    instead of in-process serial fallback, and every pool carries a
-    heartbeat watchdog so stopped workers are replaced within
-    ``watchdog_interval * watchdog_grace`` seconds.
+    A pool that dies is replaced, up to :data:`POOL_ATTEMPTS` pools;
+    the jobs still unfinished after the last one go through
+    :func:`_isolate`.  Every pool carries a heartbeat watchdog, so a
+    stopped worker is replaced instead of burning the per-job timeout.
     """
-    cfg = get_config()
-    attempts = max(1, cfg.retries)
-    results: List[Optional[SimResult]] = [None] * len(specs)
-    pending = list(range(len(specs)))
+    pending = list(indices)
     reasons: Dict[int, str] = {}
     tracebacks: Dict[int, str] = {}
     stats = resilience.stats if resilience is not None else None
 
-    def _harvested(j: int, res: SimResult) -> None:
-        results[j] = res
-        if on_result is not None:
-            on_result(j, res)
-
-    for attempt in range(attempts):
+    for attempt in range(POOL_ATTEMPTS):
         if not pending:
             break
         if attempt:
             # Exponential backoff: give a dying machine (OOM pressure,
             # fork storms) room to recover before the next pool.
-            time.sleep(cfg.backoff * (2 ** (attempt - 1)))
+            time.sleep(POOL_BACKOFF_S * (2 ** (attempt - 1)))
         reasons = {}
         pool = ProcessPoolExecutor(max_workers=min(jobs, len(pending)))
-        watchdog = None
-        if cfg.watchdog:
-            watchdog = HeartbeatWatchdog(
-                pool, interval=cfg.watchdog_interval,
-                grace=cfg.watchdog_grace, stats=stats).start()
+        watchdog = HeartbeatWatchdog(pool, stats=stats).start()
         try:
             futures = {}
             for j in pending:
@@ -790,26 +683,20 @@ def _run_parallel(specs: Sequence[JobSpec], jobs: int,
                 if j not in futures:
                     continue
                 try:
-                    _harvested(j, futures[j].result(timeout=timeout))
+                    on_result(j, futures[j].result(timeout=timeout))
                 except _FuturesTimeout:
                     reasons[j] = "timeout"
                 except (BrokenProcessPool, OSError):
                     reasons[j] = "broken"
-                except UnknownWorkloadError:
-                    # Registry entry not visible in the worker (spawn
-                    # semantics / late registration): recoverable
-                    # in-process, where the registry is authoritative.
-                    reasons[j] = "broken"
                 except Exception as exc:
                     if resilience is None:
-                        raise  # legacy contract: the job's error is yours
+                        raise  # the job's own error is the caller's
                     # Armed: a job exception is a poison suspect too —
                     # classify it in isolation instead of raising.
                     reasons[j] = "exception"
                     tracebacks[j] = _format_exc(exc)
         finally:
-            if watchdog is not None:
-                watchdog.stop()
+            watchdog.stop()
             _shutdown_pool(pool)
         pending = sorted(reasons)
 
@@ -818,34 +705,25 @@ def _run_parallel(specs: Sequence[JobSpec], jobs: int,
         refs = [_job_ref(j, specs[j]) for j in timed_out]
         raise SweepTimeoutError(
             f"{len(timed_out)} job(s) exceeded the {timeout}s per-job "
-            f"timeout after {attempts} attempt(s): "
+            f"timeout after {POOL_ATTEMPTS} attempt(s): "
             + "; ".join(_job_desc(r) for r in refs),
             jobs=refs,
         )
-    if pending and resilience is not None:
-        # Failure classification: transient deaths recover in a fresh
-        # dedicated pool; deterministic poison is quarantined with
-        # blame and its result slot stays None.
-        for j in pending:
-            kind = ("exception" if reasons.get(j) == "exception"
-                    else "worker-death")
-            res = _isolate(specs[j], j, timeout, kind,
-                           tracebacks.get(j, ""), resilience)
-            if res is not None:
-                _harvested(j, res)
-        return results
-    if pending and not cfg.serial_fallback:
-        refs = [_job_ref(j, specs[j]) for j in pending]
-        raise SweepWorkerError(
-            f"worker pool died on {len(pending)} job(s) across {attempts} "
-            f"attempt(s) and serial fallback is disabled: "
-            + "; ".join(_job_desc(r) for r in refs),
-            jobs=refs,
-        )
-    # Worker death survivors: graceful in-process degradation.  An
-    # exception here is the job's own and propagates normally.
+    poison = []
     for j in pending:
-        res = _execute_spec(specs[j])
-        res.extra["serial_fallback"] = True  # provenance, like cache_hit
-        _harvested(j, res)
-    return results  # type: ignore[return-value]
+        kind = ("exception" if reasons.get(j) == "exception"
+                else "worker-death")
+        res = _isolate(specs[j], j, timeout, kind, tracebacks.get(j, ""),
+                       resilience)
+        if res is not None:
+            on_result(j, res)
+        elif resilience is None:
+            poison.append(_job_ref(j, specs[j]))
+    if poison:
+        raise SweepWorkerError(
+            f"{len(poison)} job(s) killed every worker they ran in "
+            f"({POOL_ATTEMPTS} shared pool(s), then {ISOLATION_ATTEMPTS} "
+            f"pool(s) of their own): "
+            + "; ".join(_job_desc(r) for r in poison),
+            jobs=poison,
+        )

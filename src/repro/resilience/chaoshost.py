@@ -55,7 +55,6 @@ from repro.harness.sweep import (
     JobSpec,
     WorkloadRef,
     code_fingerprint,
-    configured,
     run_jobs,
 )
 from repro.resilience import integrity
@@ -309,9 +308,8 @@ def _probe_watchdog(plan: HostFaultPlan, work: Path) -> Dict[str, object]:
     ]
     ctx = ResilienceContext()
     started = time.monotonic()
-    with configured(watchdog=True, watchdog_interval=0.05, watchdog_grace=2):
-        results = run_jobs(specs, jobs=2, cache=False,
-                           timeout=cfg.timeout, resilience=ctx)
+    results = run_jobs(specs, jobs=2, cache=False, timeout=cfg.timeout,
+                       resilience=ctx)
     elapsed = time.monotonic() - started
     ok = (ctx.stats.workers_replaced >= 1
           and all(r is not None for r in results)

@@ -127,10 +127,11 @@ class ResilienceContext:
     """One sweep's opt-in handle: quarantine + stats in a single object.
 
     Passing a context to ``run_jobs`` changes the failure contract:
-    jobs the engine classifies as poison no longer raise or fall back
-    to in-process execution (where a crashing job would kill the
-    coordinator) — their result slot is ``None`` and a
-    :class:`PoisonRecord` explains why.
+    a job the engine classifies as poison (it killed every pool it ran
+    in, or raised in each of its isolation pools) no longer raises
+    ``SweepWorkerError`` or its own exception — its result slot is
+    ``None`` and a :class:`PoisonRecord` explains why.  Armed or not,
+    no job is re-run in the coordinator after a pool died.
     """
 
     def __init__(self, quarantine: Optional[PoisonQuarantine] = None,

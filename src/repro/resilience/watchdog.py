@@ -11,13 +11,13 @@ waiting — but it will never make progress until something sends
 SIGCONT.
 
 The watchdog thread samples each worker's kernel state (the third
-field of ``/proc/<pid>/stat``) on a short interval; a worker observed
-in the stopped state ``grace`` consecutive times is SIGKILLed (SIGKILL,
-unlike SIGTERM, takes effect even while a process is stopped).  The
-kill breaks the pool, and the engine's existing broken-pool retry
-machinery replaces it and re-runs the in-flight jobs — detection to
-replacement takes ~``interval * grace`` seconds instead of the per-job
-timeout.
+field of ``/proc/<pid>/stat``) every :data:`INTERVAL_S` seconds; a
+worker observed in the stopped state :data:`GRACE_TICKS` consecutive
+times is SIGKILLed (SIGKILL, unlike SIGTERM, takes effect even while a
+process is stopped).  The kill breaks the pool, and the engine's
+existing broken-pool retry machinery replaces it and re-runs the
+in-flight jobs — detection to replacement takes about half a second
+instead of the per-job timeout.
 
 CPU-spinning hangs (infinite loops) are indistinguishable from slow
 jobs without instrumenting the simulation loop; those remain the
@@ -33,6 +33,12 @@ import threading
 from typing import Dict, Optional
 
 from repro.resilience.quarantine import ResilienceStats
+
+#: Seconds between samples of the workers' kernel states.
+INTERVAL_S = 0.25
+
+#: Consecutive stopped observations before a worker is killed.
+GRACE_TICKS = 2
 
 
 def proc_state(pid: int) -> Optional[str]:
@@ -62,16 +68,15 @@ class HeartbeatWatchdog:
 
     ``pool`` is a ``ProcessPoolExecutor``; the watchdog reads its live
     worker pids each tick (workers come and go as the pool replaces
-    them).  Stopped workers are SIGKILLed after ``grace`` consecutive
-    stopped observations; each kill increments ``replaced`` (and
-    ``stats.workers_replaced`` when a stats sink is attached).
+    them).  Stopped workers are SIGKILLed after :data:`GRACE_TICKS`
+    consecutive stopped observations; each kill increments
+    ``replaced`` (and ``stats.workers_replaced`` when a stats sink is
+    attached).
     """
 
-    def __init__(self, pool, interval: float = 0.25, grace: int = 2,
+    def __init__(self, pool,
                  stats: Optional[ResilienceStats] = None) -> None:
         self.pool = pool
-        self.interval = max(0.01, float(interval))
-        self.grace = max(1, int(grace))
         self.stats = stats
         self.replaced = 0
         self._stopped_ticks: Dict[int, int] = {}
@@ -105,14 +110,14 @@ class HeartbeatWatchdog:
         return list(procs.keys())
 
     def _run(self) -> None:
-        while not self._halt.wait(self.interval):
+        while not self._halt.wait(INTERVAL_S):
             pids = self._worker_pids()
             for pid in pids:
                 state = proc_state(pid)
                 if state in ("T", "t"):
                     ticks = self._stopped_ticks.get(pid, 0) + 1
                     self._stopped_ticks[pid] = ticks
-                    if ticks >= self.grace:
+                    if ticks >= GRACE_TICKS:
                         self._kill(pid)
                 else:
                     self._stopped_ticks.pop(pid, None)

@@ -71,14 +71,12 @@ def quick_figure(tmp_path_factory):
     replays from it.
     """
     from repro.campaign import RunDB
-    from repro.harness import sweep
     from repro.harness.experiments import run_figure
 
     root = tmp_path_factory.mktemp("figures")
     with RunDB(root / "runs.db") as db:
         def run(name):
-            with sweep.configured(jobs=1, cache=True,
-                                  cache_dir=str(root / "cache")):
-                return run_figure(name, quick=True, db=db)
+            return run_figure(name, quick=True, db=db,
+                              cache_dir=root / "cache")
 
         yield run

@@ -70,31 +70,29 @@ class TestPoisonQuarantine:
         assert ctx.stats.isolated_attempts == attempts_after_first
 
     def test_without_resilience_contract_unchanged(self):
-        from repro.harness.sweep import SweepWorkerError, configured
+        from repro.harness.sweep import SweepWorkerError
 
-        # Two misses keep the engine on the pool path (a single miss
-        # runs in-process, where a poison job would kill *this*
-        # process — exactly what armed resilience exists to prevent).
-        specs = [smoke_specs()[0], _poison_spec()]
-        with configured(retries=2, backoff=0.01, serial_fallback=False):
-            with pytest.raises(SweepWorkerError):
+        # At jobs=2 every miss runs in a worker, a lone one too: the
+        # poison job never runs in *this* process, where it would end
+        # the test run.
+        for specs in ([smoke_specs()[0], _poison_spec()], [_poison_spec()]):
+            with pytest.raises(SweepWorkerError) as ei:
                 run_jobs(specs, jobs=2, cache=False)
+            [ref] = ei.value.jobs
+            assert ref["workload"] == "chaos_host_poison"
+            assert ref["spec_hash"] == _poison_spec().spec_hash()
 
 
 @pytest.mark.skipif(not watchdog_supported(), reason="needs /proc")
 class TestWatchdog:
     def test_stopped_worker_replaced_without_timeout(self, tmp_path):
-        from repro.harness.sweep import configured
-
         sentinel = tmp_path / "stop-once.sentinel"
         specs = [JobSpec(WorkloadRef("chaos_host_stop_once",
                                      (str(sentinel), 48)),
                          ArchSpec.baseline(), gpu=GPUConfig.tiny(), seed=1)]
         ctx = ResilienceContext()
-        with configured(watchdog=True, watchdog_interval=0.05,
-                        watchdog_grace=2):
-            results = run_jobs(specs, jobs=2, cache=False, timeout=60,
-                               resilience=ctx)
+        results = run_jobs(specs, jobs=2, cache=False, timeout=60,
+                           resilience=ctx)
         assert results[0] is not None
         assert ctx.stats.workers_replaced >= 1
         assert len(ctx.quarantine) == 0  # transient, not poison
@@ -165,20 +163,7 @@ class TestChaosHostHarness:
 
 class TestCLIExitCodes:
     def test_degraded_campaign_exits_5(self, tmp_path):
-        yaml = tmp_path / "poison.yaml"
-        yaml.write_text("""\
-schema: repro.campaign/v1
-campaign: poison_smoke
-description: degraded-mode exit-code check.
-defaults: {preset: tiny, seeds: [1]}
-figures:
-  - name: smoke
-    workloads:
-      - {name: atomic_sum_48, factory: atomic_sum, args: [48]}
-      - {name: chaos_host_poison, factory: chaos_host_poison, args: [16]}
-    archs:
-      - {name: baseline, kind: baseline}
-""")
+        yaml = self._poison_yaml(tmp_path)
         env_cmd = ["campaign", "run", str(yaml), "--db",
                    str(tmp_path / "runs.db"), "--no-cache", "--jobs", "2",
                    "--resilient"]
@@ -187,32 +172,24 @@ figures:
         assert "DEGRADED" in proc.stdout
         assert "quarantined: chaos_host_poison" in proc.stdout
 
-    def test_worker_failure_exits_4(self, tmp_path, capsys):
-        # In-process (configured() pins the session sweep config): with
-        # serial fallback off, the poison job must surface as
-        # SweepWorkerError -> exit 4, never as a raw traceback.
-        from repro.cli import main
-        from repro.harness.sweep import configured
-
+    def test_worker_failure_exits_4(self, tmp_path):
+        # Without --resilient the poison job is never re-run in the
+        # coordinator, where its os._exit would end the command with
+        # no output: it surfaces as SweepWorkerError -> exit 4.
         yaml = self._poison_yaml(tmp_path)
-        with configured(serial_fallback=False, retries=1, backoff=0.0):
-            rc = main(["campaign", "run", str(yaml), "--db",
+        proc = run_cli("campaign", "run", str(yaml), "--db",
                        str(tmp_path / "runs.db"), "--no-cache",
-                       "--jobs", "2"])
-        assert rc == 4
-        assert "unrecoverable worker failure" in capsys.readouterr().err
+                       "--jobs", "2", timeout=300)
+        assert proc.returncode == 4, proc.stdout + proc.stderr
+        assert "unrecoverable worker failure" in proc.stderr
+        assert "chaos_host_poison" in proc.stderr
 
-    def test_sweep_timeout_exits_3(self, tmp_path, capsys):
-        from repro.cli import main
-        from repro.harness.sweep import configured
-
-        yaml = self._smoke_yaml(tmp_path)
-        with configured(timeout=1e-6):
-            rc = main(["campaign", "run", str(yaml), "--db",
-                       str(tmp_path / "runs.db"), "--no-cache",
-                       "--jobs", "2"])
-        assert rc == 3
-        assert "sweep timeout" in capsys.readouterr().err
+    def test_sweep_timeout_exits_3(self, tmp_path):
+        proc = run_cli("chaos", "host", "--seed", "0",
+                       "--probes", "stores", "--timeout", "0.001",
+                       "--workdir", str(tmp_path), timeout=300)
+        assert proc.returncode == 3, proc.stdout + proc.stderr
+        assert "sweep timeout" in proc.stderr
 
     @staticmethod
     def _poison_yaml(tmp_path):
@@ -229,24 +206,6 @@ figures:
       - {name: chaos_host_poison, factory: chaos_host_poison, args: [16]}
     archs:
       - {name: baseline, kind: baseline}
-""")
-        return path
-
-    @staticmethod
-    def _smoke_yaml(tmp_path):
-        path = tmp_path / "smoke.yaml"
-        path.write_text("""\
-schema: repro.campaign/v1
-campaign: timeout_smoke
-description: timeout exit-code check.
-defaults: {preset: tiny, seeds: [1]}
-figures:
-  - name: smoke
-    workloads:
-      - {name: atomic_sum_48, factory: atomic_sum, args: [48]}
-    archs:
-      - {name: baseline, kind: baseline}
-      - {name: DAB, kind: dab}
 """)
         return path
 

@@ -16,6 +16,7 @@ from repro.harness.sweep import (
     JobSpec,
     SweepError,
     SweepTimeoutError,
+    SweepWorkerError,
     WorkloadRef,
     register_workload,
     run_jobs,
@@ -43,8 +44,17 @@ def _sleep_factory(n=16):
     return build_atomic_sum(n)
 
 
+def _die_once_factory(sentinel, n=16):
+    """Kills the first worker that builds it, then builds normally."""
+    if os.getpid() != _PARENT and not os.path.exists(sentinel):
+        open(sentinel, "w").close()
+        os._exit(13)
+    return build_atomic_sum(n)
+
+
 register_workload("_test_bomb", _bomb_factory)
 register_workload("_test_sleep", _sleep_factory)
+register_workload("_test_die_once", _die_once_factory)
 
 
 def _specs(sizes=(16, 24, 32, 48), factory="atomic_sum"):
@@ -68,16 +78,16 @@ class TestOrdering:
 
     def test_experiment_table_byte_identical(self, tmp_path):
         with RunDB(tmp_path / "runs.db") as db:
-            with sweep.configured(jobs=1, cache=False):
-                serial = run_figure("fig02", quick=True, db=db).render()
-            with sweep.configured(jobs=2, cache=False):
-                parallel = run_figure("fig02", quick=True, db=db).render()
+            serial = run_figure("fig02", quick=True, db=db, jobs=1,
+                                cache=False).render()
+            parallel = run_figure("fig02", quick=True, db=db, jobs=2,
+                                  cache=False).render()
         assert parallel == serial
 
     def test_determinism_validation_through_engine(self, tmp_path):
-        with RunDB(tmp_path / "runs.db") as db, \
-                sweep.configured(jobs=2, cache=False):
-            t = run_figure("determinism", quick=True, db=db)
+        with RunDB(tmp_path / "runs.db") as db:
+            t = run_figure("determinism", quick=True, db=db, jobs=2,
+                           cache=False)
         assert t.data["baseline"]["deterministic"] is False
         assert t.data["DAB-GWAT-64-AF-Coal"]["deterministic"] is True
         assert t.data["GPUDet"]["deterministic"] is True
@@ -118,12 +128,45 @@ class TestCaching:
 
 
 class TestFailurePaths:
-    def test_worker_death_falls_back_in_process(self):
-        specs = _specs(sizes=(16, 24), factory="_test_bomb")
+    def test_poison_jobs_raise_naming_each_job(self, tmp_path):
+        hit = _specs(sizes=(16,))[0]
+        run_jobs([hit], cache=True, cache_dir=tmp_path)
+        specs = [hit] + [JobSpec(WorkloadRef("_test_bomb", (n,)),
+                                 ArchSpec.baseline(), gpu=TINY)
+                         for n in (16, 24)]
+        with pytest.raises(SweepWorkerError) as ei:
+            run_jobs(specs, jobs=2, cache=True, cache_dir=tmp_path)
+        # Named by their index in ``specs``, past the cache hit; neither
+        # is re-run in this process, where the pid guard is inert.
+        assert [(r["index"], r["workload"], r["spec_hash"])
+                for r in ei.value.jobs] == [
+            (i, "_test_bomb", specs[i].spec_hash()) for i in (1, 2)]
+        for spec in specs[1:]:
+            assert spec.spec_hash()[:16] in str(ei.value)
+
+    def test_die_once_job_completes_in_isolation(self, tmp_path,
+                                                 monkeypatch):
+        # One shared pool, so the job that killed it is isolated at once.
+        monkeypatch.setattr(sweep, "POOL_ATTEMPTS", 1)
+        pools = []
+        real_pool = sweep.ProcessPoolExecutor
+
+        def counted_pool(max_workers):
+            pools.append(max_workers)
+            return real_pool(max_workers=max_workers)
+
+        monkeypatch.setattr(sweep, "ProcessPoolExecutor", counted_pool)
+        specs = [JobSpec(WorkloadRef("_test_die_once",
+                                     (str(tmp_path / "died"), 16)),
+                         ArchSpec.baseline(), gpu=TINY),
+                 JobSpec(WorkloadRef("atomic_sum", (24,)),
+                         ArchSpec.make_dab(), gpu=TINY)]
         results = run_jobs(specs, jobs=2, cache=False)
-        # in the parent the pid guard is inert, so the fallback works
+        assert (tmp_path / "died").exists()
+        # One shared pool of two, then single-worker isolation pools.
+        assert pools[0] == 2 and len(pools) > 1 and set(pools[1:]) == {1}
         assert _digests(results) == _digests(
-            run_jobs(_specs(sizes=(16, 24)), jobs=1, cache=False))
+            run_jobs(specs, jobs=1, cache=False))
 
     def test_timeout_raises_after_retry(self):
         specs = _specs(sizes=(16, 24), factory="_test_sleep")

@@ -180,6 +180,16 @@ class TestValidation:
             parse_campaign(doc)
         assert str(ei.value).startswith(path)
 
+    @pytest.mark.parametrize("field", ["max_ctas_per_sm",
+                                       "issue_width_per_scheduler"])
+    def test_deleted_gpu_field_override_names_its_path(self, field):
+        doc = _doc()
+        doc["figures"][0]["gpu"] = {field: 2}
+        with pytest.raises(CampaignError) as ei:
+            parse_campaign(doc)
+        assert str(ei.value).startswith("figures[0].gpu:")
+        assert field in str(ei.value)
+
     def test_duplicate_figure_names_rejected(self):
         doc = _doc()
         doc["figures"].append(dict(doc["figures"][0]))

@@ -51,6 +51,19 @@ class TestCacheKey:
     def test_any_field_change_changes_key(self, change):
         assert _spec(**change).cache_key() != _spec().cache_key()
 
+    def test_label_is_a_display_name_not_identity(self, tmp_path):
+        named = _spec(arch=ArchSpec.make_dab(label="DAB"),
+                      gpu=GPUConfig.tiny())
+        renamed = _spec(arch=ArchSpec.make_dab(label="DAB-GWAT-64-AF-Coal"),
+                        gpu=GPUConfig.tiny())
+        assert renamed.spec_hash() == named.spec_hash()
+        assert renamed.cache_key() == named.cache_key()
+        cache = ResultCache(tmp_path)
+        cache.put(named, sweep._execute_spec(named))
+        hit = cache.get(renamed)
+        assert hit.extra["cache_hit"] is True
+        assert hit.label == "DAB-GWAT-64-AF-Coal"
+
     def test_default_gpu_resolves_to_small(self):
         # gpu=None and gpu=small() are the same simulation, same key.
         assert _spec().cache_key() == _spec(gpu=GPUConfig.small()).cache_key()
