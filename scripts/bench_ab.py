@@ -3,7 +3,7 @@
 
     python scripts/bench_ab.py REF --workload baseline_conv --pairs 10 --seed 5
     python scripts/bench_ab.py REF --pairs 5              # all four workloads
-    python scripts/bench_ab.py REF --pairs 0 --opcodes    # opcode counts only
+    python scripts/bench_ab.py REF --pairs 0 --opcodes    # opcode and call counts
 
 Exports two trees into a temporary directory with ``git archive`` (a
 local operation: nothing is fetched): REF (the parent) and this
@@ -27,7 +27,9 @@ uncounted warm-up round), by module and by function.  They are counted
 in a fresh interpreter with ``sys.settrace`` opcode events and a fixed
 hash seed, so the count does not move with the host's load: it
 resolves changes of a few percent that a handful of wall-clock pairs
-cannot.
+cannot.  A further round in the same interpreter counts the calls per
+warp-instruction as cProfile counts them (Python functions and C
+builtins, with ``sys.setprofile``), by module and by function.
 
 The report is a ``repro.bench_ab/v1`` JSON document (``--out``), which
 names both sides' tree ids, plus a text summary.  Exit status: 0 every
@@ -88,6 +90,41 @@ def count_opcodes(fn: Callable[[], object]) -> Tuple[object, Dict]:
     return result, counts
 
 
+def count_calls(fn: Callable[[], object]) -> Tuple[object, Dict]:
+    """Run ``fn()`` counting every call it makes, as cProfile counts
+    them; return its result and ``{key: calls}``.
+
+    A Python function call is keyed by its code object, a C builtin
+    call by the builtin's ``module:qualname`` (a bound builtin method is
+    a new object per call, so it cannot be the key).
+    """
+    counts: Dict = {}
+
+    def profile(frame, event, arg):
+        if event == "call":
+            key = frame.f_code
+        elif event == "c_call":
+            key = builtin_name(arg)
+        else:
+            return
+        counts[key] = counts.get(key, 0) + 1
+
+    sys.setprofile(profile)
+    try:
+        result = fn()
+    finally:
+        sys.setprofile(None)
+    return result, counts
+
+
+def builtin_name(fn) -> str:
+    """``module:qualname`` of a C builtin; a method of a builtin type
+    takes its type's module (``builtins:list.append``)."""
+    module = getattr(fn, "__module__", None) or type(
+        getattr(fn, "__self__", None)).__module__
+    return f"{module}:{getattr(fn, '__qualname__', repr(fn))}"
+
+
 def module_of(filename: str) -> str:
     """A dotted module name for a code object's file: the path below a
     ``src`` or ``site-packages`` directory, else the file's stem."""
@@ -100,15 +137,20 @@ def module_of(filename: str) -> str:
     return path.stem
 
 
-def opcode_table(counts: Dict, instructions: int,
-                 top: int = TOP_FUNCTIONS) -> dict:
-    """Opcodes per simulated instruction: in total, by module and for
-    the ``top`` functions (``module:qualname``)."""
+def count_table(counts: Dict, instructions: int, total_key: str,
+                top: int = TOP_FUNCTIONS) -> dict:
+    """Opcodes or calls (``total_key``) per simulated instruction, from
+    ``counts`` keyed by code object or ``module:qualname``: in total,
+    by module and for the ``top`` functions (``module:qualname``)."""
     by_module: Dict[str, int] = {}
     by_function: Dict[str, int] = {}
-    for code, n in counts.items():
-        mod = module_of(code.co_filename)
-        name = f"{mod}:{getattr(code, 'co_qualname', code.co_name)}"
+    for key, n in counts.items():
+        if isinstance(key, str):
+            name = key
+            mod = key.partition(":")[0]
+        else:
+            mod = module_of(key.co_filename)
+            name = f"{mod}:{getattr(key, 'co_qualname', key.co_name)}"
         by_module[mod] = by_module.get(mod, 0) + n
         by_function[name] = by_function.get(name, 0) + n
     total = sum(by_module.values())
@@ -117,14 +159,15 @@ def opcode_table(counts: Dict, instructions: int,
         items = sorted(table.items(), key=lambda kv: (-kv[1], kv[0]))
         return {k: round(v / instructions, 2) for k, v in items[:limit]}
 
-    return {"instructions": instructions, "opcodes": total,
+    return {"instructions": instructions, total_key: total,
             "per_instr": round(total / instructions, 2),
             "by_module": per(by_module), "top_functions": per(by_function, top)}
 
 
 def engine_opcodes(workloads: List[str]) -> dict:
-    """Opcode tables of one seed-1 round per engine workload, run in
-    this process against the ``engine_bench`` on ``sys.path``.  Every
+    """Opcode tables of one seed-1 round per engine workload, each with
+    the call table of a further round under ``"calls"``, run in this
+    process against the ``engine_bench`` on ``sys.path``.  Every
     counted run must pass its output check."""
     import engine_bench as eb
 
@@ -149,7 +192,10 @@ def engine_opcodes(workloads: List[str]) -> dict:
 
         one_round()  # warm-up: imports and decode caches
         results, counts = count_opcodes(one_round)
-        out[name] = opcode_table(counts, sum(r.instructions for r in results))
+        instructions = sum(r.instructions for r in results)
+        out[name] = count_table(counts, instructions, "opcodes")
+        _results, calls = count_calls(one_round)
+        out[name]["calls"] = count_table(calls, instructions, "calls")
     return out
 
 
@@ -312,10 +358,12 @@ def print_summary(doc: dict) -> None:
                 for rss, n in pairs))
     for side, table in (doc.get("opcodes") or {}).items():
         for workload, t in table.items():
-            print(f"== opcodes/instr {side} {workload}: {t['per_instr']} "
-                  f"({t['instructions']} instructions)")
-            for name, v in list(t["top_functions"].items())[:8]:
-                print(f"  {v:10.2f}  {name}")
+            for kind, counted in (("opcodes", t), ("calls", t["calls"])):
+                print(f"== {kind}/instr {side} {workload}: "
+                      f"{counted['per_instr']} "
+                      f"({t['instructions']} instructions)")
+                for name, v in list(counted["top_functions"].items())[:8]:
+                    print(f"  {v:10.2f}  {name}")
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -330,8 +378,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     ap.add_argument("--seed", type=int, default=1,
                     help="jitter seed of every run (default 1)")
     ap.add_argument("--opcodes", action="store_true",
-                    help="add opcodes per instruction of the engine "
-                         "workloads, per side")
+                    help="add opcodes and calls per instruction of the "
+                         "engine workloads, per side")
     ap.add_argument("--out", default=str(ROOT / "benchmarks" / "engine" /
                                          "out" / "bench_ab.json"),
                     help="path of the repro.bench_ab/v1 report")

@@ -9,7 +9,10 @@ operations it produced.
 
 Each :class:`Program` is decoded once per warp size (:func:`decode`,
 DESIGN.md §5) into one :class:`Executor` per instruction, which
-``step()`` runs at the pc.
+``step()`` runs at the pc.  An instruction whose record never varies
+(ALU, SFU, NOP, branch, barrier, fence, and any instruction retired
+as a nop with no lane active) returns one record built at decode:
+records are read, never written.
 
 Timing/functional split (documented simplification, see DESIGN.md §5):
 
@@ -69,11 +72,13 @@ class MemRequestSpec:
 
 @dataclass
 class StepResult:
-    """What one functional step produced, for the timing model."""
+    """What one functional step produced, for the timing model.
+
+    Shared by every step of a fixed-class instruction: never mutated.
+    """
 
     instr: Instr
     op_class: OpClass
-    active_lanes: int
     mem: Optional[MemRequestSpec] = None
     barrier: bool = False
     fence: bool = False
@@ -278,20 +283,24 @@ class Warp:
         self._wrote(c)
 
     # ------------------------------------------------------------------
+    # The SIMT stack's top entry [reconv_pc, pc, mask] is read in place
+    # (its list is replaced when lanes exit, so it is re-read each time).
+    # ------------------------------------------------------------------
     @property
     def done(self) -> bool:
-        return self._exited or self.stack.done
+        return self._exited or not self.stack._entries
 
     @property
     def pc(self) -> int:
-        return self.stack.pc
+        return self.stack._entries[-1][1]
 
     def next_is_atomic(self) -> bool:
         """Whether the next instruction is an atomic (GPUDet ends a
         warp's quantum there)."""
-        if self.exited or self.stack.done:
+        entries = self.stack._entries
+        if self._exited or not entries:
             return False
-        return self.program.instrs[self.stack.pc].atomic
+        return self.program.instrs[entries[-1][1]].atomic
 
     def peek_red_ops(self) -> Tuple[AtomicOp, ...]:
         """Dry-run the next ``red``'s lane ops without executing it.
@@ -302,20 +311,21 @@ class Warp:
         exists").  The result is memoized per dynamic instruction —
         registers cannot change while the warp is stalled at this PC.
         """
-        if self.done:
+        entries = self.stack._entries
+        if self._exited or not entries:
             return ()
-        ex = self._code[self.stack.pc]
+        _reconv, pc, mask = entries[-1]
+        ex = self._code[pc]
         if ex.red_ops is None:
             return ()
         if self._red_cache is not None:
-            n, pc, ops = self._red_cache
-            if n == self.dyn_instrs and pc == self.stack.pc:
+            n, cached_pc, ops = self._red_cache
+            if n == self.dyn_instrs and cached_pc == pc:
                 return ops
-        mask = self.stack.active_mask
         if ex.guard is not None:
             mask = ex.guard(self.regs, mask)
         ops = ex.red_ops(self.regs, np.nonzero(mask)[0])
-        self._red_cache = (self.dyn_instrs, self.stack.pc, ops)
+        self._red_cache = (self.dyn_instrs, pc, ops)
         return ops
 
     # ------------------------------------------------------------------
@@ -327,10 +337,11 @@ class Warp:
         bypassing ``SM._issue``.
         """
         st = self.stack
-        if self._exited or st.done:
+        entries = st._entries
+        if self._exited or not entries:
             raise RuntimeError("step() on a finished warp")
-        ex = self._code[st.pc]
-        mask = st.active_mask
+        _reconv, pc, mask = entries[-1]
+        ex = self._code[pc]
         if ex.guard is not None:
             mask = ex.guard(self.regs, mask)
         if mask is not self._mask:
@@ -341,11 +352,12 @@ class Warp:
             result = ex.run(self, mem, mask, active)
         else:  # guarded off: retires as a nop
             st.advance()
-            result = StepResult(ex.ins, OpClass.NOP, 0)
-        if st.done:
-            self._act[self._col] = False
+            result = ex.nop
+        entries = st._entries  # an exit replaces the list
+        if entries:
+            self._pc[self._col] = entries[-1][1]
         else:
-            self._pc[self._col] = st.pc
+            self._act[self._col] = False
         return result
 
     def write_atom_result(self, dst: str, lane: int, value) -> None:
@@ -383,13 +395,15 @@ class Executor:
     """One decoded instruction: ``guard(regs, mask) -> mask`` (or None),
     ``run(warp, mem, mask, active) -> StepResult`` and, for ``red``,
     ``red_ops(regs, lane_ids)``.  Only branches and exits run with no
-    lane active (``always``); anything else then retires as a nop."""
+    lane active (``always``); anything else then retires as a nop and
+    returns ``nop``, its one guarded-off record."""
 
-    __slots__ = ("ins", "guard", "run", "red_ops", "always")
+    __slots__ = ("ins", "guard", "run", "red_ops", "always", "nop")
 
     def __init__(self, ins: Instr, guard, run, red_ops=None):
         self.ins, self.guard, self.run, self.red_ops = ins, guard, run, red_ops
         self.always = ins.op_class in (OpClass.BRANCH, OpClass.EXIT)
+        self.nop = StepResult(ins, OpClass.NOP)
 
 
 def decode(program: Program, warp_size: int) -> List[Executor]:
@@ -469,34 +483,36 @@ def _decode(ins: Instr, ws: int) -> Executor:
         return _memory(ins, ws)
     if oc is OpClass.BRANCH:
         target, reconv = ins.target_pc, ins.reconv_pc
+        record = StepResult(ins, oc)
         if ins.guard is None:
             def run(warp, mem, mask, active):
                 warp.stack.jump(target)
-                return StepResult(ins, oc, active)
+                return record
         else:
             def run(warp, mem, mask, active):
                 warp.stack.branch(mask, target, reconv)
-                return StepResult(ins, oc, active)
+                return record
     elif oc is OpClass.EXIT:
         guarded = ins.guard is not None
 
         def run(warp, mem, mask, active):
             st = warp.stack
             st.exit_lanes(mask if guarded else None)
-            return StepResult(ins, oc, active, exited=st.done)
+            return StepResult(ins, oc, exited=st.done)
     elif oc is OpClass.SLEEP:
         cycles = _reader(ins.srcs[0], None, ws) if ins.srcs else None
 
         def run(warp, mem, mask, active):
             n = int(cycles(warp.regs)[mask].max()) if cycles else 1
             warp.stack.advance()
-            return StepResult(ins, oc, active, sleep_cycles=max(1, n))
+            return StepResult(ins, oc, sleep_cycles=max(1, n))
     else:  # BARRIER, FENCE, NOP
-        barrier, fence = oc is OpClass.BARRIER, oc is OpClass.FENCE
+        record = StepResult(ins, oc, barrier=oc is OpClass.BARRIER,
+                            fence=oc is OpClass.FENCE)
 
         def run(warp, mem, mask, active):
             warp.stack.advance()
-            return StepResult(ins, oc, active, barrier=barrier, fence=fence)
+            return record
     return Executor(ins, _guard(ins, ws), run)
 
 
@@ -512,7 +528,8 @@ def _alu(ins: Instr, ws: int):
     else:
         a, b, c = rd
         compute = lambda regs: fn(a(regs), b(regs), c(regs))  # noqa: E731
-    dst, oc = ins.dst, ins.op_class
+    dst = ins.dst
+    record = StepResult(ins, ins.op_class)
 
     def run(warp, mem, mask, active):
         regs = warp.regs
@@ -522,7 +539,7 @@ def _alu(ins: Instr, ws: int):
         else:
             _write(regs, dst, values, mask)
         warp.stack.advance()
-        return StepResult(ins, oc, active)
+        return record
     return run
 
 
@@ -593,6 +610,6 @@ def _memory(ins: Instr, ws: int) -> Executor:
             spec.addrs = tuple(addr_list)
             spec.gtids = tuple(regs["%gtid"][lane_ids].tolist())
         warp.stack.advance()
-        return StepResult(ins, oc, active, mem=spec)
+        return StepResult(ins, oc, mem=spec)
     return Executor(ins, _guard(ins, ws), run,
                     red_ops if oc is OpClass.MEM_RED else None)

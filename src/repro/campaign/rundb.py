@@ -19,7 +19,7 @@ and compare it later —
   ``journal_hit`` is set only on rows from before the result cache
   became the one resume store, and ``serial_fallback`` only on rows
   from before a dead pool's jobs were isolated in fresh worker pools
-  instead of re-run in the coordinator;
+  instead of re-run in the coordinator (new rows write 0 to both);
 * a per-row **integrity checksum** (sha256 over the row's content
   columns), recomputed on every read: bit rot in the database file is
   detected and flagged (``RunRow.integrity_ok``), never silently
@@ -318,8 +318,7 @@ class RunDB:
             str(dict(metrics.get("trace", {})).get("digest", "")),
             fault_plan,
             int(bool(extra.get("cache_hit"))),
-            int(bool(extra.get("journal_hit"))),
-            int(bool(extra.get("serial_fallback"))),
+            0, 0,  # journal_hit, serial_fallback: retired, old rows only
             0, None,
             json.dumps(metrics, sort_keys=True, separators=(",", ":")),
             time.time() if created_at is None else created_at,

@@ -12,7 +12,9 @@ identical at every ``--jobs`` level.  Wall-clock and ``created_at``
 columns are the one exception (they record host time and are never
 rendered into determinism surfaces).  Each figure's results also come
 back, in job order, on its :class:`FigureSummary` (the paper figures'
-reducers read them).
+reducers read them).  A figure whose sweep fails with a
+:class:`~repro.harness.sweep.SweepJobError` still records the jobs that
+finished before the error propagates.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import List, Optional
 from repro.campaign.rundb import RunDB, default_db_path
 from repro.campaign.spec import Campaign
 from repro.harness.report import Table
-from repro.harness.sweep import code_fingerprint, run_jobs
+from repro.harness.sweep import SweepJobError, code_fingerprint, run_jobs
 from repro.obs import ObsConfig
 from repro.resilience import ResilienceContext
 from repro.sim.results import SimResult
@@ -117,6 +119,8 @@ def run_campaign(
     recorded in the database as a ``quarantined`` row carrying the
     structured blame — the campaign completes in explicitly-recorded
     degraded mode (``summary.degraded``) instead of dying with it.
+    Unarmed, a sweep that raises :class:`SweepJobError` has its
+    finished jobs recorded, and the error re-raised.
     """
     fingerprint = code_fingerprint()
     own_db = db is None
@@ -124,15 +128,32 @@ def run_campaign(
         db = RunDB(db_path if db_path is not None else default_db_path())
     summary = CampaignSummary(campaign=campaign.name, db_path=db.path,
                               fingerprint=fingerprint)
+
+    def record_run(figure, index: int, result: SimResult) -> None:
+        job = figure.jobs[index]
+        db.record_run(
+            campaign=campaign.name, figure=figure.name, job_index=index,
+            workload=job.workload, arch=job.arch, spec=job.spec,
+            result=result, fingerprint=fingerprint,
+        )
+
     try:
         for figure in campaign.figures:
             db.record_figure(campaign.name, figure.name,
                              title=figure.title,
                              normalize=figure.normalize)
             specs = [job.spec for job in figure.jobs]
-            results = run_jobs(specs, jobs=jobs, cache=cache,
-                               cache_dir=cache_dir, obs=obs,
-                               resilience=resilience)
+            try:
+                results = run_jobs(specs, jobs=jobs, cache=cache,
+                                   cache_dir=cache_dir, obs=obs,
+                                   resilience=resilience)
+            except SweepJobError as exc:
+                # The jobs that finished are history too; a slot that
+                # did not finish is no quarantine.
+                for index, result in enumerate(exc.results):
+                    if result is not None:
+                        record_run(figure, index, result)
+                raise
             fig_sum = FigureSummary(figure.name, len(specs), 0, 0,
                                     results=results)
             for index, (job, result) in enumerate(zip(figure.jobs, results)):
@@ -156,11 +177,7 @@ def run_campaign(
                     fig_sum.cache_hits += 1
                 else:
                     fig_sum.simulated += 1
-                db.record_run(
-                    campaign=campaign.name, figure=figure.name,
-                    job_index=index, workload=job.workload, arch=job.arch,
-                    spec=job.spec, result=result, fingerprint=fingerprint,
-                )
+                record_run(figure, index, result)
             summary.figures.append(fig_sum)
     finally:
         if own_db:

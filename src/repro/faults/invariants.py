@@ -140,7 +140,7 @@ def _sleep_breach(sm, s: int, w, window: Optional[str], now: int) -> str:
         return (f"sleeps on {window!r} while the warp's gate is "
                 f"{gate or 'open'!r}")
     if window == STALL_MEM and sm._gto_held:
-        if sm.gpu.gpudet.holds(w):
+        if sm.gpu.gpudet.holds(sm.rows[s], w.hw_slot):
             return ""
         return "sleeps on 'mem' while GPUDet holds the warp no longer"
     return "will not be examined"

@@ -21,7 +21,9 @@ Fig 3 execution-mode breakdown.
 
 A quantum boundary walks only the live-warp registry (placed, not yet
 exited warps), never the whole GPU, so its cost follows the warps it
-concerns rather than the SM count (DESIGN §12).
+concerns rather than the SM count (DESIGN §12).  The issue consult and
+the quantum boundary read a warp's timing cells in its scheduler's
+rows, not through the warp.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from repro.memory.store_buffer import StoreBuffer
 from repro.gpudet.zbuffer import zbuffer_commit_cycles
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.schedulers import SchedRow
     from repro.sim.gpu import GPU
 
 
@@ -96,11 +99,18 @@ PARALLEL, COMMIT, SERIAL = "parallel", "commit", "serial"
 
 
 class _WarpState:
-    """One warp's GPUDet state, created when its CTA is placed."""
+    """One warp's GPUDet state, created when its CTA is placed.
 
-    __slots__ = ("warp", "sb", "view", "used", "reason")
+    ``bar``, ``ol`` and ``oa`` are the warp's scheduler's
+    ``at_barrier``, ``out_loads`` and ``out_atoms`` rows and ``col``
+    its slot: a warp stays bound to them while it is live.
+    """
 
-    def __init__(self, warp: Warp, mem: GlobalMemory):
+    __slots__ = ("warp", "sb", "view", "used", "reason",
+                 "bar", "ol", "oa", "col")
+
+    def __init__(self, warp: Warp, mem: GlobalMemory, bar: List[bool],
+                 ol: List[int], oa: List[int], col: int):
         self.warp = warp
         self.sb = StoreBuffer()
         self.view = StoreBufferView(mem, self.sb)
@@ -108,6 +118,7 @@ class _WarpState:
         self.used = 0
         #: why the quantum ended ("atomic", "barrier", "budget"), or None
         self.reason: Optional[str] = None
+        self.bar, self.ol, self.oa, self.col = bar, ol, oa, col
 
 
 class GPUDetController:
@@ -127,9 +138,12 @@ class GPUDetController:
 
     # ------------------------------------------------------------------
     def on_cta_placed(self, warps: List[Warp]) -> None:
+        """Register ``warps``, already bound to their schedulers' rows."""
         mem = self.gpu.mem
+        sms = self.gpu.sms
         for w in warps:
-            st = _WarpState(w, mem)
+            row = sms[w.sm_id].rows[w.scheduler_id]
+            st = _WarpState(w, mem, row.bar, row.ol, row.oa, w.hw_slot)
             self._live[w.uid] = st
             self._states[w.uid] = st
 
@@ -139,28 +153,35 @@ class GPUDetController:
     # ------------------------------------------------------------------
     # Issue gating & accounting.
     # ------------------------------------------------------------------
-    def holds(self, warp: Warp) -> bool:
-        """GPUDet already holds ``warp``: no parallel mode, its quantum
-        over, or waiting at a barrier.
+    def holds(self, row: "SchedRow", slot: int) -> bool:
+        """GPUDet already holds the live warp at ``row`` slot ``slot``:
+        no parallel mode, waiting at a barrier, or its quantum over.
 
-        The side-effect-free half of :meth:`can_issue` (without its
-        quantum end at an atomic), shared with the armed ``wake`` check.
-        Each hold ends through a cell write: the ready bump at the next
-        parallel mode's start, or a barrier release.
+        The one definition of a hold: the side-effect-free half of
+        :meth:`can_issue` (without its quantum end at an atomic), shared
+        with the armed ``wake`` check.  Each hold ends through a cell
+        write: the ready bump at the next parallel mode's start, or a
+        barrier release.
         """
         # At a bar.sync/membar: an atomic right after it must not end
         # the quantum, or the next serial mode would run it before the
         # barrier releases.
-        return (self.mode != PARALLEL
-                or self._live[warp.uid].reason is not None
-                or warp.at_barrier)
+        return (self.mode != PARALLEL or row.bar[slot]
+                or self._live[row.warps[slot].uid].reason is not None)
 
-    def can_issue(self, warp: Warp) -> bool:
-        if self.holds(warp):
+    def can_issue(self, row: "SchedRow", slot: int) -> bool:
+        """Whether the timing-ready live warp at ``row`` slot ``slot``
+        may issue: not held (:meth:`holds`, inlined here, as this runs
+        per ready warp per examination) and not at an atomic, which
+        ends its quantum."""
+        if self.mode != PARALLEL or row.bar[slot]:
             return False
-        if warp.next_is_atomic():
+        st = self._live[row.warps[slot].uid]
+        if st.reason is not None:
+            return False
+        if row.atomic[row.pc[slot]]:
             # Atomics may not execute in parallel mode: end the quantum.
-            self._live[warp.uid].reason = "atomic"
+            st.reason = "atomic"
             self.gpu._gpudet_dirty = True  # tick() reads the reasons
             return False
         return True
@@ -189,16 +210,16 @@ class GPUDetController:
             return False
         barrier_blocked = False
         for st in self._live.values():
-            w = st.warp
-            if w.at_barrier:
+            c = st.col
+            if st.bar[c]:
                 # Its quantum ended with 'barrier', but its in-flight
                 # memory still blocks the commit.
-                if w.outstanding_loads or w.outstanding_atoms:
+                if st.ol[c] or st.oa[c]:
                     barrier_blocked = True
                 continue
             if st.reason is None:
                 return False
-            if w.outstanding_loads or w.outstanding_atoms:
+            if st.ol[c] or st.oa[c]:
                 return False
         if not self._live:
             # Kernel drain: final commit of any leftover stores.

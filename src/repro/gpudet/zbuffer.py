@@ -24,7 +24,7 @@ def zbuffer_commit_cycles(
     ``entries_per_partition[p]`` is the number of buffered store entries
     destined to partition ``p`` this quantum (already conflict-merged).
     """
-    if any(e < 0 for e in entries_per_partition):
+    if entries_per_partition and min(entries_per_partition) < 0:
         raise ValueError("entry counts must be non-negative")
     total = sum(entries_per_partition)
     if total == 0:

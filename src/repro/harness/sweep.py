@@ -41,7 +41,8 @@ of someone else's crash; one that kills
 :data:`~repro.resilience.ISOLATION_ATTEMPTS` pools of its own is
 deterministic poison and raises :class:`SweepWorkerError`.  Both error
 types carry ``.jobs``: the canonical spec hash and workload name of
-every failing job, so a failed campaign is attributable and re-runnable.
+every failing job, so a failed campaign is attributable and re-runnable;
+and ``.results``: every job that did finish, in submission order.
 
 Passing ``resilience`` (a
 :class:`~repro.resilience.ResilienceContext`) changes what poison
@@ -142,11 +143,15 @@ class SweepJobError(SweepError):
     ``jobs`` is a list of ``{"index", "workload", "spec_hash"}`` dicts —
     the canonical spec hash and workload name of every failing job, so a
     failed chaos campaign can be diagnosed and the exact jobs re-run.
+    ``results`` is the sweep's results in submission order, ``None``
+    where a job did not finish (set by :func:`run_jobs`), so a caller
+    can keep the finished ones.
     """
 
     def __init__(self, message: str, jobs=()):
         super().__init__(message)
         self.jobs = list(jobs)
+        self.results: List[Optional[SimResult]] = []
 
 
 class SweepTimeoutError(SweepJobError):
@@ -555,9 +560,13 @@ def run_jobs(
             for i in misses:
                 _completed(i, _execute_spec(specs[i]))
         else:
-            _run_parallel(specs, misses, jobs=min(jobs, len(misses)),
-                          timeout=timeout, on_result=_completed,
-                          resilience=resilience)
+            try:
+                _run_parallel(specs, misses, jobs=min(jobs, len(misses)),
+                              timeout=timeout, on_result=_completed,
+                              resilience=resilience)
+            except SweepJobError as exc:
+                exc.results = list(results)
+                raise
     if resilience is not None and rcache is not None:
         resilience.stats.cache_quarantined += len(rcache.quarantined)
     return results  # type: ignore[return-value]

@@ -50,52 +50,55 @@ class SectorCache:
         self.stats = CacheStats()
         # sets: list of OrderedDict[line_tag -> sector_valid_bitmask]
         self._sets = [OrderedDict() for _ in range(config.num_sets)]
-        self._set_mask = config.num_sets - 1
-        self._use_mask = (config.num_sets & (config.num_sets - 1)) == 0
+        # Geometry fixed at construction, read per probe without the
+        # config's properties.
+        self._line_bytes = config.line_bytes
+        self._sector_bytes = config.sector_bytes
+        self._num_sets = config.num_sets
+        self._assoc = config.assoc
 
-    def _set_index(self, line_addr: int) -> int:
-        idx = line_addr // self.config.line_bytes
-        if self._use_mask:
-            return idx & self._set_mask
-        return idx % self.config.num_sets
+    def _locate(self, addr: int) -> Tuple[OrderedDict, int, int]:
+        """The set, line address and sector bit of ``addr``."""
+        lb = self._line_bytes
+        idx = addr // lb
+        return (self._sets[idx % self._num_sets], idx * lb,
+                1 << (addr % lb // self._sector_bytes))
 
     def access(self, addr: int, write: bool = False) -> bool:
         """Probe the sector containing ``addr``; fill on miss. True = hit."""
-        cfg = self.config
-        line = addr // cfg.line_bytes * cfg.line_bytes
-        sector_bit = 1 << ((addr % cfg.line_bytes) // cfg.sector_bytes)
-        s = self._sets[self._set_index(line)]
-        self.stats.accesses += 1
+        # _locate, inlined: this runs once per sector of every load.
+        lb = self._line_bytes
+        idx = addr // lb
+        line = idx * lb
+        sector_bit = 1 << (addr % lb // self._sector_bytes)
+        s = self._sets[idx % self._num_sets]
+        stats = self.stats
+        stats.accesses += 1
         if line in s:
             valid = s[line]
             s.move_to_end(line)  # LRU touch
             if valid & sector_bit:
-                self.stats.hits += 1
+                stats.hits += 1
                 return True
             s[line] = valid | sector_bit
-            self.stats.misses += 1
-            self.stats.sector_misses_on_present_line += 1
+            stats.misses += 1
+            stats.sector_misses_on_present_line += 1
             return False
         # Line miss: allocate, possibly evicting LRU.
-        if len(s) >= cfg.assoc:
+        if len(s) >= self._assoc:
             s.popitem(last=False)
-            self.stats.evictions += 1
+            stats.evictions += 1
         s[line] = sector_bit
-        self.stats.misses += 1
+        stats.misses += 1
         return False
 
     def probe(self, addr: int) -> bool:
         """Check residency without touching LRU or stats."""
-        cfg = self.config
-        line = addr // cfg.line_bytes * cfg.line_bytes
-        sector_bit = 1 << ((addr % cfg.line_bytes) // cfg.sector_bytes)
-        s = self._sets[self._set_index(line)]
+        s, line, sector_bit = self._locate(addr)
         return line in s and bool(s[line] & sector_bit)
 
     def invalidate(self, addr: int) -> None:
-        cfg = self.config
-        line = addr // cfg.line_bytes * cfg.line_bytes
-        s = self._sets[self._set_index(line)]
+        s, line, _bit = self._locate(addr)
         s.pop(line, None)
 
     def evict_one(self) -> None:

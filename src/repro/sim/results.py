@@ -28,10 +28,13 @@ METRICS_SCHEMA = "repro.metrics/v3"
 class StallBreakdown:
     """Per-scheduler-cycle stall accounting (Fig 15 buckets).
 
-    A stall reason without a bucket raises, so a new stall source
-    cannot land in Fig 15 data unnoticed.  No scheduler reports
-    ``other``: it stays in :meth:`as_dict`, always 0, so that the
-    metrics document keeps its layout.
+    :meth:`record` and :meth:`record_bulk` are the only booking path:
+    each tests the reason against the bucket set once and adds to the
+    field in the instance dict, with no per-bucket scan or reflection.
+    A stall reason without a bucket raises and names the buckets, so a
+    new stall source cannot land in Fig 15 data unnoticed.  No
+    scheduler reports ``other``: it stays in :meth:`as_dict`, always
+    0, so that the metrics document keeps its layout.
     """
 
     issued: int = 0
@@ -50,11 +53,12 @@ class StallBreakdown:
         "issued", "empty", "mem", "barrier", "inorder",
         "token", "round", "buffer_full", "flush", "batch", "other",
     )
+
     def record(self, reason: Optional[str]) -> None:
         if reason is None:
             self.issued += 1
-        elif reason in self._FIELDS:
-            setattr(self, reason, getattr(self, reason) + 1)
+        elif reason in _BUCKETS:
+            self.__dict__[reason] += 1
         else:
             self._unknown(reason)
 
@@ -69,8 +73,8 @@ class StallBreakdown:
         """
         if count <= 0:
             return
-        if reason in self._FIELDS:
-            setattr(self, reason, getattr(self, reason) + count)
+        if reason in _BUCKETS:
+            self.__dict__[reason] += count
         else:
             self._unknown(reason)
 
@@ -81,20 +85,26 @@ class StallBreakdown:
         )
 
     def merge(self, other: "StallBreakdown") -> None:
+        mine, theirs = self.__dict__, other.__dict__
         for f in self._FIELDS:
-            setattr(self, f, getattr(self, f) + getattr(other, f))
+            mine[f] += theirs[f]
 
     def as_dict(self) -> Dict[str, int]:
-        return {f: getattr(self, f) for f in self._FIELDS}
+        counts = self.__dict__
+        return {f: counts[f] for f in self._FIELDS}
 
     @property
     def total(self) -> int:
-        return sum(getattr(self, f) for f in self._FIELDS)
+        return sum(self.as_dict().values())
 
     def determinism_overhead_fraction(self) -> float:
         """Fraction of scheduler slots lost to determinism machinery."""
         det = self.inorder + self.token + self.round + self.buffer_full + self.flush + self.batch
         return det / self.total if self.total else 0.0
+
+
+#: the stall buckets (``issued`` included), for one membership test.
+_BUCKETS = frozenset(StallBreakdown._FIELDS)
 
 
 @dataclass

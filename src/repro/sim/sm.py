@@ -435,21 +435,23 @@ class SM:
                     continue
 
             # Consult and select.  GPUDet's consult runs only on
-            # timing-ready warps, and holds those at a barrier without
-            # side effects, so it needs no precheck.
-            warps = row.warps
+            # timing-ready warps, reads their row cells, and holds those
+            # at a barrier without side effects, so it needs no precheck.
             if gpudet is not None:
                 held = row.held
-                held.clear()
+                if held:
+                    held.clear()
                 rc, ol, oa = row.rc, row.ol, row.oa
+                can_issue = gpudet.can_issue
                 for i in live:
                     if (ol[i] == 0 and oa[i] == 0 and rc[i] <= now
-                            and not gpudet.can_issue(warps[i])):
+                            and not can_issue(row, i)):
                         held.add(i)
             elif dab is not None:
                 gated = row.gated
-                gated.clear()
-                pc, atomic, bar = row.pc, row.atomic, row.bar
+                if gated:
+                    gated.clear()
+                pc, atomic, bar, warps = row.pc, row.atomic, row.bar, row.warps
                 for i in live:
                     if atomic[pc[i]] and not bar[i]:
                         gate = self._atomic_gate(warps[i])

@@ -1,5 +1,5 @@
-"""Smoke tests of ``scripts/bench_ab.py``: the opcode counter on one
-``tiny`` timing-matrix cell in this process, the paired-run verdicts on
+"""Smoke tests of ``scripts/bench_ab.py``: the opcode and call counters
+on one ``tiny`` timing-matrix cell in this process, the paired-run verdicts on
 made-up samples, and the exports of ``HEAD`` and of the working tree."""
 
 import importlib.util
@@ -40,7 +40,7 @@ def test_opcode_counter_on_a_tiny_cell():
     tm.run_cell(CELL, invariants=False)  # warm-up: decode caches
     res, counts = bench_ab.count_opcodes(
         lambda: tm.run_cell(CELL, invariants=False))
-    table = bench_ab.opcode_table(counts, res.instructions, top=5)
+    table = bench_ab.count_table(counts, res.instructions, "opcodes", top=5)
     assert table["instructions"] == res.instructions > 0
     assert table["opcodes"] == sum(counts.values()) > 0
     assert table["per_instr"] > 0
@@ -51,6 +51,30 @@ def test_opcode_counter_on_a_tiny_cell():
     _res, again = bench_ab.count_opcodes(
         lambda: tm.run_cell(CELL, invariants=False))
     assert sum(again.values()) == table["opcodes"]
+
+
+def test_call_counter_on_a_tiny_cell():
+    def run():
+        return tm.run_cell(CELL, invariants=False)
+
+    run()  # warm-up: decode caches
+    res, counts = bench_ab.count_calls(run)
+    table = bench_ab.count_table(counts, res.instructions, "calls", top=5)
+    assert table["instructions"] == res.instructions > 0
+    assert table["calls"] == sum(counts.values()) > 0
+    # Python functions by code object, C builtins by name.
+    names = set(table["by_module"])
+    assert {"repro.sim.sm", "repro.arch.warp", "builtins"} <= names
+    assert any(isinstance(k, str) for k in counts)
+    assert len(table["top_functions"]) == 5
+    # A deterministic run makes the same calls again.
+    _res, again = bench_ab.count_calls(run)
+    assert again == counts
+
+
+def test_builtin_names():
+    assert bench_ab.builtin_name(len) == "builtins:len"
+    assert bench_ab.builtin_name([].append) == "builtins:list.append"
 
 
 def test_module_names():

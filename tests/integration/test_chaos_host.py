@@ -81,6 +81,10 @@ class TestPoisonQuarantine:
             [ref] = ei.value.jobs
             assert ref["workload"] == "chaos_host_poison"
             assert ref["spec_hash"] == _poison_spec().spec_hash()
+            # The error carries what did finish, in submission order.
+            results = ei.value.results
+            assert len(results) == len(specs) and results[-1] is None
+            assert all(r is not None for r in results[:-1])
 
 
 @pytest.mark.skipif(not watchdog_supported(), reason="needs /proc")
@@ -176,6 +180,8 @@ class TestCLIExitCodes:
         # Without --resilient the poison job is never re-run in the
         # coordinator, where its os._exit would end the command with
         # no output: it surfaces as SweepWorkerError -> exit 4.
+        from repro.campaign.rundb import RunDB
+
         yaml = self._poison_yaml(tmp_path)
         proc = run_cli("campaign", "run", str(yaml), "--db",
                        str(tmp_path / "runs.db"), "--no-cache",
@@ -183,6 +189,11 @@ class TestCLIExitCodes:
         assert proc.returncode == 4, proc.stdout + proc.stderr
         assert "unrecoverable worker failure" in proc.stderr
         assert "chaos_host_poison" in proc.stderr
+        # The job that finished is recorded before the error surfaces.
+        with RunDB(tmp_path / "runs.db") as db:
+            rows = db.runs()
+        assert [(r.workload, r.quarantined) for r in rows] == \
+            [("atomic_sum_48", False)]
 
     def test_sweep_timeout_exits_3(self, tmp_path):
         proc = run_cli("chaos", "host", "--seed", "0",

@@ -446,7 +446,7 @@ class TestHeldSleepWake:
         gpu, sm = held_sleeper()
         w = next(w for w in sm.sched_slots[0] if w is not None)
         gpu.gpudet._live[w.uid].reason = None  # a quantum reset, no wake
-        assert not gpu.gpudet.holds(w)
+        assert not gpu.gpudet.holds(sm.rows[0], w.hw_slot)
         v = raises_wake(gpu.inv.check_issue_agenda, gpu, 0)
         assert f"warp {w.uid} ready" in v.detail
         assert "GPUDet holds the warp no longer" in v.detail

@@ -44,6 +44,18 @@ class TestSectorCache:
         assert not c.probe(0)
         assert c.stats.evictions == 1
 
+    def test_lru_eviction_with_three_sets(self):
+        # A set count that is no power of two: the set is the line
+        # number modulo the set count.
+        c = SectorCache(CacheConfig(size_bytes=768, line_bytes=128, assoc=2))
+        assert c.config.num_sets == 3
+        stride = 128 * 3  # same set
+        for line in (0, stride, 128, 2 * stride):  # 128: another set
+            c.access(line)
+        assert not c.probe(0) and c.probe(128)
+        assert c.probe(stride) and c.probe(2 * stride)
+        assert c.stats.evictions == 1
+
     def test_lru_touch_on_hit(self):
         c = self.make()
         sets = c.config.num_sets

@@ -5,7 +5,7 @@ import pytest
 
 from repro.arch.isa import OpClass, assemble
 from repro.arch.kernel import CTA, Kernel
-from repro.arch.warp import Warp
+from repro.arch.warp import StepResult, Warp
 from repro.memory.globalmem import GlobalMemory
 
 
@@ -365,6 +365,64 @@ class TestDecodeTable:
                 assert regs[name].tobytes() == fresh[name].tobytes(), name
             self._assert_own_writable_arrays(regs)
         assert sorted(shared.decoded) == [32]
+
+    def test_fixed_class_steps_share_one_record(self):
+        """ALU, SFU, NOP, branch, barrier and fence executors and a
+        guarded-off instruction hand every warp, at every step, the one
+        record built at decode, unmodified; memory, exit and sleep
+        steps build a fresh record each."""
+        mem = GlobalMemory()
+        base = mem.alloc("a", 1, "s32")
+        prog = assemble("""
+            mov.s32 r_i, 0
+            setp.lt.s32 p_no, %laneid, 0
+        LOOP:
+            add.s32 r_i, r_i, 1
+            div.s32 r_d, r_i, 2
+            nop 3
+            bar.sync
+            membar.gl
+        @p_no mov.s32 r_x, 1
+            ld.global.s32 r_v, [c_a]
+            red.global.add.s32 [c_a], 1
+            sleep 2
+            setp.lt.s32 p_c, r_i, 3
+        @p_c bra LOOP
+            bra DONE
+        DONE:
+            exit
+        """)
+        kernel = Kernel("t", prog, grid_dim=1, cta_dim=64,
+                        params={"c_a": base})
+        cta = CTA(kernel=kernel, cta_id=0)
+        steps = {}  # pc -> the records its steps returned
+        for wid in (0, 1):
+            w = Warp(uid=wid + 1, cta=cta, warp_id_in_cta=wid, warp_size=32)
+            while not w.done:
+                pc = w.pc
+                steps.setdefault(pc, []).append(w.step(mem))
+        fixed = (OpClass.ALU, OpClass.SFU, OpClass.NOP, OpClass.BRANCH,
+                 OpClass.BARRIER, OpClass.FENCE)
+        seen = set()
+        for pc, records in steps.items():
+            ins = prog.instrs[pc]
+            assert len(records) >= 2, ins  # both warps ran it
+            oc = records[0].op_class
+            seen.add(oc)
+            if oc in fixed:
+                assert all(r is records[0] for r in records), ins
+                assert records[0] == StepResult(
+                    ins, oc, barrier=oc is OpClass.BARRIER,
+                    fence=oc is OpClass.FENCE), ins
+            else:
+                assert len({id(r) for r in records}) == len(records), ins
+        assert seen == set(fixed) | {OpClass.MEM_LOAD, OpClass.MEM_RED,
+                                     OpClass.SLEEP, OpClass.EXIT}
+        # The guarded-off instruction retired as its executor's nop.
+        guarded = next(pc for pc, ins in enumerate(prog.instrs)
+                       if ins.guard == "p_no")
+        assert steps[guarded][0].instr is prog.instrs[guarded]
+        assert steps[guarded][0].op_class is OpClass.NOP
 
     def test_program_pickles_after_decode(self):
         import pickle
